@@ -40,7 +40,7 @@ func (s *Sim) commitStage(now int64) error {
 				s.probe.Committed(now, th.id, e.inum)
 			}
 			s.lastCommitCycle = now
-			th.robHead = (th.robHead + 1) % len(th.rob)
+			th.robHead = (th.robHead + 1) & (len(th.rob) - 1)
 			th.robCount--
 			th.headInum++
 			budget--
@@ -54,30 +54,25 @@ func (s *Sim) commitStage(now int64) error {
 // safeBound returns the newest instruction number in the thread that can
 // no longer be squashed. The only squash source in this trace-driven model
 // is a memory-order violation, triggered by a store whose address was
-// still unknown.
+// still unknown: the bound stops just before the oldest such store, which
+// the known-address prefix (thread.sqKnown) names without a scan.
 func (s *Sim) safeBound(th *thread) int64 {
-	tail := th.headInum + int64(th.robCount) - 1
-	if s.cfg.Disambiguation == DisambConservative {
-		return tail
+	if s.cfg.Disambiguation != DisambConservative && th.sqKnown < th.sqN {
+		return th.sqAt(th.sqKnown).inum - 1
 	}
-	for i := 0; i < th.sqN; i++ {
-		if sqe := th.sqAt(i); !sqe.eaKnown {
-			return sqe.inum - 1
-		}
-	}
-	return tail
+	return th.headInum + int64(th.robCount) - 1
 }
 
 // --- post-commit store buffer ring --------------------------------------------
 
 func (s *Sim) sbPush(addr uint64) {
-	s.sbBuf[(s.sbHead+s.sbN)%len(s.sbBuf)] = addr
+	s.sbBuf[(s.sbHead+s.sbN)&(len(s.sbBuf)-1)] = addr
 	s.sbN++
 }
 
 func (s *Sim) sbFront() uint64 { return s.sbBuf[s.sbHead] }
 
 func (s *Sim) sbPopFront() {
-	s.sbHead = (s.sbHead + 1) % len(s.sbBuf)
+	s.sbHead = (s.sbHead + 1) & (len(s.sbBuf) - 1)
 	s.sbN--
 }

@@ -114,7 +114,31 @@ func diffConfigs() []Config {
 	zeroHit.Cache.HitLatency = 0
 	zeroHit.Scheme = core.SchemeVPWriteback
 	out = append(out, zeroHit)
+	// Ring sizes that are not powers of two: the ROB, store queue and
+	// store buffer round their allocation up, never their capacity.
+	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
+		out = append(out, oddRings(scheme))
+	}
 	return out
+}
+
+// oddRings is the default machine under scheme with a 96-entry ROB and a
+// 12-entry post-commit store buffer.
+func oddRings(scheme core.Scheme) Config {
+	cfg := DefaultConfig()
+	cfg.Scheme = scheme
+	cfg.ROBSize = 96
+	cfg.StoreBufferSize = 12
+	return cfg
+}
+
+// ringSuffix names a non-default ROB or store-buffer size in a subtest.
+func ringSuffix(cfg Config) string {
+	def := DefaultConfig()
+	if cfg.ROBSize == def.ROBSize && cfg.StoreBufferSize == def.StoreBufferSize {
+		return ""
+	}
+	return fmt.Sprintf("-rob%d-sb%d", cfg.ROBSize, cfg.StoreBufferSize)
 }
 
 // TestDifferentialEventVsScan sweeps randomized synthetic workloads
@@ -133,8 +157,8 @@ func TestDifferentialEventVsScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		params := randSynthParams(rng)
 		for i, cfg := range diffConfigs() {
-			name := fmt.Sprintf("seed%d/cfg%d-%s-p%d-nrr%d-%s", seed, i, cfg.Scheme,
-				cfg.Rename.PhysRegs, cfg.Rename.NRRInt, cfg.Disambiguation)
+			name := fmt.Sprintf("seed%d/cfg%d-%s-p%d-nrr%d-%s%s", seed, i, cfg.Scheme,
+				cfg.Rename.PhysRegs, cfg.Rename.NRRInt, cfg.Disambiguation, ringSuffix(cfg))
 			p := params
 			diffKernels(t, name, cfg, func() []trace.Generator {
 				return []trace.Generator{trace.Take(synth.New(p), instr)}
@@ -153,8 +177,11 @@ func TestDifferentialEventVsScanSMT(t *testing.T) {
 		instr = 4000
 	}
 	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
-		for _, threads := range []int{2, 4} {
+		for _, threads := range []int{2, 4, 3} {
 			cfg := DefaultConfig()
+			if threads == 3 {
+				cfg = oddRings(scheme) // odd thread count with odd ring sizes
+			}
 			cfg.Scheme = scheme
 			cfg.Rename.PhysRegs = 32*threads + 32
 			nrr := 32 / threads
@@ -166,7 +193,7 @@ func TestDifferentialEventVsScanSMT(t *testing.T) {
 				paramsList[i] = randSynthParams(rng)
 				seeds[i] = paramsList[i].Seed
 			}
-			name := fmt.Sprintf("%s-%dT", scheme, threads)
+			name := fmt.Sprintf("%s-%dT%s", scheme, threads, ringSuffix(cfg))
 			diffKernels(t, name, cfg, func() []trace.Generator {
 				gens := make([]trace.Generator, threads)
 				for i, p := range paramsList {
@@ -188,18 +215,19 @@ func TestDifferentialGoldenWorkloads(t *testing.T) {
 	}
 	for _, wl := range names {
 		for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
-			cfg := DefaultConfig()
-			cfg.Scheme = scheme
-			cfg.Rename.PhysRegs = 48
-			cfg.Rename.NRRInt, cfg.Rename.NRRFP = 8, 8
-			cfg.ValueCheck = true
-			diffKernels(t, fmt.Sprintf("%s-%s", wl, scheme), cfg, func() []trace.Generator {
-				gen, err := workloads.MustByName(wl).NewGen()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return []trace.Generator{trace.Take(gen, 10000)}
-			})
+			for _, cfg := range []Config{DefaultConfig(), oddRings(scheme)} {
+				cfg.Scheme = scheme
+				cfg.Rename.PhysRegs = 48
+				cfg.Rename.NRRInt, cfg.Rename.NRRFP = 8, 8
+				cfg.ValueCheck = true
+				diffKernels(t, fmt.Sprintf("%s-%s%s", wl, scheme, ringSuffix(cfg)), cfg, func() []trace.Generator {
+					gen, err := workloads.MustByName(wl).NewGen()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return []trace.Generator{trace.Take(gen, 10000)}
+				})
+			}
 		}
 	}
 }

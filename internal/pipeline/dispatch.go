@@ -15,7 +15,7 @@ func (s *Sim) dispatchStage(now int64) error {
 	budget := s.cfg.DecodeWidth
 	for _, th := range s.threadOrder() {
 		for budget > 0 && th.fbN > 0 {
-			if th.robCount == len(th.rob) {
+			if th.robCount == s.cfg.ROBSize {
 				s.stats.ROBStalls++
 				break
 			}
@@ -23,45 +23,50 @@ func (s *Sim) dispatchStage(now int64) error {
 				s.stats.IQStalls++
 				break
 			}
-			item := *th.fbFront()
-			renamed, ok := th.ren.Rename(item.rec.Seq, item.rec.Inst)
+			item := th.fbFront()
+			rec, mispred := item.rec, item.mispred
+			renamed, ok := th.ren.Rename(rec.Seq, rec.Inst)
 			if !ok {
 				break // conventional scheme out of registers; retry next cycle
 			}
 			th.fbPopFront()
 
-			slot := (th.robHead + th.robCount) % len(th.rob)
-			info := item.rec.Inst.Op.Info()
-			th.rob[slot] = robEntry{
-				inum:           item.rec.Seq,
-				rec:            item.rec,
-				ren:            renamed,
-				gen:            s.nextGen(),
-				st:             stWaiting,
-				inIQ:           true,
-				src1Ready:      !renamed.Src1.Present || renamed.Src1.Zero || renamed.Src1.Ready,
-				src2Ready:      !renamed.Src2.Present || renamed.Src2.Zero || renamed.Src2.Ready,
-				completeAt:     timeUnset,
-				aguDoneAt:      timeUnset,
-				allocBlockedAt: timeUnset,
-				isLoad:         info.IsLoad,
-				isStore:        info.IsStore,
-				valueFrom:      valueNone,
-				isBranch:       info.IsBranch,
-				isCond:         info.IsBranch && !info.IsUncond,
-				mispred:        item.mispred,
-			}
+			// Fill the slot in place: a composite literal assigned through
+			// the pointer is built on the stack and block-copied.
+			e := &th.rob[(th.robHead+th.robCount)&(len(th.rob)-1)]
+			info := rec.Inst.Op.Info()
+			*e = robEntry{}
+			e.inum = rec.Seq
+			e.gen = s.nextGen()
+			e.latency = int32(info.Latency)
+			e.pool = uint8(s.kindToPool[info.Kind])
+			e.pipelined = info.Pipelined
+			e.reads = readPortNeeds(&renamed, info.IsStore)
+			e.st = stWaiting
+			e.inIQ = true
+			e.src1Ready = !renamed.Src1.Present || renamed.Src1.Zero || renamed.Src1.Ready
+			e.src2Ready = !renamed.Src2.Present || renamed.Src2.Zero || renamed.Src2.Ready
+			e.isLoad = info.IsLoad
+			e.isStore = info.IsStore
+			e.isBranch = info.IsBranch
+			e.isCond = info.IsBranch && !info.IsUncond
+			e.mispred = mispred
+			e.completeAt = timeUnset
+			e.aguDoneAt = timeUnset
+			e.allocBlockedAt = timeUnset
+			e.valueFrom = valueNone
+			e.ren = renamed
+			e.rec = rec
 			th.robCount++
 			s.iqCount++
 			budget--
 			if s.probe != nil {
-				s.probe.Dispatched(now, th.id, item.rec.Seq)
+				s.probe.Dispatched(now, th.id, rec.Seq)
 			}
 			if info.IsStore {
-				th.sqPush(sqEntry{inum: item.rec.Seq})
+				th.sqPush(sqEntry{inum: rec.Seq})
 			}
 			if !s.scan {
-				e := &th.rob[slot]
 				s.registerWaiters(th, e)
 				if e.ready() {
 					s.enqueueReady(th, e)

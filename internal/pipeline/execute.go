@@ -28,7 +28,9 @@ func (s *Sim) executeStage(now int64) error {
 	if s.scan {
 		return s.executeScan(now)
 	}
-	s.aguWheel.drain(now, s.deliverAGU)
+	for _, ev := range s.aguWheel.due(now) {
+		s.deliverAGU(ev)
+	}
 	ports := s.cfg.CachePorts
 	// The post-commit store buffer gets first claim on one port. Without
 	// this guarantee, re-executing loads (VP write-back allocation) can
@@ -59,8 +61,7 @@ func (s *Sim) executeStage(now int64) error {
 					return fmt.Errorf("pipeline: store %d missing from store queue", e.inum)
 				}
 				if !sqe.eaKnown {
-					sqe.ea = e.rec.EA
-					sqe.eaKnown = true
+					th.sqResolve(sqe, e.rec.EA)
 					if s.cfg.Disambiguation == DisambSpeculative {
 						if err := s.checkViolation(th, sqe, now); err != nil {
 							return err

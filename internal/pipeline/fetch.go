@@ -44,8 +44,8 @@ func (s *Sim) canFetch(th *thread, now int64) bool {
 
 func (s *Sim) fetchThread(th *thread, now int64) {
 	for budget := s.cfg.FetchWidth; budget > 0 && !th.fbFull(); budget-- {
-		rec, ok := th.stream.At(th.fetchSeq)
-		if !ok {
+		rec := th.stream.Ref(th.fetchSeq)
+		if rec == nil {
 			th.traceEnded = true
 			return
 		}

@@ -27,6 +27,14 @@ func (s *Sim) issueStage(now int64) error {
 		q := th.readyQ
 		kept := q[:0]
 		for qi := 0; qi < len(q); qi++ {
+			if budget == 0 {
+				// Width spent: every later attempt would refuse before
+				// touching the renamer (tryIssueEntry), so keep the rest of
+				// the queue as it stands. kept never runs ahead of qi, so
+				// the overlapping copy is a plain memmove.
+				kept = q[:len(kept)+copy(q[len(kept):], q[qi:])]
+				break
+			}
 			ref := q[qi]
 			e := th.entryByInum(ref.inum)
 			if e == nil || e.gen != ref.gen || e.st != stWaiting || !e.ready() {
@@ -63,7 +71,7 @@ func (s *Sim) issueRanked(now int64) error {
 			//vpr:allowalloc amortized: stage buffers retain capacity across cycles
 			cands = append(cands, IssueCandidate{
 				Inum:    ref.inum,
-				Latency: e.rec.Inst.Op.Info().Latency,
+				Latency: int(e.latency),
 				IsLoad:  e.isLoad,
 				IsStore: e.isStore,
 			})
@@ -105,13 +113,12 @@ func (s *Sim) tryIssueEntry(th *thread, e *robEntry, now int64, budget *int, rfR
 	if *budget == 0 {
 		return false, nil
 	}
-	info := e.rec.Inst.Op.Info()
-	pool := s.kindToPool[info.Kind]
-	if s.pools[pool].free == 0 {
+	pool := &s.pools[e.pool]
+	if pool.free == 0 {
 		return false, nil
 	}
-	needReads := readPortNeeds(e)
-	if rfReads[0] < needReads[0] || rfReads[1] < needReads[1] {
+	needInt, needFP := int(e.reads[0]), int(e.reads[1])
+	if rfReads[0] < needInt || rfReads[1] < needFP {
 		return false, nil
 	}
 	if !s.allocAtIssue(th, e, now) {
@@ -122,15 +129,15 @@ func (s *Sim) tryIssueEntry(th *thread, e *robEntry, now int64, budget *int, rfR
 	}
 	th.ren.NoteRead(e.inum, true, !e.isStore)
 
-	rfReads[0] -= needReads[0]
-	rfReads[1] -= needReads[1]
-	if info.Pipelined {
-		s.pools[pool].take(now, now+1)
+	rfReads[0] -= needInt
+	rfReads[1] -= needFP
+	latency := int64(e.latency)
+	if e.pipelined {
+		pool.take(now, now+1)
 	} else {
-		s.pools[pool].take(now, now+int64(info.Latency))
+		pool.take(now, now+latency)
 	}
 	*budget--
-	e.executions++
 	s.stats.Issued++
 	if s.probe != nil {
 		s.probe.Issued(now, th.id, e.inum)
@@ -141,10 +148,10 @@ func (s *Sim) tryIssueEntry(th *thread, e *robEntry, now int64, budget *int, rfR
 		// Effective-address unit latency, then the memory pipeline.
 		e.completeAt = timeUnset
 		e.aguDoneAt = s.aguWheel.schedule(now,
-			wevent{due: now + int64(info.Latency), inum: e.inum, tid: int32(th.id), gen: e.gen})
+			wevent{due: now + latency, inum: e.inum, tid: int32(th.id), gen: e.gen})
 	} else {
 		e.completeAt = s.compWheel.schedule(now,
-			wevent{due: now + int64(info.Latency), inum: e.inum, tid: int32(th.id), gen: e.gen})
+			wevent{due: now + latency, inum: e.inum, tid: int32(th.id), gen: e.gen})
 	}
 	if s.cfg.Scheme != core.SchemeVPWriteback {
 		s.leaveIQ(e)
@@ -186,13 +193,13 @@ func (s *Sim) allocAtIssue(th *thread, e *robEntry, now int64) bool {
 
 // readPortNeeds counts register-file reads per class performed at issue.
 // Store data is read later (at completion) and is not charged a port — a
-// documented simplification.
-func readPortNeeds(e *robEntry) [2]int {
-	var n [2]int
-	if op := e.ren.Src1; op.Present && !op.Zero {
+// documented simplification. Dispatch stores the result in robEntry.reads.
+func readPortNeeds(ren *core.Renamed, isStore bool) [2]uint8 {
+	var n [2]uint8
+	if op := ren.Src1; op.Present && !op.Zero {
 		n[classIdxOf(op.Class)]++
 	}
-	if op := e.ren.Src2; op.Present && !op.Zero && !e.isStore {
+	if op := ren.Src2; op.Present && !op.Zero && !isStore {
 		n[classIdxOf(op.Class)]++
 	}
 	return n

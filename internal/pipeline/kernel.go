@@ -88,7 +88,7 @@ func (w *wheel) init(slots int) {
 	// hundreds of nil-backed slot lists individually through the
 	// allocator was a measurable share of a run's allocations. Slots
 	// that outgrow their window reallocate individually and keep the
-	// larger capacity (drain returns evs[:0]); the three-index slice
+	// larger capacity (due resets a slot to evs[:0]); the three-index slice
 	// keeps such growth from bleeding into the next slot's window.
 	const perSlot = 4
 	arena := make([]wevent, slots*perSlot)
@@ -119,7 +119,7 @@ func (w *wheel) schedule(now int64, ev wevent) int64 {
 	return ev.due
 }
 
-// emptyAt reports whether drain(now) would deliver nothing. The slot for
+// emptyAt reports whether due(now) would return nothing. The slot for
 // now holds only events due exactly at now — every slot is drained at its
 // cycle, and schedule files an event into a slot only when its deadline
 // is within the horizon — so an empty slot is exact; a non-empty overflow
@@ -130,8 +130,12 @@ func (w *wheel) emptyAt(now int64) bool {
 	return len(w.overflow) == 0 && len(w.slots[now&w.mask]) == 0
 }
 
-// drain delivers every event due at now. Called once per cycle.
-func (w *wheel) drain(now int64, deliver func(ev wevent)) {
+// due returns every event due at now and empties its slot. Called once
+// per cycle. The returned slice aliases the slot's storage; it stays
+// intact while the caller walks it, because schedule never files into the
+// slot of now (a due at or before now is coerced to now+1, and a due
+// within the horizon maps to a different slot).
+func (w *wheel) due(now int64) []wevent {
 	if len(w.overflow) > 0 && now >= w.nextMigrate {
 		kept := w.overflow[:0]
 		for _, ev := range w.overflow {
@@ -148,13 +152,8 @@ func (w *wheel) drain(now int64, deliver func(ev wevent)) {
 	}
 	slot := now & w.mask
 	evs := w.slots[slot]
-	if len(evs) == 0 {
-		return
-	}
 	w.slots[slot] = evs[:0]
-	for _, ev := range evs {
-		deliver(ev)
-	}
+	return evs
 }
 
 // poolState tracks one functional-unit pool as a free count plus a release
@@ -326,10 +325,18 @@ func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 // checkEvInvariants cross-checks the scheduler indexes against a full
 // reorder-buffer scan (Debug mode): every issueable instruction must be in
 // the ready queue, every completable store in the write-back pending list,
-// and the queues must be inum-sorted.
+// the queues must be inum-sorted, and the store queue's known-address
+// prefix must match a fresh scan.
 //
 //vpr:coldpath
 func (s *Sim) checkEvInvariants(th *thread) error {
+	known := 0
+	for known < th.sqN && th.sqAt(known).eaKnown {
+		known++
+	}
+	if known != th.sqKnown {
+		return fmt.Errorf("store-queue known-address prefix %d, scan finds %d", th.sqKnown, known)
+	}
 	for _, q := range [][]evRef{th.readyQ, th.wbPend, th.aguPend} {
 		for i := 1; i < len(q); i++ {
 			if q[i-1].inum >= q[i].inum {

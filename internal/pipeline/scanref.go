@@ -155,8 +155,7 @@ func (s *Sim) executeScan(now int64) error {
 					return fmt.Errorf("pipeline: store %d missing from store queue", e.inum)
 				}
 				if !sqe.eaKnown {
-					sqe.ea = e.rec.EA
-					sqe.eaKnown = true
+					th.sqResolve(sqe, e.rec.EA)
 					if s.cfg.Disambiguation == DisambSpeculative {
 						if err := s.checkViolation(th, sqe, now); err != nil {
 							return err
@@ -196,8 +195,8 @@ func (s *Sim) issueScan(now int64) error {
 			if unit < 0 {
 				continue
 			}
-			needReads := readPortNeeds(e)
-			if rfReads[0] < needReads[0] || rfReads[1] < needReads[1] {
+			needReads := readPortNeeds(&e.ren, e.isStore)
+			if rfReads[0] < int(needReads[0]) || rfReads[1] < int(needReads[1]) {
 				continue
 			}
 			if !th.ren.AllocateAtIssue(e.inum) {
@@ -211,15 +210,14 @@ func (s *Sim) issueScan(now int64) error {
 			}
 			th.ren.NoteRead(e.inum, true, !e.isStore)
 
-			rfReads[0] -= needReads[0]
-			rfReads[1] -= needReads[1]
+			rfReads[0] -= int(needReads[0])
+			rfReads[1] -= int(needReads[1])
 			if info.Pipelined {
 				s.scanPools[pool][unit] = now + 1
 			} else {
 				s.scanPools[pool][unit] = now + int64(info.Latency)
 			}
 			budget--
-			e.executions++
 			s.stats.Issued++
 			if s.probe != nil {
 				s.probe.Issued(now, th.id, e.inum)

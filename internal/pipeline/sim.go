@@ -60,6 +60,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -88,7 +89,7 @@ const (
 	valueNone    int64 = -2 // load has not obtained its value yet
 	valueMemory  int64 = -1 // load value came from the cache/memory
 	timeUnset    int64 = -1
-	fetchBufSize       = 16
+	fetchBufSize       = 16 // a power of two: the fetch ring is masked
 
 	// threadAddrShift namespaces each thread's addresses in the shared
 	// cache: traces are generated in identical virtual address spaces,
@@ -99,10 +100,12 @@ const (
 // robEntry is one in-flight instruction. Because fetch follows the
 // committed path, instruction numbers in a thread's reorder buffer are
 // consecutive trace sequence numbers.
+//
+// The fields the scheduler reads on every visit (identity, state, issue
+// constants, deadlines) come first so they share the entry's first cache
+// line; the renamed operands and the trace record follow.
 type robEntry struct {
 	inum int64
-	rec  trace.Record
-	ren  core.Renamed
 
 	// gen distinguishes this occupancy of the ROB slot from earlier ones
 	// with the same inum (squash + re-fetch reuses instruction numbers):
@@ -111,12 +114,26 @@ type robEntry struct {
 	// longer matches.
 	gen uint32
 
-	st         state
-	inIQ       bool
-	inReadyQ   bool // queued in the scheduler's ready index
-	src1Ready  bool
-	src2Ready  bool
-	executions int
+	// Issue constants, fixed at dispatch so a retried issue attempt
+	// re-derives nothing: the execution latency, the functional-unit
+	// pool, whether the unit is pipelined, and the register-file read
+	// ports issue charges per class (see readPortNeeds).
+	latency   int32
+	pool      uint8
+	pipelined bool
+	reads     [2]uint8
+
+	st        state
+	inIQ      bool
+	inReadyQ  bool // queued in the scheduler's ready index
+	src1Ready bool
+	src2Ready bool
+
+	isLoad   bool
+	isStore  bool
+	isBranch bool
+	isCond   bool
+	mispred  bool
 
 	completeAt int64 // cycle execution finishes (timeUnset while unknown)
 	aguDoneAt  int64 // memory ops: cycle the effective address is ready
@@ -128,13 +145,10 @@ type robEntry struct {
 	// (see allocAtIssue).
 	allocBlockedAt int64
 
-	isLoad    bool
-	isStore   bool
 	valueFrom int64 // loads: forwarding store inum, valueMemory, or valueNone
 
-	isBranch bool
-	isCond   bool
-	mispred  bool
+	ren core.Renamed
+	rec *trace.Record // points into the thread's stream window until commit retires it
 }
 
 func (e *robEntry) ready() bool {
@@ -152,7 +166,7 @@ type sqEntry struct {
 }
 
 type fetchItem struct {
-	rec     trace.Record
+	rec     *trace.Record // into the stream window, like robEntry.rec
 	mispred bool
 }
 
@@ -176,16 +190,23 @@ type thread struct {
 	fbHead int
 	fbN    int
 
+	// Rings are allocated at a power of two (see ringLen) and indexed
+	// with a mask; capacity checks read Config, never len(ring).
 	rob      []robEntry
 	robHead  int
 	robCount int
 	headInum int64
 
 	// Store queue: a fixed ring, ordered oldest-first. A thread can have
-	// at most ROBSize uncommitted stores.
-	sqBuf  []sqEntry
-	sqHead int
-	sqN    int
+	// at most ROBSize uncommitted stores. sqKnown is the length of the
+	// queue's known-address prefix: entries [0, sqKnown) have resolved
+	// effective addresses and entry sqKnown, if any, is the oldest
+	// unresolved one — what safeBound needs, kept current in O(1)
+	// amortized per store instead of rescanned every cycle.
+	sqBuf   []sqEntry
+	sqHead  int
+	sqN     int
+	sqKnown int
 
 	committed int64
 
@@ -196,9 +217,13 @@ type thread struct {
 	waiters [2][][]waiter // wakeup index: per class, per tag, registered consumers
 }
 
+// ringLen rounds a ring's capacity up to a power of two so its index wraps
+// with a mask instead of an integer division.
+func ringLen(n int) int { return 1 << bits.Len(uint(n-1)) }
+
 // at returns the thread's i-th oldest in-flight entry.
 func (t *thread) at(i int) *robEntry {
-	return &t.rob[(t.robHead+i)%len(t.rob)]
+	return &t.rob[(t.robHead+i)&(len(t.rob)-1)]
 }
 
 func (t *thread) entryByInum(inum int64) *robEntry {
@@ -211,18 +236,18 @@ func (t *thread) entryByInum(inum int64) *robEntry {
 
 // --- fetch-buffer ring -------------------------------------------------------
 
-func (t *thread) fbFull() bool  { return t.fbN == len(t.fbuf) }
+func (t *thread) fbFull() bool  { return t.fbN == fetchBufSize }
 func (t *thread) fbEmpty() bool { return t.fbN == 0 }
 
 func (t *thread) fbPush(it fetchItem) {
-	t.fbuf[(t.fbHead+t.fbN)%len(t.fbuf)] = it
+	t.fbuf[(t.fbHead+t.fbN)&(len(t.fbuf)-1)] = it
 	t.fbN++
 }
 
 func (t *thread) fbFront() *fetchItem { return &t.fbuf[t.fbHead] }
 
 func (t *thread) fbPopFront() {
-	t.fbHead = (t.fbHead + 1) % len(t.fbuf)
+	t.fbHead = (t.fbHead + 1) & (len(t.fbuf) - 1)
 	t.fbN--
 }
 
@@ -231,20 +256,40 @@ func (t *thread) fbClear() { t.fbHead, t.fbN = 0, 0 }
 // --- store-queue ring --------------------------------------------------------
 
 func (t *thread) sqAt(i int) *sqEntry {
-	return &t.sqBuf[(t.sqHead+i)%len(t.sqBuf)]
+	return &t.sqBuf[(t.sqHead+i)&(len(t.sqBuf)-1)]
 }
 
+// sqPush appends a store with its address still unknown; the
+// known-address prefix cannot grow past it.
 func (t *thread) sqPush(e sqEntry) {
-	t.sqBuf[(t.sqHead+t.sqN)%len(t.sqBuf)] = e
+	t.sqBuf[(t.sqHead+t.sqN)&(len(t.sqBuf)-1)] = e
 	t.sqN++
 }
 
+// sqPopFront drops the committing head store, whose address is known.
 func (t *thread) sqPopFront() {
-	t.sqHead = (t.sqHead + 1) % len(t.sqBuf)
+	t.sqHead = (t.sqHead + 1) & (len(t.sqBuf) - 1)
 	t.sqN--
+	t.sqKnown--
 }
 
-func (t *thread) sqPopBack() { t.sqN-- }
+// sqPopBack drops the youngest store (squash), clamping the prefix.
+func (t *thread) sqPopBack() {
+	t.sqN--
+	if t.sqKnown > t.sqN {
+		t.sqKnown = t.sqN
+	}
+}
+
+// sqResolve records a store's effective address and extends the
+// known-address prefix over every resolved entry it now reaches.
+func (t *thread) sqResolve(e *sqEntry, ea uint64) {
+	e.ea = ea
+	e.eaKnown = true
+	for t.sqKnown < t.sqN && t.sqAt(t.sqKnown).eaKnown {
+		t.sqKnown++
+	}
+}
 
 func (t *thread) sqEntry(inum int64) *sqEntry {
 	for i := 0; i < t.sqN; i++ {
@@ -292,8 +337,8 @@ type Sim struct {
 	iqCount int // instruction-queue occupancy across threads
 	prf     [2][]uint64
 
-	// Post-commit store buffer: a fixed ring of at most StoreBufferSize
-	// namespaced addresses.
+	// Post-commit store buffer: a fixed, masked ring of at most
+	// StoreBufferSize namespaced addresses.
 	sbBuf  []uint64
 	sbHead int
 	sbN    int
@@ -384,7 +429,7 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 		pool:     core.NewSharedPool(cfg.Rename.PhysRegs),
 		bht:      bpred.New(cfg.BHTEntries),
 		dmem:     m,
-		sbBuf:    make([]uint64, cfg.StoreBufferSize),
+		sbBuf:    make([]uint64, ringLen(cfg.StoreBufferSize)),
 	}
 	if s.fetchPol != nil {
 		s.fetchCands = make([]FetchCandidate, 0, len(gens))
@@ -400,9 +445,9 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 			id:     i,
 			gen:    gen,
 			stream: trace.NewStream(gen, cfg.ROBSize+fetchBufSize+4*cfg.FetchWidth+64),
-			rob:    make([]robEntry, cfg.ROBSize),
+			rob:    make([]robEntry, ringLen(cfg.ROBSize)),
 			fbuf:   make([]fetchItem, fetchBufSize),
-			sqBuf:  make([]sqEntry, cfg.ROBSize),
+			sqBuf:  make([]sqEntry, ringLen(cfg.ROBSize)),
 		}
 		switch cfg.Scheme {
 		case core.SchemeConventional:

@@ -23,7 +23,9 @@ func (s *Sim) writebackStage(now int64) error {
 	if s.scan {
 		return s.writebackScan(now)
 	}
-	s.compWheel.drain(now, s.deliverCompletion)
+	for _, ev := range s.compWheel.due(now) {
+		s.deliverCompletion(ev)
+	}
 	wbPorts := [2]int{s.cfg.RFWritePorts, s.cfg.RFWritePorts}
 	for _, th := range s.threadOrder() {
 		i := 0

@@ -52,12 +52,11 @@ func TestStreamBatchedRefillIdentical(t *testing.T) {
 	// pipeline: fetch ahead, retire behind, re-read after a squash.
 	seq, frontier := int64(0), int64(0)
 	for base := int64(0); ; {
-		a, okA := batched.At(seq)
-		b, okB := plain.At(seq)
-		if okA != okB || a != b {
-			t.Fatalf("seq %d: batched (%+v,%v) vs plain (%+v,%v)", seq, a, okA, b, okB)
+		a, b := batched.Ref(seq), plain.Ref(seq)
+		if (a == nil) != (b == nil) || a != nil && *a != *b {
+			t.Fatalf("seq %d: batched %+v vs plain %+v", seq, a, b)
 		}
-		if !okA {
+		if a == nil {
 			break
 		}
 		if a.Seq != seq {
@@ -87,7 +86,7 @@ func TestStreamUsesBatchPath(t *testing.T) {
 	g := &sliceBatchGen{recs: testRecords(500)}
 	s := NewStream(g, 256)
 	for seq := int64(0); seq < 500; seq++ {
-		if _, ok := s.At(seq); !ok {
+		if s.Ref(seq) == nil {
 			t.Fatalf("trace ended early at %d", seq)
 		}
 		s.Retire(seq - 100)

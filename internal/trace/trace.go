@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -141,18 +142,23 @@ func Collect(gen Generator, max int64) []Record {
 // instruction, and commit retires records so the window can slide.
 //
 // The window must cover everything between the oldest in-flight instruction
-// and the fetch frontier (reorder-buffer size plus fetch lookahead). At
+// and the fetch frontier (reorder-buffer size plus fetch lookahead). Ref
 // asks the generator for records on demand; it panics if the pipeline
 // overruns the window or rewinds behind a retired record, since both are
 // simulator bugs, not recoverable conditions.
+//
+// The ring is allocated at the next power of two above the window so a
+// sequence number maps to its slot with a mask, not a division; the
+// window, not the ring length, bounds how many records are buffered.
 type Stream struct {
-	gen   Generator
-	batch BatchGenerator // gen's batch fast path, nil if not provided
-	buf   []Record       // ring buffer, capacity == window
-	base  int64          // sequence number of the oldest buffered record
-	n     int            // buffered records
-	done  bool           // generator exhausted
-	next  int64          // sequence number the generator will produce next
+	gen    Generator
+	batch  BatchGenerator // gen's batch fast path, nil if not provided
+	buf    []Record       // ring buffer, len a power of two >= window
+	window int            // most records buffered at once
+	base   int64          // sequence number of the oldest buffered record
+	n      int            // buffered records
+	done   bool           // generator exhausted
+	next   int64          // sequence number the generator will produce next
 }
 
 // refillBatch is how many records a Stream pulls from its generator per
@@ -167,37 +173,39 @@ func NewStream(gen Generator, window int) *Stream {
 	if window <= 0 {
 		panic("trace: window must be positive")
 	}
-	s := &Stream{gen: gen, buf: make([]Record, window)}
+	s := &Stream{gen: gen, buf: make([]Record, 1<<bits.Len(uint(window-1))), window: window}
 	s.batch, _ = gen.(BatchGenerator)
 	return s
 }
 
-// At returns the record with the given sequence number, generating forward
-// as necessary. ok=false means the trace ended before seq.
-func (s *Stream) At(seq int64) (Record, bool) {
+// Ref returns the record with the given sequence number in place,
+// generating forward as necessary; nil means the trace ended before seq.
+// The pointer stays valid, and the record unchanged, until Retire drops
+// seq: refills only write slots that retirement has freed.
+func (s *Stream) Ref(seq int64) *Record {
 	if seq < s.base {
 		//vpr:allowalloc panic message: an invariant violation aborts the run
 		panic(fmt.Sprintf("trace: seq %d already retired (base %d)", seq, s.base))
 	}
 	for seq >= s.base+int64(s.n) {
 		if s.done {
-			return Record{}, false
+			return nil
 		}
-		if s.n == len(s.buf) {
+		if s.n == s.window {
 			//vpr:allowalloc panic message: an invariant violation aborts the run
-			panic(fmt.Sprintf("trace: window of %d overrun (base %d, want %d); retire first", len(s.buf), s.base, seq))
+			panic(fmt.Sprintf("trace: window of %d overrun (base %d, want %d); retire first", s.window, s.base, seq))
 		}
 		s.refill()
 	}
-	return s.buf[seq%int64(len(s.buf))], true
+	return &s.buf[seq&int64(len(s.buf)-1)]
 }
 
 // refill pulls the next batch of records into the ring: up to refillBatch
 // of them, bounded by the free window space and the ring's wrap point. A
 // short batch marks the generator exhausted.
 func (s *Stream) refill() {
-	pos := int((s.base + int64(s.n)) % int64(len(s.buf)))
-	chunk := len(s.buf) - s.n // free space
+	pos := int((s.base + int64(s.n)) & int64(len(s.buf)-1))
+	chunk := s.window - s.n // free space
 	if chunk > refillBatch {
 		chunk = refillBatch
 	}

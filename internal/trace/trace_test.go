@@ -59,24 +59,22 @@ func TestStreamForwardAndRewind(t *testing.T) {
 	s := NewStream(FromSlice(mkRecs(100)), 16)
 	// Forward access.
 	for i := int64(0); i < 10; i++ {
-		r, ok := s.At(i)
-		if !ok || r.Seq != i {
-			t.Fatalf("At(%d) = %v,%v", i, r, ok)
+		if r := s.Ref(i); r == nil || r.Seq != i {
+			t.Fatalf("Ref(%d) = %v", i, r)
 		}
 	}
 	// Rewind (e.g. after a misprediction squash) within the window.
-	r, ok := s.At(3)
-	if !ok || r.Seq != 3 || r.Inst.Imm != 3 {
-		t.Fatalf("rewind At(3) = %v,%v", r, ok)
+	if r := s.Ref(3); r == nil || r.Seq != 3 || r.Inst.Imm != 3 {
+		t.Fatalf("rewind Ref(3) = %v", r)
 	}
 	// Slide and keep going.
 	s.Retire(8)
-	if r, ok := s.At(8); !ok || r.Seq != 8 {
-		t.Fatalf("At(8) after retire = %v,%v", r, ok)
+	if r := s.Ref(8); r == nil || r.Seq != 8 {
+		t.Fatalf("Ref(8) after retire = %v", r)
 	}
 	for i := int64(8); i < 24; i++ {
-		if _, ok := s.At(i); !ok {
-			t.Fatalf("At(%d) failed", i)
+		if s.Ref(i) == nil {
+			t.Fatalf("Ref(%d) failed", i)
 		}
 		s.Retire(i)
 	}
@@ -84,15 +82,15 @@ func TestStreamForwardAndRewind(t *testing.T) {
 
 func TestStreamEnd(t *testing.T) {
 	s := NewStream(FromSlice(mkRecs(5)), 8)
-	if _, ok := s.At(4); !ok {
-		t.Fatal("At(4) should exist")
+	if s.Ref(4) == nil {
+		t.Fatal("Ref(4) should exist")
 	}
-	if _, ok := s.At(5); ok {
-		t.Fatal("At(5) should be past the end")
+	if s.Ref(5) != nil {
+		t.Fatal("Ref(5) should be past the end")
 	}
 	// Still able to re-read buffered records after hitting the end.
-	if r, ok := s.At(2); !ok || r.Seq != 2 {
-		t.Fatalf("re-read At(2) = %v,%v", r, ok)
+	if r := s.Ref(2); r == nil || r.Seq != 2 {
+		t.Fatalf("re-read Ref(2) = %v", r)
 	}
 }
 
@@ -103,29 +101,85 @@ func TestStreamOverrunPanics(t *testing.T) {
 			t.Error("window overrun must panic")
 		}
 	}()
-	s.At(10) // window is 4, nothing retired
+	s.Ref(10) // window is 4, nothing retired
 }
 
 func TestStreamRetiredAccessPanics(t *testing.T) {
 	s := NewStream(FromSlice(mkRecs(100)), 8)
-	s.At(5)
+	s.Ref(5)
 	s.Retire(4)
 	defer func() {
 		if recover() == nil {
 			t.Error("accessing a retired record must panic")
 		}
 	}()
-	s.At(2)
+	s.Ref(2)
+}
+
+// A Ref pointer is a stable view of its record until Retire drops it:
+// refills that wrap the ring and rewinds that re-read the window must
+// never move or overwrite it. Windows 96 and 240 are not powers of two,
+// so the ring is larger than the window; the overrun panic must still
+// fire at the window.
+func TestStreamRefStableUntilRetire(t *testing.T) {
+	for _, window := range []int{96, 240} {
+		const n = 2000
+		s := NewStream(FromSlice(mkRecs(n)), window)
+		held := map[int64]*Record{}
+		base := int64(0)
+		for seq := int64(0); seq < n; seq++ {
+			r := s.Ref(seq)
+			if r == nil || r.Seq != seq || r.Inst.Imm != seq {
+				t.Fatalf("window %d: Ref(%d) = %+v", window, seq, r)
+			}
+			held[seq] = r
+			if seq%5 == 4 { // rewind, as a squash re-fetch does
+				if again := s.Ref(seq - 3); again != held[seq-3] {
+					t.Fatalf("window %d: rewound Ref(%d) moved", window, seq-3)
+				}
+			}
+			for k, p := range held {
+				if p.Seq != k || p.Inst.Imm != k {
+					t.Fatalf("window %d at %d: held record %d now reads seq %d", window, seq, k, p.Seq)
+				}
+			}
+			if seq-base >= int64(window)-8 { // keep the window nearly full
+				base += 40
+				s.Retire(base)
+				for k := range held {
+					if k < base {
+						delete(held, k)
+					}
+				}
+			}
+		}
+		if s.Ref(n) != nil {
+			t.Fatalf("window %d: Ref past the end must be nil", window)
+		}
+
+		fresh := NewStream(FromSlice(mkRecs(n)), window)
+		if fresh.Ref(int64(window)-1) == nil {
+			t.Fatalf("window %d: the last in-window record must be reachable", window)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window %d: reading one past the window must panic, ring len %d", window, len(fresh.buf))
+				}
+			}()
+			fresh.Ref(int64(window))
+		}()
+	}
 }
 
 func TestStreamRetireIdempotent(t *testing.T) {
 	s := NewStream(FromSlice(mkRecs(10)), 8)
-	s.At(5)
+	s.Ref(5)
 	s.Retire(3)
 	s.Retire(3)
 	s.Retire(1) // going backwards is a no-op
-	if r, ok := s.At(3); !ok || r.Seq != 3 {
-		t.Fatalf("At(3) = %v,%v", r, ok)
+	if r := s.Ref(3); r == nil || r.Seq != 3 {
+		t.Fatalf("Ref(3) = %v", r)
 	}
 }
 
