@@ -19,6 +19,13 @@
 // Immediates are decimal or 0x-hex and may reference labels with an optional
 // ±offset (e.g. "ldi r2, table+16"). The pseudo-instructions "mov rd, rs"
 // and "fmov fd, fs" expand to or/fadd against the hardwired zero register.
+//
+// The data image is sparse at its tail: Program.Data ends at the last
+// .word or .double, and .space after it is laid out (its labels keep their
+// addresses) but not stored, because memory past the image reads as zero.
+// A .space between initialized words is stored as zero bytes. The stored
+// image may not exceed 1 GiB, and the whole section must end at an address
+// an int64 label can hold.
 package asm
 
 import (
@@ -74,20 +81,28 @@ type stmt struct {
 	operand string // raw operand text, parsed in the second pass
 }
 
+// dataItem is a .word or .double directive waiting for label resolution.
+// .space needs no second pass: its bytes are zero or not stored at all.
 type dataItem struct {
 	line   int
-	kind   string // "word", "double", "space"
+	kind   string // "word", "double"
 	fields []string
-	offset int // byte offset within the data image
+	offset int64 // byte offset within the data image
 }
+
+// maxImageBytes caps the stored data image, which runs from the section
+// start through the last .word or .double, so a word placed after a huge
+// .space is an error rather than a huge allocation.
+const maxImageBytes = 1 << 30
 
 type assembler struct {
 	name    string
 	program *isa.Program
 	errs    []error
 
-	stmts []stmt
-	data  []dataItem
+	stmts    []stmt
+	data     []dataItem
+	imageLen int64 // end of the last .word or .double
 }
 
 func (a *assembler) errorf(line int, format string, args ...any) {
@@ -97,7 +112,7 @@ func (a *assembler) errorf(line int, format string, args ...any) {
 // firstPass splits lines, records labels and sizes the data section.
 func (a *assembler) firstPass(src string) {
 	sec := inText
-	dataOff := 0
+	var dataOff int64
 	for ln, raw := range strings.Split(src, "\n") {
 		line := ln + 1
 		text := raw
@@ -125,7 +140,7 @@ func (a *assembler) firstPass(src string) {
 				case inText:
 					a.program.Symbols[label] = int64(len(a.stmts))
 				case inData:
-					a.program.Symbols[label] = int64(a.program.DataBase) + int64(dataOff)
+					a.program.Symbols[label] = int64(a.program.DataBase) + dataOff
 				}
 			}
 			text = strings.TrimSpace(text[i+1:])
@@ -149,24 +164,40 @@ func (a *assembler) firstPass(src string) {
 					a.errorf(line, "%s outside .data", mnemonic)
 					continue
 				}
-				it := dataItem{line: line, kind: mnemonic[1:], offset: dataOff}
+				var size int64
+				var fields []string
 				if mnemonic == ".space" {
-					n, err := strconv.Atoi(operand)
+					n, err := strconv.ParseInt(operand, 10, 64)
 					if err != nil || n < 0 {
 						a.errorf(line, ".space needs a non-negative size, got %q", operand)
 						continue
 					}
-					dataOff += (n + isa.WordSize - 1) / isa.WordSize * isa.WordSize
-					it.fields = []string{operand}
+					size = n
 				} else {
-					it.fields = splitOperands(operand)
-					if len(it.fields) == 0 {
+					fields = splitOperands(operand)
+					if len(fields) == 0 {
 						a.errorf(line, "%s needs at least one value", mnemonic)
 						continue
 					}
-					dataOff += isa.WordSize * len(it.fields)
+					size = isa.WordSize * int64(len(fields))
 				}
-				a.data = append(a.data, it)
+				// Labels hold addresses as int64; rounding up stays in range
+				// because the room left is checked in whole words.
+				room := math.MaxInt64 - int64(a.program.DataBase) - dataOff
+				if size > room&^(isa.WordSize-1) {
+					a.errorf(line, "%s of %d bytes runs the data section past the end of the address space", mnemonic, size)
+					continue
+				}
+				end := dataOff + (size+isa.WordSize-1)&^(isa.WordSize-1)
+				if fields != nil {
+					if end > maxImageBytes {
+						a.errorf(line, "%s ends %d bytes into .data, past the %d-byte limit on initialized data", mnemonic, end, maxImageBytes)
+						continue
+					}
+					a.data = append(a.data, dataItem{line: line, kind: mnemonic[1:], fields: fields, offset: dataOff})
+					a.imageLen = end
+				}
+				dataOff = end
 			default:
 				a.errorf(line, "unknown directive %q", mnemonic)
 			}
@@ -183,7 +214,7 @@ func (a *assembler) firstPass(src string) {
 		}
 		a.stmts = append(a.stmts, stmt{line: line, op: op, operand: operand2})
 	}
-	a.program.Data = make([]byte, dataOff)
+	a.program.Data = make([]byte, a.imageLen)
 }
 
 // resolveMnemonic maps a mnemonic (or pseudo-instruction) to an opcode,
@@ -222,7 +253,7 @@ func (a *assembler) secondPass() {
 					a.errorf(it.line, "%v", err)
 					continue
 				}
-				binary.LittleEndian.PutUint64(a.program.Data[it.offset+8*k:], uint64(v))
+				binary.LittleEndian.PutUint64(a.program.Data[it.offset+8*int64(k):], uint64(v))
 			}
 		case "double":
 			for k, f := range it.fields {
@@ -231,10 +262,8 @@ func (a *assembler) secondPass() {
 					a.errorf(it.line, "bad double %q", f)
 					continue
 				}
-				binary.LittleEndian.PutUint64(a.program.Data[it.offset+8*k:], math.Float64bits(v))
+				binary.LittleEndian.PutUint64(a.program.Data[it.offset+8*int64(k):], math.Float64bits(v))
 			}
-		case "space":
-			// already zeroed
 		}
 	}
 }

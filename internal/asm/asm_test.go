@@ -113,6 +113,58 @@ end:    .word tbl
 	}
 }
 
+// The image holds initialized data only: .space between words is stored
+// as zeros, .space after the last word is laid out but not stored, and
+// symbols keep the addresses a dense image would give them.
+func TestAssembleSparseImage(t *testing.T) {
+	p, err := Assemble("t", `
+        .data
+a:      .word 1
+gap:    .space 20
+b:      .double 2.5
+tail:   .space 4096
+end:
+        .text
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := int64(isa.DefaultDataBase)
+	for name, want := range map[string]int64{"a": base, "gap": base + 8, "b": base + 32, "tail": base + 40, "end": base + 40 + 4096} {
+		if got, _ := p.Symbol(name); got != want {
+			t.Errorf("%s = %#x, want %#x", name, got, want)
+		}
+	}
+	if len(p.Data) != 40 {
+		t.Fatalf("image is %d bytes, want 40 (through b, without tail)", len(p.Data))
+	}
+	for i, c := range p.Data[8:32] {
+		if c != 0 {
+			t.Errorf("gap byte %d = %#x, want 0", i, c)
+		}
+	}
+	if v := binary.LittleEndian.Uint64(p.Data); v != 1 {
+		t.Errorf("a = %d", v)
+	}
+	if f := math.Float64frombits(binary.LittleEndian.Uint64(p.Data[32:])); f != 2.5 {
+		t.Errorf("b = %g", f)
+	}
+
+	// Space alone stores nothing, however large, up to the last address a
+	// label can hold.
+	p, err = Assemble("t", ".data\nbuf: .space 9223372036854710264\nend:\n.text\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Data) != 0 {
+		t.Errorf("space-only image is %d bytes, want 0", len(p.Data))
+	}
+	if got, _ := p.Symbol("end"); got != math.MaxInt64-7 {
+		t.Errorf("end = %#x, want %#x", got, int64(math.MaxInt64-7))
+	}
+}
+
 func TestAssemblePseudoOps(t *testing.T) {
 	p, err := Assemble("t", `
         mov  r1, r2
@@ -197,6 +249,14 @@ func TestAssembleErrors(t *testing.T) {
 		{".quux 1", "unknown directive"},
 		{"9bad: halt", "bad label"},
 		{"ldi r1, tbl*2\nhalt", "bad expression"},
+		// A .space whose rounded size overflows, alone and with a word
+		// after it; one that fits only before rounding; and a word that
+		// lands past the last int64 address.
+		{".data\nbuf: .space 9223372036854775807", "t:2: .space of 9223372036854775807 bytes runs the data section past the end of the address space"},
+		{".data\nbuf: .space 9223372036854775807\nx: .word 1", "t:2: .space of 9223372036854775807 bytes runs the data section past"},
+		{".data\nbuf: .space 9223372036854710265", "t:2: .space of 9223372036854710265 bytes runs the data section past"},
+		{".data\n.space 9223372036854710264\n.word 1", "t:3: .word of 8 bytes runs the data section past"},
+		{".data\n.space 1073741824\n.double 1", "t:3: .double ends 1073741832 bytes into .data, past the 1073741824-byte limit"},
 	}
 	for _, c := range cases {
 		_, err := Assemble("t", c.src)

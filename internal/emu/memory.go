@@ -26,19 +26,50 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
-// LoadImage copies data to consecutive addresses starting at base.
-// base must be word-aligned.
+// LoadImage copies data to consecutive addresses starting at base, which
+// must be word-aligned; a partial last word is zero-padded. It works a page
+// at a time and maps no page for an all-zero chunk of an unmapped page,
+// since unmapped memory already reads as zero, so zero runs in an image
+// cost neither memory nor map traffic.
 func (m *Memory) LoadImage(base uint64, data []byte) error {
 	if base%isa.WordSize != 0 {
 		return fmt.Errorf("emu: image base %#x not %d-byte aligned", base, isa.WordSize)
 	}
-	for off := 0; off < len(data); off += isa.WordSize {
-		chunk := data[off:]
-		var w [isa.WordSize]byte
-		copy(w[:], chunk)
-		m.mustStore(base+uint64(off), binary.LittleEndian.Uint64(w[:]))
+	for len(data) > 0 {
+		off := base % pageBytes
+		chunk := data[:min(uint64(len(data)), pageBytes-off)]
+		data = data[len(chunk):]
+		key := base >> pageShift
+		base += uint64(len(chunk))
+		p, ok := m.pages[key]
+		if !ok {
+			if allZero(chunk) {
+				continue
+			}
+			p = new(page)
+			m.pages[key] = p
+		}
+		i := off / isa.WordSize
+		for ; len(chunk) >= isa.WordSize; chunk = chunk[isa.WordSize:] {
+			p[i] = binary.LittleEndian.Uint64(chunk)
+			i++
+		}
+		if len(chunk) > 0 { // partial last word
+			var w [isa.WordSize]byte
+			copy(w[:], chunk)
+			p[i] = binary.LittleEndian.Uint64(w[:])
+		}
 	}
 	return nil
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Load reads the word at addr, which must be word-aligned. Unmapped
@@ -59,11 +90,6 @@ func (m *Memory) Store(addr, val uint64) error {
 	if addr%isa.WordSize != 0 {
 		return fmt.Errorf("emu: unaligned store at %#x", addr)
 	}
-	m.mustStore(addr, val)
-	return nil
-}
-
-func (m *Memory) mustStore(addr, val uint64) {
 	key := addr >> pageShift
 	p, ok := m.pages[key]
 	if !ok {
@@ -71,6 +97,7 @@ func (m *Memory) mustStore(addr, val uint64) {
 		m.pages[key] = p
 	}
 	p[(addr%pageBytes)/isa.WordSize] = val
+	return nil
 }
 
 // Footprint returns the number of mapped pages (for tests and statistics).

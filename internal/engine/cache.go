@@ -75,11 +75,14 @@ type cacheEntry struct {
 	value any
 }
 
+// newResultCache sizes nothing up front: capacity is only the eviction
+// bound, and the map grows with the points actually cached, so a short-lived
+// engine does not pay for (or keep alive) room for every point it might see.
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		capacity: capacity,
 		order:    list.New(),
-		entries:  make(map[cacheKey]*list.Element, capacity),
+		entries:  make(map[cacheKey]*list.Element),
 	}
 }
 

@@ -11,9 +11,14 @@ const DefaultDataBase = 0x10000
 // Program is an executable unit: decoded instructions plus an initial data
 // image. It is produced by the assembler (internal/asm) or built directly by
 // generators, and consumed by the functional emulator.
+//
+// The image need not cover the data section: memory past the end of Data
+// reads as zero, so the assembler ends Data at the last initialized word and
+// trailing reserved space (.space) costs nothing until the program stores
+// to it. Symbols still give every label its full-layout address.
 type Program struct {
 	Insts    []Inst
-	Data     []byte           // initial bytes at DataBase
+	Data     []byte           // initial bytes at DataBase; zero beyond
 	DataBase uint64           // virtual address of Data[0]
 	Symbols  map[string]int64 // label → PC (text) or address (data)
 	EntryPC  int              // first instruction to execute

@@ -13,10 +13,10 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
@@ -92,22 +92,23 @@ func ByName(name string) (Spec, bool) {
 // trace.Take, never by kernel termination.
 const outerIters = 1 << 40
 
-// wordData renders vals as .word lines, eight per line, labelled with name.
-func wordData(name string, vals []int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", name)
-	for i := 0; i < len(vals); i += 8 {
-		end := i + 8
-		if end > len(vals) {
-			end = len(vals)
-		}
-		parts := make([]string, 0, 8)
-		for _, v := range vals[i:end] {
-			parts = append(parts, fmt.Sprintf("%d", v))
-		}
-		fmt.Fprintf(&b, "        .word %s\n", strings.Join(parts, ", "))
+// putWords stores vals as little-endian words at label, a .space in p's
+// data section, and extends the image over them. Generated tables are
+// written this way rather than rendered as .word text, which every build
+// would then format and parse back.
+func putWords(p *isa.Program, label string, vals []int64) *isa.Program {
+	addr, ok := p.Symbol(label)
+	if !ok {
+		panic(fmt.Sprintf("workloads: no label %q", label))
 	}
-	return b.String()
+	off := int(uint64(addr) - p.DataBase)
+	if end := off + isa.WordSize*len(vals); end > len(p.Data) {
+		p.Data = append(p.Data, make([]byte, end-len(p.Data))...)
+	}
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(p.Data[off+isa.WordSize*i:], uint64(v))
+	}
+	return p
 }
 
 // shuffledRing returns a random cyclic permutation visiting every node
@@ -416,7 +417,7 @@ func buildGo() *isa.Program {
 	}
 	src := fmt.Sprintf(`
         .data
-%s
+board:  .space %d
         .text
         ldi   r9, %d
 outer:  ldi   r1, board
@@ -449,8 +450,8 @@ t4:     subi  r4, r4, 1
         subi  r9, r9, 1
         bne   r9, outer
         halt
-`, wordData("board", board), outerIters, 16*1024-8)
-	return asm.MustAssemble("go", src)
+`, isa.WordSize*boardWords, outerIters, 16*1024-8)
+	return putWords(asm.MustAssemble("go", src), "board", board)
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +470,7 @@ func buildLi() *isa.Program {
 	}
 	src := fmt.Sprintf(`
         .data
-%s
+cells:  .space %d
 ltab:   .space 8192
         .text
         ldi   r9, %d
@@ -498,8 +499,8 @@ eval:   andi  r7, r2, 8184
         ret   r26
 e1:     subi  r6, r6, 1
         ret   r26
-`, wordData("cells", cells), outerIters)
-	return asm.MustAssemble("li", src)
+`, isa.WordSize*len(cells), outerIters)
+	return putWords(asm.MustAssemble("li", src), "cells", cells)
 }
 
 // ---------------------------------------------------------------------------
@@ -592,8 +593,7 @@ func buildVortex() *isa.Program {
 	}
 	src := fmt.Sprintf(`
         .data
-%s
-        .data
+objs:   .space %d
 idx:    .space 262144
         .text
         ldi   r9, %d
@@ -632,8 +632,8 @@ noidx:  subi  r4, r4, 1
         subi  r9, r9, 1
         bne   r9, outer
         halt
-`, wordData("objs", words), outerIters)
-	return asm.MustAssemble("vortex", src)
+`, isa.WordSize*len(words), outerIters)
+	return putWords(asm.MustAssemble("vortex", src), "objs", words)
 }
 
 // sortedNames is used in error messages.

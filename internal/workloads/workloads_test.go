@@ -1,10 +1,16 @@
 package workloads
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -179,5 +185,120 @@ func TestBuildDeterministic(t *testing.T) {
 				t.Fatalf("%s: data byte %d differs between builds", s.Name, i)
 			}
 		}
+	}
+}
+
+// pinnedRecords is how much of each kernel's trace TestTraceSourcesPinned
+// hashes: the budget of a sweep point.
+const pinnedRecords = 20000
+
+// Every kernel's program and the head of its trace are pinned by SHA-256.
+// The program digest covers the instructions, the symbols and the data
+// image up to its last non-zero byte, since bytes past the image read as
+// zero; a change to how kernels are built or loaded that moves a single
+// record or initial value fails here, before any statistic moves.
+func TestTraceSourcesPinned(t *testing.T) {
+	pinned := map[string]struct{ program, trace string }{
+		"go":       {"ecb7366158efe9630b4e8e7cb5c0361cc7cf62d885ee4ed13f120a5a575bebc9", "3f7eaf26fd9a94ab61f4a6f5dd8fdd6d4de8843dd88c0264e84b82a52347e5c9"},
+		"li":       {"501e8a8cbb91b0009ef501553466d96c9ee5e66d592774a84b88b3055b5805d9", "f40c6bee917e6820951923b3a0129ae8028cc3724e688369cb48be5fe58aa225"},
+		"compress": {"6a31fd86be6169cbd32dd6e040bac6cd645c4d8310e95d45729836976f3d0c22", "896204bd68d6735797c362d4180a18ab7604e8ba041ef322b8b45a70e758bba8"},
+		"vortex":   {"9ba4871e8124c1ef077d9251af9028fab604c90bdd404e8e1f6cb05a853e2055", "f3fe111fe7e699ee1f26b6b560b24eeca574360d0f1e4d2a267a31b1622650e6"},
+		"apsi":     {"f70c1960e03cab1ceb3cc11af41a2fbc6624e4324315eadec6a219d111073f2b", "83c02e3a76acb5b2b7f9c2525bd8c063d74307b240ce1ab1e89fc7600d18ab1b"},
+		"swim":     {"ded9b7c4dd9571f60656c5fd179694dcca95d034714daf62ae5015884376e8e9", "cd9b99d120fb29982c2b2b0bcb9b2e8876a7802c4efdb15ff6ee4d0308f19e01"},
+		"mgrid":    {"049e6991071a8509576712bd880a247233204712b2d5ae4d718d292974783fca", "22e3e23b949a211bc819478ca89f7608f8ca55271c8b35fec1cad1f59d9da3d4"},
+		"hydro2d":  {"c93cc663c04764a6acb7b00e77a8a7eb00694c38082cc24399ba3dbd3d2c29e3", "f4cc80b58ddb2f66066fbd0e9bef055c80cf7ca30f47bba74eb30f5dcd725ad1"},
+		"wave5":    {"35baef562549400bef12f7bdd62066d0f004839fe4fa742a74e3c4d301f9fce2", "5ff627ef408396c93cae233351c9fc390a43337678a8511ae3eef2780933abdd"},
+	}
+	if len(pinned) != len(Catalog()) {
+		t.Fatalf("%d digests pinned for %d kernels", len(pinned), len(Catalog()))
+	}
+	for _, s := range Catalog() {
+		want, ok := pinned[s.Name]
+		if !ok {
+			t.Errorf("%s: no pinned digest", s.Name)
+			continue
+		}
+		if got := programDigest(s.Program()); got != want.program {
+			t.Errorf("%s: program digest %s, pinned %s", s.Name, got, want.program)
+		}
+		gen, err := s.NewGen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf []byte
+		for n := 0; n < pinnedRecords; n++ {
+			rec, ok := gen.Next()
+			if !ok {
+				t.Fatalf("%s: trace ended after %d records", s.Name, n)
+			}
+			buf = appendRecord(buf[:0], rec)
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want.trace {
+			t.Errorf("%s: trace digest %s, pinned %s", s.Name, got, want.trace)
+		}
+	}
+}
+
+func programDigest(p *isa.Program) string {
+	var b []byte
+	for _, in := range p.Insts {
+		b = appendInst(b, in)
+	}
+	names := make([]string, 0, len(p.Symbols))
+	for name := range p.Symbols {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b = append(append(b, name...), 0)
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.Symbols[name]))
+	}
+	b = binary.LittleEndian.AppendUint64(b, p.DataBase)
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.EntryPC))
+	b = append(b, bytes.TrimRight(p.Data, "\x00")...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+func appendInst(b []byte, in isa.Inst) []byte {
+	b = append(b, byte(in.Op),
+		byte(in.Dst.Class), in.Dst.Index,
+		byte(in.Src1.Class), in.Src1.Index,
+		byte(in.Src2.Class), in.Src2.Index)
+	b = binary.LittleEndian.AppendUint64(b, uint64(in.Imm))
+	return binary.LittleEndian.AppendUint64(b, uint64(in.Target))
+}
+
+func appendRecord(b []byte, r trace.Record) []byte {
+	b = appendInst(b, r.Inst)
+	for _, v := range [...]uint64{uint64(r.Seq), uint64(r.PC), r.EA, boolBits(r.Taken),
+		uint64(r.NextPC), boolBits(r.HasValues), r.DstVal, r.Src1Val, r.Src2Val} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+func boolBits(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// BenchmarkNewGen is the trace-generation layer's set-up cost, which every
+// simulation point pays once: building the kernel (assembly and data
+// image) and loading it into a fresh emulator.
+func BenchmarkNewGen(b *testing.B) {
+	for _, s := range Catalog() {
+		b.Run(s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.NewGen(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
