@@ -277,15 +277,6 @@ func main() {
 	}
 }
 
-// stepName spells a step mode for the report; the zero mode is recorded
-// under its canonical name.
-func stepName(m vpr.StepMode) string {
-	if m == "" {
-		return string(vpr.StepLockstep)
-	}
-	return string(m)
-}
-
 // bestOf runs once() n times and keeps the result with the best
 // throughput — the run least disturbed by host noise, the benchmarking
 // convention — while cross-checking that the architectural view
@@ -414,7 +405,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			Cores:          cores,
 			L2SizeBytes:    l2.SizeBytes,
 			L2Banks:        l2.Banks,
-			Step:           stepName(mode),
+			Step:           string(mode),
 			GoMaxProcs:     runtime.GOMAXPROCS(0),
 			Instr:          st.Committed,
 			IPC:            st.IPC(),
@@ -463,7 +454,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			Cores:             cohCores,
 			Protocol:          p.Name(),
 			Directory:         dir,
-			Step:              stepName(mode),
+			Step:              string(mode),
 			GoMaxProcs:        runtime.GOMAXPROCS(0),
 			Instr:             st.Committed,
 			IPC:               st.IPC(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -47,16 +48,23 @@ func smtKey(spec sim.SMTSpec) cacheKey {
 // multicoreKey is specKey for multi-core runs: the hash covers the
 // per-core machine configuration, the memory configuration (shared-L2
 // geometry, the address-space mode, the coherence switch and the
-// protocol/directory selections) and the stepping mode, so two specs
+// protocol/directory selections) and the stepping plan, so two specs
 // differing only in the memory hierarchy — or in which stepper produced
-// the throughput numbers — never share a cache entry.
+// the throughput numbers — never share a cache entry. The plan is keyed
+// by its canonical spelling, so "" and "lockstep", or "skew:0" and
+// "parallel", are one entry; an invalid spelling keys as written (its
+// run fails validation).
 //
 //vpr:keyfunc sim.MulticoreSpec
 func multicoreKey(spec sim.MulticoreSpec) cacheKey {
+	step := spec.Step
+	if canon, err := pipeline.ParseStepMode(string(step)); err == nil {
+		step = canon
+	}
 	return sha256.Sum256([]byte(fmt.Sprintf("mc|%q|%d|%#v|%#v|%v|%v|%q|%q|%q",
 		spec.Workloads, spec.MaxInstrPerCore, spec.Config, spec.L2,
 		spec.SharedAddressSpace, spec.Coherence, spec.Protocol,
-		spec.Directory, string(spec.Step))))
+		spec.Directory, string(step))))
 }
 
 // resultCache is a concurrency-safe LRU over completed runs. Values are

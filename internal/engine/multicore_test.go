@@ -100,7 +100,8 @@ func TestRunMulticoreCoherenceKeysCache(t *testing.T) {
 
 // TestRunMulticoreStepKeysCache: the stepping mode yields bit-identical
 // results, but throughput experiments comparing modes must never share a
-// cache entry — Step is part of the key, and the cached results agree.
+// cache entry — the stepping plan is part of the key, and the cached
+// results agree. Every spelling of one plan shares its entry.
 func TestRunMulticoreStepKeysCache(t *testing.T) {
 	e := New()
 	ctx := context.Background()
@@ -127,6 +128,31 @@ func TestRunMulticoreStepKeysCache(t *testing.T) {
 	}
 	if hits, _ := e.CacheStats(); hits != 1 {
 		t.Errorf("repeat parallel point: %d cache hits, want 1", hits)
+	}
+
+	// One entry per plan, however it is spelled; the first spelling of
+	// each plan not seen above misses, every other one hits.
+	plans := [][]pipeline.StepMode{
+		{"", "lockstep"},
+		{"parallel", "skew:0", "skew:00", "skew:+0", "skew:-0"},
+		{"skew:5", "skew:+5", "skew:05", "skew:005"},
+		{"skew:inf"},
+	}
+	for i, spellings := range plans {
+		for j, step := range spellings {
+			hits0, misses0 := e.CacheStats()
+			spec := base
+			spec.Step = step
+			if _, err := e.RunMulticore(ctx, spec); err != nil {
+				t.Fatalf("step %q: %v", step, err)
+			}
+			hits, misses := e.CacheStats()
+			wantMiss := j == 0 && i >= 2
+			if gotMiss := misses > misses0; gotMiss != wantMiss || hits+misses != hits0+misses0+1 {
+				t.Errorf("step %q: hits/misses %d/%d → %d/%d, want a %s",
+					step, hits0, misses0, hits, misses, map[bool]string{true: "miss", false: "hit"}[wantMiss])
+			}
+		}
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 
 // PhasePure proves the compute/memory phase split the parallel stepper's
 // determinism contract rests on (internal/pipeline/parallel.go): the
-// compute phases of a cycle (//vpr:computephase roots — stepFront,
-// stepBack, memQuiet — and everything statically reachable from them)
-// run concurrently across cores, so they must never reach the shared
-// memory surface; only the gate-serialized memory phase may.
+// compute phases of a cycle (//vpr:computephase roots — stepFront and
+// stepBack — and everything statically reachable from them) run
+// concurrently across cores, so they must never reach the shared memory
+// surface; only the memory phase, whose shared touches the gate
+// serializes, may.
 //
 // The surface is declared in the source: //vpr:memstate marks the shared
 // types (mem.Memory, System, BankedL2, L1), //vpr:memphase marks the

@@ -46,6 +46,23 @@ func (c L1Config) Validate() error {
 	return nil
 }
 
+// Gate admits an L1's first touch, in a cycle, of state another core can
+// reach. The parallel multicore stepper (pipeline/parallel.go) installs
+// one on every port of a System (CoherenceConfig.Gate) so that each such
+// touch happens in the global (cycle, core-index) order the lockstep
+// oracle uses; lockstep runs install none. Which touches are shared
+// depends on the hierarchy: with coherence, remote memory phases write
+// this L1's lines and MSHRs (invalidateLine, remoteRead), so every Access
+// enters; without it the shared L2 is the only shared state, and only a
+// primary miss — the one path into BankedL2 — enters.
+//
+// Enter may be called several times in one cycle. It returns false only
+// once the run has stopped; the L1 then refuses the access (ok=false)
+// before touching anything shared.
+type Gate interface {
+	Enter(core int, now int64) bool
+}
+
 type line struct {
 	valid bool
 	dirty bool
@@ -84,10 +101,11 @@ type mshr struct {
 //
 // An L1 is written by two parties: its own core (Access/Drain, only from
 // the execute stage) and — under coherence — remote cores, whose gated
-// memory phases reach it through invalidateLine/remoteRead. The
-// parallel stepper (pipeline/parallel.go) serializes all such phases in
-// global (cycle, core-index) order, so the two parties never run
-// concurrently and l.now never observes time running backwards.
+// memory phases reach it through invalidateLine/remoteRead. Every
+// coherent Access enters the Gate first, so the parallel stepper
+// (pipeline/parallel.go) serializes the two parties in global (cycle,
+// core-index) order: they never run concurrently and l.now never
+// observes time running backwards.
 //
 //vpr:memstate
 type L1 struct {
@@ -101,6 +119,13 @@ type L1 struct {
 	lineShift uint
 	now       int64
 	tr        *CohTracer
+
+	// coherent mirrors next.coherent, fixed at construction, so that an
+	// access that stays in the L1 never reads the shared L2's struct,
+	// whose lines other cores write in their gated phases. gate is the
+	// stepper's Gate (nil under lockstep and off a System).
+	coherent bool
+	gate     Gate
 
 	st Stats
 }
@@ -170,15 +195,21 @@ func (l *L1) drain(now int64) {
 func (l *L1) Drain(now int64) { l.drain(now) }
 
 // Access performs a load (write=false) or store (write=true) of the word
-// at addr; ok=false means every MSHR was busy and the caller must retry.
-// The control flow mirrors cache.Access exactly — hit, secondary-miss
-// merge, MSHR allocation, dirty-victim write-back, then the refill
-// schedule — with the next-level penalty and bank-bus floor supplied by
-// the shared L2 instead of a constant.
+// at addr; ok=false means every MSHR was busy (or the Gate refused a
+// stopped run) and the caller must retry. The control flow mirrors
+// cache.Access exactly — hit, secondary-miss merge, MSHR allocation,
+// dirty-victim write-back, then the refill schedule — with the
+// next-level penalty and bank-bus floor supplied by the shared L2
+// instead of a constant.
 //
 //vpr:hotpath
 //vpr:memphase
 func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
+	// Remote memory phases write a coherent L1's lines and MSHRs, so the
+	// drain below is already a shared touch.
+	if l.coherent && l.gate != nil && !l.gate.Enter(l.id, now) {
+		return cache.Outcome{}, false
+	}
 	l.drain(now)
 	l.st.Accesses++
 	addr += l.base
@@ -189,7 +220,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 		l.st.Hits++
 		ready := now + int64(l.cfg.HitLatency)
 		if write {
-			if l.next != nil && l.next.coherent {
+			if l.coherent {
 				// A store to a copy without write permission is the
 				// *→M transition. The protocol decides the path: a
 				// Shared (or MOESI Owned) copy must ask the directory
@@ -207,7 +238,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 				ln.st = Modified
 			}
 			ln.dirty = true
-		} else if l.tr != nil && l.next != nil && l.next.coherent {
+		} else if l.tr != nil && l.coherent {
 			l.traceState(la, ln.st, ln.st, EvLocalRead)
 		}
 		return cache.Outcome{Hit: true, ReadyAt: ready}, true
@@ -225,7 +256,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 				// First store to merge into a read refill: the install
 				// will be Modified, so take ownership now (silently, if
 				// the refill was granted Exclusive).
-				if l.next != nil && l.next.coherent && m.state != Modified {
+				if l.coherent && m.state != Modified {
 					if l.next.proto.NeedsOwnership(m.state) {
 						if f := l.next.Upgrade(now, la, l.id); f > ready {
 							ready = f
@@ -256,6 +287,13 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 		l.st.MSHRStalls++
 		return cache.Outcome{}, false
 	}
+	// Without coherence the write-back and refill below are this L1's only
+	// calls into shared state, so hits, merges and MSHR-full refusals
+	// never wait for the gate.
+	if !l.coherent && l.gate != nil && !l.gate.Enter(l.id, now) {
+		l.st.Accesses-- // the run stopped: the access never happened
+		return cache.Outcome{}, false
+	}
 	l.st.Misses++
 	if inFlight+1 > l.st.PeakInFlight {
 		l.st.PeakInFlight = inFlight + 1
@@ -274,7 +312,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 		ln.dirty = false
 		if l.next != nil {
 			l.next.writeBack(now, ln.tag, l.id)
-			if l.next.coherent {
+			if l.coherent {
 				// The copy stays readable until the install overwrites
 				// it, but its dirty data has been given up: M/O → S.
 				l.traceState(ln.tag, ln.st, Shared, EvWriteback)

@@ -209,13 +209,17 @@ func (c *BankedL2) Coherent() bool { return c.coherent }
 // Protocol returns the active coherence protocol (nil when not coherent).
 func (c *BankedL2) Protocol() Protocol { return c.proto }
 
-// attachPorts switches the L2 into coherent mode under the given protocol
-// and directory representation, registering the L1s it may invalidate,
-// indexed by their port id. Called by NewSystem before any traffic flows.
+// attachPorts switches the L2 and its L1s into coherent mode under the
+// given protocol and directory representation, registering the L1s it may
+// invalidate, indexed by their port id. Called by NewSystem before any
+// traffic flows.
 func (c *BankedL2) attachPorts(ports []*L1, proto Protocol, dirKind string) error {
 	c.coherent = true
 	c.proto = proto
 	c.ports = ports
+	for _, p := range ports {
+		p.coherent = true
+	}
 	c.visitBuf = make([]int16, 0, len(ports))
 	for i := range c.banks {
 		b := &c.banks[i]

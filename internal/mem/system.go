@@ -29,7 +29,8 @@ type System struct {
 // representation tracks sharers (registered in directory.go; "" =
 // full-map bitmask, "limited[:N]" for the pointer scheme that lifts the
 // 64-core cap). The zero value is coherence off — the pre-coherence
-// hierarchy, bit for bit.
+// hierarchy, bit for bit. Its two hooks are installed on the ports at
+// construction and never change results.
 type CoherenceConfig struct {
 	Enabled   bool
 	Protocol  string
@@ -38,6 +39,10 @@ type CoherenceConfig struct {
 	// port and the shared L2 at construction. Test-only instrumentation:
 	// production runs leave it nil and every emission site is nil-guarded.
 	Tracer *CohTracer
+	// Gate, when non-nil, is installed on every L1 port, with coherence
+	// on or off: the parallel stepper's admission to shared state (see
+	// Gate). Lockstep runs leave it nil.
+	Gate Gate
 }
 
 // NewSystem builds the hierarchy for the given number of cores. With
@@ -80,6 +85,7 @@ func NewSystem(l1 L1Config, l2 L2Config, cores int, sharedAddr bool, coh Coheren
 		if !sharedAddr {
 			p.base = uint64(i) << CoreAddrShift
 		}
+		p.gate = coh.Gate
 		s.l1s = append(s.l1s, p)
 	}
 	if coh.Enabled {

@@ -17,9 +17,10 @@ import "fmt"
 // Concurrency contract: this is the memory phase of the split cycle
 // (Sim.stepMem) — the only phase that touches s.dmem and, through it,
 // shared multicore state (the banked L2, the directory, remote L1s).
-// The parallel stepper serializes calls in global (cycle, core-index)
-// order via the memory gate in parallel.go; everything else in the
-// cycle runs concurrently across cores. Keep shared-state access inside
+// Under the parallel stepper the L1 enters the memory gate (parallel.go)
+// before its first shared touch of the cycle, which admits those touches
+// in global (cycle, core-index) order; everything else in the cycle runs
+// concurrently across cores. Keep shared-state access inside
 // this phase or the determinism contract breaks — vplint's phasepure
 // analyzer enforces it through this annotation.
 //

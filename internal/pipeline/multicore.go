@@ -113,6 +113,11 @@ type Multicore struct {
 	sys   *mem.System // nil when the shared L2 is disabled
 	step  stepPlan    // cfg.Step parsed once (Validate already accepted it)
 
+	// gate is the memory gate installed on sys's L1 ports when the cores
+	// are stepped concurrently (parallel.go); nil under lockstep and
+	// without a shared L2, where nothing waits.
+	gate *memGate
+
 	// Live-core tracking: drained[i] is set the first time core i reports
 	// Done, decrementing liveCount, so Done() is O(1) once everything has
 	// drained and the run loops never rescan finished cores. All three
@@ -153,12 +158,17 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 	m.liveCount = cfg.Cores
 	m.liveBuf = make([]int, 0, cfg.Cores)
 	if cfg.L2.Enabled {
+		coh := mem.CoherenceConfig{
+			Enabled:   cfg.Coherence,
+			Protocol:  cfg.Protocol,
+			Directory: cfg.Directory,
+		}
+		if m.step.concurrent {
+			m.gate = &memGate{}
+			coh.Gate = m.gate
+		}
 		sys, err := mem.NewSystem(mem.L1FromCacheConfig(cfg.Core.Cache), cfg.L2, cfg.Cores,
-			cfg.SharedAddressSpace, mem.CoherenceConfig{
-				Enabled:   cfg.Coherence,
-				Protocol:  cfg.Protocol,
-				Directory: cfg.Directory,
-			})
+			cfg.SharedAddressSpace, coh)
 		if err != nil {
 			return nil, err
 		}

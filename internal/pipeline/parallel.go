@@ -6,16 +6,17 @@
 // results bit-for-bit at any GOMAXPROCS by exploiting the phase split in
 // sim.go: stepFront and stepBack touch only core-private state and run
 // fully concurrently, while stepMem — the one phase that can reach the
-// shared mem.System — is admitted by a conservative gate in exactly the
-// global (cycle, core-index) order the serial loop would have used.
+// shared mem.System — has every touch of shared state admitted by a
+// conservative gate in exactly the global (cycle, core-index) order the
+// serial loop would have used.
 //
 // # The memory gate
 //
 // Each core publishes the highest cycle whose memory phase it has
 // finished through an atomic in its own cache-line-padded gateSlot.
-// Core i may run stepMem for cycle T once every lower-indexed core has
-// finished T's memory phase and every higher-indexed core has finished
-// T-1's:
+// Core i may touch shared state in cycle T once every lower-indexed core
+// has finished T's memory phase and every higher-indexed core has
+// finished T-1's:
 //
 //	∀j<i: memCycle[j] >= T   and   ∀j>i: memCycle[j] >= T-1
 //
@@ -29,13 +30,23 @@
 // the race detector — and the Go memory model — the happens-before edges
 // that make them safe.
 //
-// Cores whose execute stage provably cannot touch memory this cycle
-// (Sim.memQuiet: empty store buffer, no pending or deliverable AGU work)
-// skip the wait entirely, and publish their progress in strides rather
-// than every cycle, which is what lets low-sharing workloads run ahead
-// instead of convoying behind the slowest core. With the shared L2
-// disabled there is nothing shared at all and the gate is bypassed
-// wholesale.
+// The gate is entered where shared state is first touched, not at the
+// top of the phase: NewMulticore installs a memGate on every L1 port
+// (mem.Gate), and the L1 calls it right before its first shared touch of
+// the cycle. With coherence that is the top of every Access, because
+// remote memory phases write the L1's own lines and MSHRs; without it,
+// only a primary miss, whose dirty-victim write-back and refill are the
+// L1's only calls into the shared L2. Everything a phase does before
+// that point — store-queue work, hits, merges, MSHR-full refusals — is
+// core-private, so it needs no turn, and a cycle that never reaches
+// shared state never waits at all. Results stay exact because the
+// ordering argument above only concerns shared touches, and every one of
+// them is still preceded by its turn. A phase that entered the gate
+// publishes its memCycle at once (its successors are gate-ordered behind
+// that value); other phases publish in strides, which is what lets
+// low-sharing workloads run ahead instead of convoying behind the
+// slowest core. With the shared L2 disabled there is nothing shared at
+// all and no gate is installed.
 //
 // # Waiting: spin, yield, park
 //
@@ -46,17 +57,20 @@
 // where nothing can publish until we yield), then yields the processor
 // a bounded number of times with runtime.Gosched, and finally parks on
 // the lagging core's notifier, to be woken by that core's next publish.
-// Short waits stay latency-free in the spin rungs; long waits stop
-// burning CPU in the park rung. Liveness at any GOMAXPROCS, including 1:
-// a core flushes its own pending progress before probing anyone else, a
-// running core publishes at least every quietPublishStride cycles — and
-// immediately once a waiter registers on its slot — and a core that
-// stops publishes a terminal sentinel and wakes its parkers. The
-// lexicographically least (cycle, index) core among those not finished
-// never waits on the gate, and the most-behind core never waits on
-// pacing, so some core always advances; every other core's wait is then
-// resolved by a publish, a wake, or the bounded yield rungs handing the
-// processor to the core it is waiting for.
+// The yield budget is sized so that only waits longer than a wake-up
+// park: a wake costs the publisher — the very core being waited for — a
+// mutex and a futex wake, so a park on a short wait slows the critical
+// path it is waiting on. Long waits, and cores outnumbering CPUs, still
+// reach the park rung and stop burning CPU. Liveness at any GOMAXPROCS,
+// including 1: a core flushes its own pending progress before probing
+// anyone else, a running core publishes at least every
+// quietPublishStride cycles — and immediately once a waiter registers on
+// its slot — and a core that stops publishes a terminal sentinel and
+// wakes its parkers. The lexicographically least (cycle, index) core
+// among those not finished never waits on the gate, and the most-behind
+// core never waits on pacing, so some core always advances; every other
+// core's wait is then resolved by a publish, a wake, or the bounded
+// yield rungs handing the processor to the core it is waiting for.
 //
 // # Pacing (the skew window)
 //
@@ -106,14 +120,18 @@ func StepSkew(w int64) StepMode {
 	return StepMode(stepSkewPrefix + strconv.FormatInt(w, 10))
 }
 
-// ParseStepMode validates a stepping-mode spelling: "" or "lockstep",
-// "parallel", "skew:W" for a decimal window W >= 0, or "skew:inf".
+// ParseStepMode validates a stepping-mode spelling — "" or "lockstep",
+// "parallel", "skew:W" for a decimal window W >= 0, or "skew:inf" — and
+// returns the one canonical spelling of its plan: "lockstep" for "",
+// "parallel" for any zero window ("skew:0", "skew:-0"), and "skew:W"
+// with W in plain decimal otherwise ("skew:+5" and "skew:05" are
+// "skew:5"). Equal plans thus compare, print and key caches equally.
 func ParseStepMode(s string) (StepMode, error) {
-	m := StepMode(s)
-	if _, err := m.plan(); err != nil {
+	p, err := StepMode(s).plan()
+	if err != nil {
 		return StepLockstep, err
 	}
-	return m, nil
+	return p.mode(), nil
 }
 
 // stepPlan is a parsed StepMode: whether to run the goroutine-per-core
@@ -121,6 +139,17 @@ func ParseStepMode(s string) (StepMode, error) {
 type stepPlan struct {
 	concurrent bool
 	window     int64
+}
+
+// mode is the plan's canonical spelling.
+func (p stepPlan) mode() StepMode {
+	switch {
+	case !p.concurrent:
+		return StepLockstep
+	case p.window == 0:
+		return StepParallel
+	}
+	return StepSkew(p.window)
 }
 
 func (m StepMode) plan() (stepPlan, error) {
@@ -149,7 +178,7 @@ func (m StepMode) plan() (stepPlan, error) {
 const parDone = math.MaxInt64
 
 // Wait-ladder and publish tuning. None of these affect results — the
-// gate condition alone admits memory phases — only how a blocked core
+// gate condition alone admits shared touches — only how a blocked core
 // spends host time and how often a free-running core touches its slot.
 const (
 	// gateSpinProbes bounds the pure load-spin rung of a wait: cheap
@@ -160,15 +189,20 @@ const (
 
 	// gateYieldProbes bounds the runtime.Gosched rung before parking.
 	// At GOMAXPROCS=1 a yield hands the processor to the core being
-	// waited for, so most waits resolve in the first yield or two.
-	gateYieldProbes = 32
+	// waited for, so most waits resolve in the first yield or two. With
+	// more processors the budget is what separates short waits from long
+	// ones: a park costs the core being waited for a mutex and a futex
+	// wake on its next publish, right on the critical path, so the budget
+	// outlasts a wake-up and only waits longer than that park
+	// (BenchmarkGateHandoff is the layer number).
+	gateYieldProbes = 1024
 
-	// quietPublishStride is how many memQuiet (or pacing-idle) cycles a
-	// core may run between progress publishes. Batching stops a
-	// free-running core from invalidating its slot's cache line in
-	// every waiter once per cycle; a registered parker (sleepers != 0)
-	// or the core's own wait entry flushes immediately, so nobody waits
-	// on a stale stride for long.
+	// quietPublishStride is how many cycles without a gated memory phase
+	// (or pacing-idle cycles) a core may run between progress publishes.
+	// Batching stops a free-running core from invalidating its slot's
+	// cache line in every waiter once per cycle; a registered parker
+	// (sleepers != 0) or the core's own wait entry flushes immediately,
+	// so nobody waits on a stale stride for long.
 	quietPublishStride = 32
 )
 
@@ -226,12 +260,12 @@ type parker struct {
 }
 
 // waitStats counts what the wait ladder did during one stepping session.
-// Each core accumulates its own copy in coreLoop-local state (zero hot
-// path cost: plain adds on stack memory) and the runner folds them after
-// the goroutines join; they surface through Multicore.Aggregate as the
+// Each core accumulates its own copy in its padded coreSlot (plain adds
+// on a line no other core touches) and the runner folds them after the
+// goroutines join; they surface through Multicore.Aggregate as the
 // Gate*/Pacing* fields of Stats.
 type waitStats struct {
-	gateWaits   int64 // gated memory phases that found a predecessor lagging
+	gateWaits   int64 // gate turns that found a predecessor lagging
 	pacingWaits int64 // cycle starts that found the skew window closed
 	spins       int64 // pure load-spin probes (gate and pacing ladders)
 	yields      int64 // runtime.Gosched yields after the spin budget
@@ -247,9 +281,12 @@ func (w *waitStats) add(o waitStats) {
 }
 
 // coreState is one core goroutine's private stepping state: its wait
-// counters, the progress it has not yet published, and its cached view
-// of the other cores' frontiers. Everything here lives on the coreLoop
-// stack — no shared line is touched to read or update it.
+// counters, the progress it has not yet published, its cached view of
+// the other cores' frontiers, and whether it has its gate turn for the
+// current cycle. Only the owning goroutine touches it while the run
+// lasts — coreLoop directly, memGate.Enter from inside the core's
+// memory phase — and it sits in its own padded coreSlot, so no other
+// core's line is touched to read or update it.
 type coreState struct {
 	f waitStats
 
@@ -269,6 +306,53 @@ type coreState struct {
 	memLow  int64 // min over j<i of memCycle[j]
 	memHigh int64 // min over j>i of memCycle[j]
 	doneMin int64 // min over j≠i of completed[j]
+
+	// entered is the last cycle whose gate turn this core took; halted
+	// is set once the gate refused a stopped run, which ends the loop.
+	entered int64
+	halted  bool
+}
+
+// coreSlotPad rounds coreSlot up to gateSlotBytes, for the same reason
+// gateSlot is padded: each core rewrites its state every cycle, and no
+// other core's state may share those lines. TestGateSlotLayout pins it.
+const coreSlotPad = gateSlotBytes - 112
+
+// coreSlot is one core's coreState, padded to its own cache lines.
+type coreSlot struct {
+	coreState
+	_ [coreSlotPad]byte
+}
+
+// memGate is the mem.Gate a parallel-stepped machine installs on its L1
+// ports (NewMulticore). runParallel arms it with the current run; the L1
+// calls Enter right before its first touch of shared state in a cycle.
+// Unarmed — a core stepped directly, outside a run — it admits at once:
+// a serial caller is its own order.
+type memGate struct {
+	run *parRun
+}
+
+// Enter takes core's gate turn for cycle now, at most once per cycle:
+// the first call waits (waitMemGate), later calls in the same cycle are
+// free. It returns false once the run has stopped, and from then on.
+//
+//vpr:hotpath
+func (g *memGate) Enter(core int, now int64) bool {
+	r := g.run
+	if r == nil {
+		return true
+	}
+	cs := &r.cores[core].coreState
+	if cs.entered == now {
+		return true
+	}
+	if cs.halted || !r.waitMemGate(now, core, cs) {
+		cs.halted = true
+		return false
+	}
+	cs.entered = now
+	return true
 }
 
 // parRun is one parallel stepping session: the per-core goroutines, their
@@ -288,9 +372,9 @@ type parRun struct {
 	spinBudget int
 	eagerDone  bool
 
-	slots    []gateSlot
-	parkers  []parker
-	counters []waitStats // per-core; written by the owning goroutine, read after wg.Wait
+	slots   []gateSlot
+	parkers []parker
+	cores   []coreSlot // per-core; written by the owning goroutine, read after wg.Wait
 
 	//vpr:shared
 	stopped atomic.Bool
@@ -307,14 +391,14 @@ type parRun struct {
 //vpr:stepper
 func (m *Multicore) runParallel(ctx context.Context, maxCommitsPerCore int64) error {
 	r := &parRun{
-		m:        m,
-		ctx:      ctx,
-		max:      maxCommitsPerCore,
-		window:   m.step.window,
-		gated:    m.sys != nil,
-		slots:    make([]gateSlot, len(m.cores)),
-		parkers:  make([]parker, len(m.cores)),
-		counters: make([]waitStats, len(m.cores)),
+		m:       m,
+		ctx:     ctx,
+		max:     maxCommitsPerCore,
+		window:  m.step.window,
+		gated:   m.gate != nil,
+		slots:   make([]gateSlot, len(m.cores)),
+		parkers: make([]parker, len(m.cores)),
+		cores:   make([]coreSlot, len(m.cores)),
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
 		r.spinBudget = gateSpinProbes
@@ -323,21 +407,35 @@ func (m *Multicore) runParallel(ctx context.Context, maxCommitsPerCore int64) er
 	for i, c := range m.cores {
 		r.slots[i].memCycle.Store(c.cycle - 1)
 		r.slots[i].completed.Store(c.cycle - 1)
+		r.cores[i].coreState = coreState{
+			pendingMem: c.cycle - 1, publishedMem: c.cycle - 1,
+			pendingDone: c.cycle - 1, publishedDone: c.cycle - 1,
+			// Frontier caches start pessimistic: the first wait of each
+			// kind does one real scan and tightens them.
+			memLow: math.MinInt64, memHigh: math.MinInt64, doneMin: math.MinInt64,
+			entered: c.cycle - 1,
+		}
 	}
 	for i := range r.parkers {
 		p := &r.parkers[i]
 		p.cond.L = &p.mu
+	}
+	if r.gated {
+		m.gate.run = r
 	}
 	r.wg.Add(len(m.cores))
 	for i := range m.cores {
 		go r.coreLoop(i)
 	}
 	r.wg.Wait()
+	if r.gated {
+		m.gate.run = nil
+	}
 	for i, c := range m.cores {
 		if c.Done() {
 			m.noteDrained(i)
 		}
-		m.parSync.add(r.counters[i])
+		m.parSync.add(r.cores[i].f)
 	}
 	return r.err
 }
@@ -367,13 +465,7 @@ func (r *parRun) fail(err error) {
 func (r *parRun) coreLoop(i int) {
 	defer r.wg.Done()
 	c := r.m.cores[i]
-	cs := coreState{
-		pendingMem: c.cycle - 1, publishedMem: c.cycle - 1,
-		pendingDone: c.cycle - 1, publishedDone: c.cycle - 1,
-		// Frontier caches start pessimistic: the first wait of each kind
-		// does one real scan and tightens them.
-		memLow: math.MinInt64, memHigh: math.MinInt64, doneMin: math.MinInt64,
-	}
+	cs := &r.cores[i].coreState
 	sinceCheck := 0
 	for {
 		if r.stopped.Load() {
@@ -390,7 +482,7 @@ func (r *parRun) coreLoop(i int) {
 			}
 		}
 		now := c.cycle
-		if !r.waitPacing(now, i, &cs) {
+		if !r.waitPacing(now, i, cs) {
 			break
 		}
 		if err := c.stepFront(now); err != nil {
@@ -398,20 +490,17 @@ func (r *parRun) coreLoop(i int) {
 			r.fail(fmt.Errorf("pipeline: core %d: %w", i, err))
 			break
 		}
-		// The cycle's memory footprint is now fixed: take the gate only
-		// if this cycle can actually reach shared state.
-		quiet := !r.gated || c.memQuiet(now)
-		if !quiet && !r.waitMemGate(now, i, &cs) {
+		// The L1 takes the gate turn itself (memGate.Enter) if and when
+		// this phase first touches shared state.
+		err := c.stepMem(now)
+		if cs.halted {
 			break
 		}
-		err := c.stepMem(now)
 		cs.pendingMem = now
-		if !quiet {
-			// A gated memory phase publishes immediately: successors are
-			// gate-ordered behind this very value.
-			r.publishMem(i, now, &cs)
-		} else if r.gated && (now-cs.publishedMem >= quietPublishStride || r.slots[i].sleepers.Load() != 0) {
-			r.publishMem(i, now, &cs)
+		// A phase that took its turn publishes at once: successors are
+		// gate-ordered behind this very value. The rest batch.
+		if r.gated && (cs.entered == now || now-cs.publishedMem >= quietPublishStride || r.slots[i].sleepers.Load() != 0) {
+			r.publishMem(i, now, cs)
 		}
 		if err != nil {
 			//vpr:allowalloc error path: the failed run allocates once and stops
@@ -425,7 +514,7 @@ func (r *parRun) coreLoop(i int) {
 		}
 		cs.pendingDone = now
 		if r.eagerDone || now-cs.publishedDone >= quietPublishStride || r.slots[i].sleepers.Load() != 0 {
-			r.publishDone(i, now, &cs)
+			r.publishDone(i, now, cs)
 		}
 	}
 	// Publish terminal progress and wake any parker, so no gate or
@@ -433,7 +522,6 @@ func (r *parRun) coreLoop(i int) {
 	r.slots[i].memCycle.Store(parDone)
 	r.slots[i].completed.Store(parDone)
 	r.wakeParked(i)
-	r.counters[i] = cs.f
 }
 
 // publishMem advertises core i's memory-phase progress and wakes its
@@ -505,10 +593,10 @@ func (r *parRun) waitPacing(now int64, i int, cs *coreState) bool {
 	return true
 }
 
-// waitMemGate admits core i's memory phase for cycle now once its global
-// (cycle, index) turn has come: every lower-indexed core has finished
-// this cycle's memory phase, every higher-indexed core last cycle's.
-// Returns false if the run stopped.
+// waitMemGate admits core i's shared touches for cycle now once its
+// global (cycle, index) turn has come: every lower-indexed core has
+// finished this cycle's memory phase, every higher-indexed core last
+// cycle's. Returns false if the run stopped.
 //
 //vpr:hotpath
 func (r *parRun) waitMemGate(now int64, i int, cs *coreState) bool {

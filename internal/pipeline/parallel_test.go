@@ -12,6 +12,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // randSynthParams draws a randomized synthetic-workload parameterization:
@@ -90,9 +91,15 @@ func runMulticoreMode(t *testing.T, cfg MulticoreConfig, step StepMode, mkGens f
 // statistics and per-core commit streams.
 func diffSteppers(t *testing.T, name string, cfg MulticoreConfig, mkGens func() []trace.Generator, max int64) {
 	t.Helper()
+	diffStepperModes(t, name, cfg, mkGens, max, parStepModes)
+}
+
+// diffStepperModes is diffSteppers over the given parallel modes only.
+func diffStepperModes(t *testing.T, name string, cfg MulticoreConfig, mkGens func() []trace.Generator, max int64, modes []StepMode) {
+	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		want := runMulticoreMode(t, cfg, StepLockstep, mkGens, max)
-		for _, mode := range parStepModes {
+		for _, mode := range modes {
 			got := runMulticoreMode(t, cfg, mode, mkGens, max)
 			if got.agg != want.agg {
 				t.Errorf("step=%q aggregate stats diverge:\n got  %+v\n want %+v", mode, got.agg, want.agg)
@@ -206,6 +213,59 @@ func TestParallelStepperGOMAXPROCS(t *testing.T) {
 	diffSteppers(t, "gomaxprocs4", cfg, synthGens(paramsList, 5000), 0)
 }
 
+// gateEntryModes are the modes the gate-entry cases run under: the
+// per-cycle barrier, the benchmark's window, and no window at all.
+var gateEntryModes = []StepMode{StepParallel, StepSkew(64), StepSkew(-1)}
+
+// kernelGens builds one catalog-kernel generator per core, each capped
+// at instr instructions.
+func kernelGens(t *testing.T, names []string, instr int64) func() []trace.Generator {
+	return func() []trace.Generator {
+		gens := make([]trace.Generator, len(names))
+		for i, name := range names {
+			g, err := workloads.MustByName(name).NewGen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens[i] = trace.Take(g, instr)
+		}
+		return gens
+	}
+}
+
+// TestParallelStepperKernelPairs runs the kernel pairs of the repository
+// benchmark's private-memory workload over a shared L2 with coherence
+// off, where only primary misses enter the gate and hits run ahead of it.
+func TestParallelStepperKernelPairs(t *testing.T) {
+	cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
+	for _, pair := range [][]string{{"compress", "swim"}, {"hydro2d", "li"}} {
+		name := pair[0] + "+" + pair[1]
+		diffStepperModes(t, name, cfg, kernelGens(t, pair, 3000), 0, gateEntryModes)
+	}
+}
+
+// TestParallelStepperFourCoresTwoProcs runs more cores than processors,
+// so waiting cores must hand a processor to the cores they wait for:
+// the four benchmark kernels over a private-memory shared L2, and a
+// coherent write-sharing run.
+func TestParallelStepperFourCoresTwoProcs(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	cfg := MulticoreConfig{Cores: 4, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
+	diffStepperModes(t, "kernels", cfg,
+		kernelGens(t, []string{"compress", "swim", "hydro2d", "li"}, 3000), 0, gateEntryModes)
+
+	p := synth.Defaults()
+	p.Seed = 29
+	p.FracStore = 0.25
+	coh := MulticoreConfig{
+		Cores: 4, Core: DefaultConfig(), L2: mem.DefaultL2Config(),
+		SharedAddressSpace: true, Coherence: true,
+	}
+	coh.Core.ValueCheck = false
+	diffStepperModes(t, "coherent", coh, synthGens([]synth.Params{p, p, p, p}, 3000), 0, gateEntryModes)
+}
+
 // TestParallelStepperCommitCap pins the maxCommitsPerCore path: capped
 // parallel runs stop at the identical instruction boundary the oracle
 // stops at.
@@ -313,15 +373,22 @@ func TestSkewWindowLargerThanRun(t *testing.T) {
 
 // --- mode plumbing ----------------------------------------------------------
 
-// TestParseStepMode pins the accepted spellings and the rejections.
+// TestParseStepMode pins the accepted spellings, the one canonical
+// spelling each plan parses to, and the rejections.
 func TestParseStepMode(t *testing.T) {
-	good := map[string]stepPlan{
-		"":         {},
-		"lockstep": {},
-		"parallel": {concurrent: true},
-		"skew:0":   {concurrent: true, window: 0},
-		"skew:12":  {concurrent: true, window: 12},
-		"skew:inf": {concurrent: true, window: -1},
+	good := map[string]struct {
+		plan  stepPlan
+		canon StepMode
+	}{
+		"":         {stepPlan{}, StepLockstep},
+		"lockstep": {stepPlan{}, StepLockstep},
+		"parallel": {stepPlan{concurrent: true}, StepParallel},
+		"skew:0":   {stepPlan{concurrent: true, window: 0}, StepParallel},
+		"skew:-0":  {stepPlan{concurrent: true, window: 0}, StepParallel},
+		"skew:12":  {stepPlan{concurrent: true, window: 12}, "skew:12"},
+		"skew:+12": {stepPlan{concurrent: true, window: 12}, "skew:12"},
+		"skew:012": {stepPlan{concurrent: true, window: 12}, "skew:12"},
+		"skew:inf": {stepPlan{concurrent: true, window: -1}, "skew:inf"},
 	}
 	for s, want := range good {
 		m, err := ParseStepMode(s)
@@ -329,8 +396,14 @@ func TestParseStepMode(t *testing.T) {
 			t.Errorf("ParseStepMode(%q): %v", s, err)
 			continue
 		}
-		if got, _ := m.plan(); got != want {
-			t.Errorf("ParseStepMode(%q) plan %+v, want %+v", s, got, want)
+		if m != want.canon {
+			t.Errorf("ParseStepMode(%q) = %q, want canonical %q", s, m, want.canon)
+		}
+		if got, _ := m.plan(); got != want.plan {
+			t.Errorf("ParseStepMode(%q) plan %+v, want %+v", s, got, want.plan)
+		}
+		if again, _ := ParseStepMode(string(m)); again != m {
+			t.Errorf("canonical %q reparses as %q", m, again)
 		}
 	}
 	for _, s := range []string{"skew:", "skew:-3", "skew:w", "turbo", "Lockstep", "skew:1x"} {
@@ -407,6 +480,9 @@ func TestGateSlotLayout(t *testing.T) {
 	}
 	if off := unsafe.Offsetof(gateSlot{}.sleepers); off+4 > 64 {
 		t.Fatalf("hot gateSlot fields span %d bytes — past one 64-byte line", off+4)
+	}
+	if got := unsafe.Sizeof(coreSlot{}); got != gateSlotBytes {
+		t.Fatalf("coreSlot is %d bytes, want %d", got, gateSlotBytes)
 	}
 }
 

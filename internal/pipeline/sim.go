@@ -626,8 +626,7 @@ func (s *Sim) Step() error {
 }
 
 // stepFront runs the private front half of a cycle: commit (which refills
-// the post-commit store buffer) and write-back. After it returns, the
-// cycle's memory footprint is fixed — memQuiet is meaningful.
+// the post-commit store buffer) and write-back.
 //
 //vpr:hotpath
 //vpr:computephase
@@ -643,9 +642,9 @@ func (s *Sim) stepFront(now int64) error {
 }
 
 // stepMem runs the memory phase of a cycle — the execute stage, the only
-// phase that calls into s.dmem. Under the parallel multicore stepper this
-// phase is admitted in global (cycle, core-index) order whenever it might
-// touch shared state.
+// phase that calls into s.dmem. Under the parallel multicore stepper each
+// of its touches of shared state waits, inside the L1, for this core's
+// turn in global (cycle, core-index) order.
 //
 //vpr:hotpath
 //vpr:memphase
@@ -690,29 +689,6 @@ func (s *Sim) stepBack(now int64) error {
 	s.cycle++
 	s.rotate++
 	return nil
-}
-
-// memQuiet reports whether this cycle's stepMem provably performs no
-// data-memory access: the post-commit store buffer is empty, no thread
-// has a post-AGU memory operation pending or retrying, and the AGU wheel
-// cannot deliver one this cycle. Called between stepFront and stepMem
-// (commit refills the store buffer, so the predicate is only meaningful
-// once the front half has run). Conservative: a quiet cycle makes no
-// Access/Drain call at all, so the parallel stepper may run it without
-// taking the global memory gate.
-//
-//vpr:hotpath
-//vpr:computephase
-func (s *Sim) memQuiet(now int64) bool {
-	if s.scan || s.sbN > 0 || !s.aguWheel.emptyAt(now) {
-		return false
-	}
-	for _, th := range s.threads {
-		if len(th.aguPend) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 //vpr:coldpath

@@ -91,7 +91,7 @@ type Stats struct {
 	// pacing window actually blocked, and how each wait was spent — so
 	// they depend on host scheduling, vary run to run, and are zeroed by
 	// Arch().
-	GateWaits   int64 // gated memory phases that found a predecessor lagging
+	GateWaits   int64 // gate turns (first shared touch of a cycle) that found a predecessor lagging
 	PacingWaits int64 // cycle starts that found the skew window closed
 	GateSpins   int64 // pure load-spin probes across both wait kinds
 	GateYields  int64 // runtime.Gosched yields after the spin budget

@@ -50,8 +50,9 @@ type MulticoreSpec struct {
 	MaxInstrPerCore int64
 	// Step selects the stepping strategy (lockstep oracle, parallel, or
 	// skew:W — see pipeline.ParseStepMode). Every mode produces
-	// bit-identical results; the engine still keys on it so throughput
-	// experiments comparing steppers never share a cache entry.
+	// bit-identical results; the engine still keys on its canonical
+	// spelling so throughput experiments comparing steppers never share a
+	// cache entry.
 	Step pipeline.StepMode
 }
 

@@ -146,8 +146,8 @@ const (
 // unbounded).
 func StepSkew(w int64) StepMode { return pipeline.StepSkew(w) }
 
-// ParseStepMode validates a -step flag value: "lockstep", "parallel",
-// "skew:W" or "skew:inf".
+// ParseStepMode validates a -step flag value — "lockstep", "parallel",
+// "skew:W" or "skew:inf" — and returns its plan's canonical spelling.
 func ParseStepMode(s string) (StepMode, error) { return pipeline.ParseStepMode(s) }
 
 // L2Config sizes the banked shared L2 of a multi-core run; the zero
