@@ -23,14 +23,21 @@ func benchOpts() vpr.ExperimentOptions {
 	return vpr.ExperimentOptions{Instr: benchInstr}
 }
 
+// runExperiment regenerates a registry experiment on a cache-off engine,
+// so every benchmark iteration simulates every point.
+func runExperiment[T any](b *testing.B, name string, opts vpr.ExperimentOptions) T {
+	b.Helper()
+	res, err := vpr.New(vpr.WithCache(0)).RunExperiment(context.Background(), name, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Value.(T)
+}
+
 func BenchmarkTable2(b *testing.B) {
 	var imp float64
 	for i := 0; i < b.N; i++ {
-		res, err := vpr.RunTable2(benchOpts(), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imp = res.ImprovementPct
+		imp = runExperiment[vpr.Table2](b, "table2", benchOpts()).ImprovementPct
 	}
 	b.ReportMetric(imp, "improvement-%")
 }
@@ -38,10 +45,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		sweep, err := vpr.RunFigure4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := runExperiment[vpr.NRRSweep](b, "fig4", benchOpts())
 		mean = sweep.MeanSpeedupAt(len(sweep.NRRs) - 1)
 	}
 	b.ReportMetric(mean, "speedup-at-max-NRR")
@@ -50,10 +54,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		sweep, err := vpr.RunFigure5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := runExperiment[vpr.NRRSweep](b, "fig5", benchOpts())
 		mean = sweep.MeanSpeedupAt(len(sweep.NRRs) - 1)
 	}
 	b.ReportMetric(mean, "speedup-at-max-NRR")
@@ -62,10 +63,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var wb, issue float64
 	for i := 0; i < b.N; i++ {
-		rows, err := vpr.RunFigure6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]vpr.Fig6Row](b, "fig6", benchOpts())
 		wb, issue = 0, 0
 		for _, r := range rows {
 			wb += r.WritebackSpeedup
@@ -81,10 +79,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var imp48, imp96 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := vpr.RunFigure7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runExperiment[vpr.Fig7](b, "fig7", benchOpts())
 		imp48 = fig.MeanImprovementAt(0)
 		imp96 = fig.MeanImprovementAt(2)
 	}
@@ -108,9 +103,7 @@ func BenchmarkAblationEarlyRelease(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"compress", "swim"}
 	for i := 0; i < b.N; i++ {
-		if _, err := vpr.RunEarlyReleaseAblation(opts); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment[[]vpr.AblationRow](b, "ablation-release", opts)
 	}
 }
 
@@ -118,9 +111,7 @@ func BenchmarkAblationDisambiguation(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"compress", "vortex"}
 	for i := 0; i < b.N; i++ {
-		if _, err := vpr.RunDisambiguationAblation(opts); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment[[]vpr.AblationRow](b, "ablation-disamb", opts)
 	}
 }
 
@@ -182,9 +173,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			cfg := vpr.DefaultConfig()
 			cfg.Scheme = scheme
+			eng := vpr.New(vpr.WithParallelism(1), vpr.WithCache(0))
 			var committed int64
 			for i := 0; i < b.N; i++ {
-				res, err := vpr.Run(vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: benchInstr})
+				res, err := eng.Run(context.Background(), vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: benchInstr})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,8 +198,9 @@ func BenchmarkValueCheckOverhead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := vpr.DefaultConfig()
 			cfg.ValueCheck = check
+			eng := vpr.New(vpr.WithParallelism(1), vpr.WithCache(0))
 			for i := 0; i < b.N; i++ {
-				if _, err := vpr.Run(vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: benchInstr}); err != nil {
+				if _, err := eng.Run(context.Background(), vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: benchInstr}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,10 +215,7 @@ func BenchmarkSMTScaling(b *testing.B) {
 	opts.Workloads = []string{"hydro2d"}
 	var one, two float64
 	for i := 0; i < b.N; i++ {
-		rows, err := vpr.RunSMTScaling([]int{1, 2}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]vpr.SMTRow](b, "smt", opts)
 		one, two = rows[0].ImprovementPct, rows[1].ImprovementPct
 	}
 	b.ReportMetric(one, "improvement-1T-%")

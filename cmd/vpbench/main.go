@@ -200,7 +200,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vpbench: -protocol: %v\n", err)
 		os.Exit(1)
 	}
-	if err := vpr.ParseDirectoryKind(*dirFlag); err != nil {
+	if _, err := vpr.ParseDirectoryKind(*dirFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "vpbench: -dir: %v\n", err)
 		os.Exit(1)
 	}
@@ -306,10 +306,10 @@ func bestOf(n int, once func() (vpr.Stats, float64, error)) (vpr.Stats, float64,
 // core, stepped in the given mode — bracketed by MemStats reads,
 // returning the aggregate stats and the host heap allocations per
 // committed instruction. All recorded multicore points share this
-// measurement protocol, and none go through the engine cache, so a
-// lockstep point and its parallel twin are both honestly recomputed
-// in-process.
-func measureMulticore(wl string, policies vpr.Policies, cores int, l2 vpr.L2Config,
+// measurement protocol, and each runs on a fresh one-worker engine with
+// the cache off, so a lockstep point and its parallel twin are both
+// honestly recomputed in-process.
+func measureMulticore(ctx context.Context, wl string, policies vpr.Policies, cores int, l2 vpr.L2Config,
 	coherent bool, proto, dir string, instr int64, step vpr.StepMode) (vpr.Stats, float64, error) {
 	cfg := vpr.DefaultConfig()
 	cfg.Policies = policies
@@ -329,9 +329,10 @@ func measureMulticore(wl string, policies vpr.Policies, cores int, l2 vpr.L2Conf
 	if coherent {
 		spec.Protocol, spec.Directory = proto, dir
 	}
+	eng := vpr.New(vpr.WithParallelism(1), vpr.WithCache(0))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := vpr.RunMulticore(spec)
+	res, err := eng.RunMulticore(ctx, spec)
 	if err != nil {
 		return vpr.Stats{}, 0, err
 	}
@@ -394,7 +395,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 	mcPoint := func(mode vpr.StepMode) (multicorePoint, error) {
 		wl := workloads[0]
 		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(wl, policies, cores, l2, coherentMC, proto, dir, instr, mode)
+			return measureMulticore(ctx, wl, policies, cores, l2, coherentMC, proto, dir, instr, mode)
 		})
 		if err != nil {
 			return multicorePoint{}, err
@@ -444,7 +445,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			return coherencePoint{}, err
 		}
 		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(wl, policies, cohCores, l2, true, protoSel, dir, instr, mode)
+			return measureMulticore(ctx, wl, policies, cohCores, l2, true, protoSel, dir, instr, mode)
 		})
 		if err != nil {
 			return coherencePoint{}, err

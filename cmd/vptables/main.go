@@ -83,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vptables: -protocol: %v\n", err)
 		os.Exit(1)
 	}
-	if err := vpr.ParseDirectoryKind(*dir); err != nil {
+	if _, err := vpr.ParseDirectoryKind(*dir); err != nil {
 		fmt.Fprintf(os.Stderr, "vptables: -dir: %v\n", err)
 		os.Exit(1)
 	}

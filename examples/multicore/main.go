@@ -1,10 +1,11 @@
 // Example multicore runs the same workload on 1, 2 and 4 cores behind
 // the banked shared L2 and prints the aggregate IPC and shared-L2
 // behaviour per point — the smallest end-to-end use of the multi-core
-// runner (pipeline.Multicore via vpr.RunMulticore).
+// runner (pipeline.Multicore via vpr.Engine.RunMulticore).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,8 @@ func main() {
 	fmt.Printf("shared L2: %d KB, %d banks, hit +%d / miss +%d cycles, %d-cycle bank bus\n\n",
 		l2.SizeBytes/1024, l2.Banks, l2.HitPenalty, l2.MissPenalty, l2.BankBusCycles)
 
+	ctx := context.Background()
+	eng := vpr.New(vpr.WithParallelism(1), vpr.WithCache(0))
 	for _, cores := range []int{1, 2, 4} {
 		names := make([]string, cores)
 		for i := range names {
@@ -26,7 +29,7 @@ func main() {
 		}
 		cfg := vpr.DefaultConfig()
 		cfg.Scheme = vpr.SchemeVPWriteback
-		res, err := vpr.RunMulticore(vpr.MulticoreSpec{
+		res, err := eng.RunMulticore(ctx, vpr.MulticoreSpec{
 			Workloads:       names,
 			Config:          cfg,
 			L2:              l2,

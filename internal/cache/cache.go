@@ -270,15 +270,3 @@ func (c *Cache) MissRatio() float64 {
 	}
 	return float64(c.Misses+c.Merges) / float64(c.Accesses)
 }
-
-// DebugMSHRs returns the readyAt of each busy MSHR and the bus-free cycle
-// (temporary debugging aid).
-func (c *Cache) DebugMSHRs() ([]int64, int64) {
-	var out []int64
-	for i := range c.mshrs {
-		if c.mshrs[i].busy {
-			out = append(out, c.mshrs[i].readyAt)
-		}
-	}
-	return out, c.busFreeAt
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
@@ -52,8 +53,10 @@ func smtKey(spec sim.SMTSpec) cacheKey {
 // differing only in the memory hierarchy — or in which stepper produced
 // the throughput numbers — never share a cache entry. The plan is keyed
 // by its canonical spelling, so "" and "lockstep", or "skew:0" and
-// "parallel", are one entry; an invalid spelling keys as written (its
-// run fails validation).
+// "parallel", are one entry. So are the protocol and directory of a
+// coherent spec: "" and "msi", "limited" and "limited:4" each name one
+// machine. Without Coherence both key as written, since naming either
+// there fails validation; so does any invalid spelling.
 //
 //vpr:keyfunc sim.MulticoreSpec
 func multicoreKey(spec sim.MulticoreSpec) cacheKey {
@@ -61,10 +64,18 @@ func multicoreKey(spec sim.MulticoreSpec) cacheKey {
 	if canon, err := pipeline.ParseStepMode(string(step)); err == nil {
 		step = canon
 	}
+	proto, dir := spec.Protocol, spec.Directory
+	if spec.Coherence {
+		if p, err := mem.ProtocolByName(proto); err == nil {
+			proto = p.Name()
+		}
+		if canon, err := mem.ParseDirectoryKind(dir); err == nil {
+			dir = canon
+		}
+	}
 	return sha256.Sum256([]byte(fmt.Sprintf("mc|%q|%d|%#v|%#v|%v|%v|%q|%q|%q",
 		spec.Workloads, spec.MaxInstrPerCore, spec.Config, spec.L2,
-		spec.SharedAddressSpace, spec.Coherence, spec.Protocol,
-		spec.Directory, string(step))))
+		spec.SharedAddressSpace, spec.Coherence, proto, dir, string(step))))
 }
 
 // resultCache is a concurrency-safe LRU over completed runs. Values are

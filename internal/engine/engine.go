@@ -52,10 +52,11 @@ func WithProgress(fn func(format string, args ...any)) Option {
 	return func(e *Engine) { e.progress = fn }
 }
 
-// WithRunHook installs a callback invoked immediately before every actual
-// simulation — cache hits do not fire it — which makes cache behaviour
-// observable (count the calls) and supports external metering. It may be
-// called from multiple goroutines.
+// WithRunHook installs a callback invoked immediately before every
+// single-core simulation Run (and so RunBatch) actually performs — cache
+// hits do not fire it, and neither do SMT or multi-core runs — which
+// makes cache behaviour observable (count the calls) and supports
+// external metering. It may be called from multiple goroutines.
 func WithRunHook(fn func(spec sim.Spec)) Option {
 	return func(e *Engine) { e.runHook = fn }
 }
@@ -216,26 +217,6 @@ func (e *Engine) RunMulticore(ctx context.Context, spec sim.MulticoreSpec) (sim.
 	return res, nil
 }
 
-// RunMulticoreBatch fans independent multi-core specs out over the worker
-// pool — each multi-core machine runs its cores in lockstep on one
-// worker; the sharding is across machines — and returns results in spec
-// order.
-func (e *Engine) RunMulticoreBatch(ctx context.Context, specs []sim.MulticoreSpec) ([]sim.MulticoreResult, error) {
-	results := make([]sim.MulticoreResult, len(specs))
-	err := e.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
-		res, err := e.RunMulticore(ctx, specs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // copyMulticoreResult deep-copies the per-core slice so cached entries
 // never share a backing array with what callers receive.
 func copyMulticoreResult(r sim.MulticoreResult) sim.MulticoreResult {
@@ -250,51 +231,33 @@ func copyMulticoreResult(r sim.MulticoreResult) sim.MulticoreResult {
 // with the workload name). Results are identical at every parallelism
 // level.
 func (e *Engine) RunBatch(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
-	results := make([]sim.Result, len(specs))
-	err := e.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
-		res, err := e.Run(ctx, specs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return batch(ctx, e.parallelism, specs, e.Run)
 }
 
 // RunSMTBatch is RunBatch for multithreaded points.
 func (e *Engine) RunSMTBatch(ctx context.Context, specs []sim.SMTSpec) ([]sim.SMTResult, error) {
-	results := make([]sim.SMTResult, len(specs))
-	err := e.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
-		res, err := e.RunSMT(ctx, specs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return batch(ctx, e.parallelism, specs, e.RunSMT)
 }
 
-// forEach runs fn(0..n-1) over the worker pool, cancelling the batch on
-// the first error and returning it.
-func (e *Engine) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
+// RunMulticoreBatch is RunBatch for multi-core points. The sharding is
+// across machines: each machine's cores are stepped by one worker's
+// RunMulticore call.
+func (e *Engine) RunMulticoreBatch(ctx context.Context, specs []sim.MulticoreSpec) ([]sim.MulticoreResult, error) {
+	return batch(ctx, e.parallelism, specs, e.RunMulticore)
+}
+
+// batch runs run(ctx, specs[i]) for every spec on at most workers
+// goroutines and returns the results in spec order, cancelling the batch
+// on the first error and returning it.
+func batch[S, R any](ctx context.Context, workers int, specs []S, run func(context.Context, S) (R, error)) ([]R, error) {
+	n := len(specs)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := e.parallelism
 	if workers > n {
 		workers = n
 	}
+	results := make([]R, n)
 	indexes := make(chan int)
 	var (
 		wg       sync.WaitGroup
@@ -316,10 +279,12 @@ func (e *Engine) forEach(ctx context.Context, n int, fn func(ctx context.Context
 					fail(ctx.Err())
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				res, err := run(ctx, specs[i])
+				if err != nil {
 					fail(err)
 					return
 				}
+				results[i] = res
 			}
 		}()
 	}
@@ -333,9 +298,12 @@ func (e *Engine) forEach(ctx context.Context, n int, fn func(ctx context.Context
 	close(indexes)
 	wg.Wait()
 	if firstErr != nil {
-		return firstErr
+		return nil, firstErr
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 func runLabel(spec sim.Spec) string {

@@ -156,6 +156,54 @@ func TestRunMulticoreStepKeysCache(t *testing.T) {
 	}
 }
 
+// TestRunMulticoreCoherenceNamesKeyCache: a coherent spec's protocol and
+// directory key the cache by their canonical spellings, so every spelling
+// of one machine shares an entry, while msi and mesi still miss
+// separately. Without Coherence, naming a protocol still fails
+// validation instead of hitting the coherence-free entry.
+func TestRunMulticoreCoherenceNamesKeyCache(t *testing.T) {
+	e := New()
+	ctx := context.Background()
+	base := mcSpec(2, mem.DefaultL2Config())
+	base.SharedAddressSpace = true
+	base.Coherence = true
+
+	// The first spelling of each machine misses, every other one hits.
+	type names struct{ protocol, directory string }
+	machines := [][]names{
+		{{"", ""}, {"msi", ""}, {"", "fullmap"}, {"msi", "fullmap"}},
+		{{"mesi", ""}, {"mesi", "fullmap"}},
+		{{"msi", "limited"}, {"", "limited:4"}, {"msi", "limited:04"}},
+		{{"msi", "limited:2"}, {"msi", "limited:02"}, {"", "limited:+2"}},
+	}
+	for _, spellings := range machines {
+		for j, n := range spellings {
+			hits0, misses0 := e.CacheStats()
+			spec := base
+			spec.Protocol, spec.Directory = n.protocol, n.directory
+			if _, err := e.RunMulticore(ctx, spec); err != nil {
+				t.Fatalf("%+v: %v", n, err)
+			}
+			hits, misses := e.CacheStats()
+			wantMiss := j == 0
+			if gotMiss := misses > misses0; gotMiss != wantMiss || hits+misses != hits0+misses0+1 {
+				t.Errorf("%+v: hits/misses %d/%d → %d/%d, want a %s",
+					n, hits0, misses0, hits, misses, map[bool]string{true: "miss", false: "hit"}[wantMiss])
+			}
+		}
+	}
+
+	off := base
+	off.Coherence = false
+	if _, err := e.RunMulticore(ctx, off); err != nil {
+		t.Fatal(err)
+	}
+	off.Protocol = "msi"
+	if _, err := e.RunMulticore(ctx, off); err == nil {
+		t.Error("a protocol without Coherence was accepted")
+	}
+}
+
 // TestRunMulticoreBatchDeterministic: batches of multi-core machines
 // produce identical results at every parallelism level.
 func TestRunMulticoreBatchDeterministic(t *testing.T) {

@@ -60,18 +60,6 @@ func earlyReleasePlan(opts Options) (Plan, error) {
 	return Plan{Specs: specs, Reduce: reduce}, nil
 }
 
-// RunEarlyReleaseAblation executes the early-release ablation.
-//
-// Deprecated: use Experiment "ablation-release" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunEarlyReleaseAblation(opts Options) ([]AblationRow, error) {
-	v, err := runPlan(earlyReleasePlan(opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]AblationRow), nil
-}
-
 // disambiguationPlan compares PA-8000-style speculative disambiguation
 // with the conservative wait-for-addresses policy on the VP write-back
 // machine. Extra reports memory-order violations per 1000 committed
@@ -109,18 +97,6 @@ func disambiguationPlan(opts Options) (Plan, error) {
 	return Plan{Specs: specs, Reduce: reduce}, nil
 }
 
-// RunDisambiguationAblation executes the disambiguation ablation.
-//
-// Deprecated: use Experiment "ablation-disamb" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunDisambiguationAblation(opts Options) ([]AblationRow, error) {
-	v, err := runPlan(disambiguationPlan(opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]AblationRow), nil
-}
-
 // recoveryPlan sweeps the recovery penalty (0 models R10000-style
 // checkpointing; larger values approximate a serial reorder-buffer walk)
 // on the conventional machine, where misprediction costs dominate.
@@ -155,18 +131,6 @@ func recoveryPlan(opts Options, penalties []int) (Plan, error) {
 		return rows, nil
 	}
 	return Plan{Specs: specs, Reduce: reduce}, nil
-}
-
-// RunRecoveryAblation executes the recovery-penalty sweep.
-//
-// Deprecated: use Experiment "ablation-recovery" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunRecoveryAblation(opts Options, penalties []int) ([]AblationRow, error) {
-	v, err := runPlan(recoveryPlan(opts, penalties))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]AblationRow), nil
 }
 
 // splitNRRPlan explores NRRint ≠ NRRfp (the paper notes the parameter "can
@@ -212,18 +176,6 @@ func splitNRRPlan(opts Options) (Plan, error) {
 		return rows, nil
 	}
 	return Plan{Specs: specs, Reduce: reduce}, nil
-}
-
-// RunSplitNRRAblation executes the NRR-split ablation.
-//
-// Deprecated: use Experiment "ablation-nrr-split" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunSplitNRRAblation(opts Options) ([]AblationRow, error) {
-	v, err := runPlan(splitNRRPlan(opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]AblationRow), nil
 }
 
 func variantName(prefix string, v int) string {

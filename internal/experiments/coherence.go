@@ -169,18 +169,6 @@ func coherencePlan(opts Options) (Plan, error) {
 	return Plan{Multicore: specs, Reduce: reduce}, nil
 }
 
-// RunCoherenceStudy executes the coherence study on a fresh default
-// engine (the registry path is Experiment "coherence" via Experiment.Run
-// or vpr.Engine.RunExperiment).
-func RunCoherenceStudy(coreCounts []int, opts Options) ([]CoherenceRow, error) {
-	opts.Cores = coreCounts
-	v, err := runPlan(coherencePlan(withCoherenceDefaults(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]CoherenceRow), nil
-}
-
 // RenderCoherence formats the coherence study: aggregate IPC with the
 // directory off and on, the slowdown the coherence traffic costs, and the
 // raw transition counts next to the namespaced control.

@@ -5,11 +5,8 @@
 // runs into its typed result. The engine layer executes those points with
 // bounded parallelism and a deterministic result cache; rendering to the
 // paper's row/series shapes lives in report.go and is shared by
-// cmd/vptables and README/EXPERIMENTS generation.
-//
-// The original free-function runners (RunTable2, RunNRRSweep, ...) remain
-// as deprecated wrappers that execute the same plans on a fresh default
-// engine.
+// cmd/vptables and README/EXPERIMENTS generation. Experiment.Run executes
+// a plan on an engine.
 package experiments
 
 import (
@@ -81,7 +78,7 @@ func (o Options) checkCoherenceSelections() error {
 	if _, err := mem.ProtocolByName(o.Protocol); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	if err := mem.ParseDirectoryKind(o.Directory); err != nil {
+	if _, err := mem.ParseDirectoryKind(o.Directory); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
@@ -178,22 +175,6 @@ func baseConfig(scheme core.Scheme, physRegs, nrr int) pipeline.Config {
 // point is one simulation point of a plan.
 func point(name string, cfg pipeline.Config, instr int64) sim.Spec {
 	return sim.Spec{Workload: name, Config: cfg, MaxInstr: instr}
-}
-
-// runOne executes a single workload × configuration point synchronously —
-// the legacy path used by Run.
-func runOne(name string, cfg pipeline.Config, instr int64) (sim.Result, error) {
-	return sim.Run(point(name, cfg, instr))
-}
-
-// Run is the generic cell evaluator used by the CLI for one-off points.
-func Run(name string, scheme core.Scheme, physRegs, nrr int, opts Options,
-	mutate func(*pipeline.Config)) (sim.Result, error) {
-	cfg := baseConfig(scheme, physRegs, nrr)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return runOne(name, cfg, opts.instr())
 }
 
 // --- Table 2 -------------------------------------------------------------------
@@ -296,19 +277,6 @@ func table2Plan(opts Options, withPenalty20 bool) (Plan, error) {
 	return Plan{Specs: specs, Reduce: reduce}, nil
 }
 
-// RunTable2 executes the experiment.
-//
-// Deprecated: construct an engine and use Experiment "table2" via
-// Experiment.Run (or vpr.Engine.RunExperiment) instead; this wrapper runs
-// the same plan on a fresh default engine.
-func RunTable2(opts Options, withPenalty20 bool) (Table2, error) {
-	v, err := runPlan(table2Plan(opts, withPenalty20))
-	if err != nil {
-		return Table2{}, err
-	}
-	return v.(Table2), nil
-}
-
 // --- Figures 4 and 5 (NRR sweeps) -------------------------------------------------
 
 // PaperNRRs is the NRR set from figures 4 and 5.
@@ -365,19 +333,6 @@ func nrrSweepPlan(scheme core.Scheme, nrrs []int, opts Options) (Plan, error) {
 	return Plan{Specs: specs, Reduce: reduce}, nil
 }
 
-// RunNRRSweep reproduces figure 4 (SchemeVPWriteback) or figure 5
-// (SchemeVPIssue): 64 physical registers, NRR swept over nrrs.
-//
-// Deprecated: use Experiment "fig4"/"fig5" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunNRRSweep(scheme core.Scheme, nrrs []int, opts Options) (NRRSweep, error) {
-	v, err := runPlan(nrrSweepPlan(scheme, nrrs, opts))
-	if err != nil {
-		return NRRSweep{}, err
-	}
-	return v.(NRRSweep), nil
-}
-
 // MeanSpeedupAt returns the arithmetic-mean speedup across workloads at
 // NRR index i (the way the paper quotes per-NRR averages).
 func (s NRRSweep) MeanSpeedupAt(i int) float64 {
@@ -429,18 +384,6 @@ func figure6Plan(opts Options) (Plan, error) {
 	return Plan{Specs: specs, Reduce: reduce}, nil
 }
 
-// RunFigure6 reproduces figure 6.
-//
-// Deprecated: use Experiment "fig6" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunFigure6(opts Options) ([]Fig6Row, error) {
-	v, err := runPlan(figure6Plan(opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]Fig6Row), nil
-}
-
 // --- Figure 7 (register-count sweep) -----------------------------------------------
 
 // PaperRegCounts is the register sweep of figure 7; NRR is kept at its
@@ -490,18 +433,6 @@ func figure7Plan(opts Options) (Plan, error) {
 		return out, nil
 	}
 	return Plan{Specs: specs, Reduce: reduce}, nil
-}
-
-// RunFigure7 reproduces figure 7.
-//
-// Deprecated: use Experiment "fig7" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunFigure7(opts Options) (Fig7, error) {
-	v, err := runPlan(figure7Plan(opts))
-	if err != nil {
-		return Fig7{}, err
-	}
-	return v.(Fig7), nil
 }
 
 // MeanImprovementAt returns the average VP improvement (percent) across

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Small budgets keep these tests quick; the qualitative shape assertions
@@ -13,8 +15,24 @@ func quickOpts(workloads ...string) Options {
 	return Options{Instr: 30_000, Workloads: workloads}
 }
 
+// execute runs a plan builder through Experiment.Run on a cache-off
+// engine, so every point simulates, and returns the typed result.
+func execute[T any](build func(Options) (Plan, error), opts Options) (T, error) {
+	exp := Experiment{Name: "test", Build: build}
+	v, err := exp.Run(context.Background(), engine.New(engine.WithCache(0)), opts)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+func table2(withPenalty20 bool) func(Options) (Plan, error) {
+	return func(o Options) (Plan, error) { return table2Plan(o, withPenalty20) }
+}
+
 func TestTable2Shape(t *testing.T) {
-	res, err := RunTable2(quickOpts("go", "compress", "swim", "hydro2d"), false)
+	res, err := execute[Table2](table2(false), quickOpts("go", "compress", "swim", "hydro2d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +72,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable2Penalty20ReducesGain(t *testing.T) {
-	res, err := RunTable2(quickOpts("swim", "mgrid"), true)
+	res, err := execute[Table2](table2(true), quickOpts("swim", "mgrid"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +88,9 @@ func TestTable2Penalty20ReducesGain(t *testing.T) {
 }
 
 func TestNRRSweepShape(t *testing.T) {
-	sweep, err := RunNRRSweep(core.SchemeVPWriteback, []int{1, 32}, quickOpts("compress", "swim"))
+	sweep, err := execute[NRRSweep](func(o Options) (Plan, error) {
+		return nrrSweepPlan(core.SchemeVPWriteback, []int{1, 32}, o)
+	}, quickOpts("compress", "swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +121,7 @@ func TestNRRSweepShape(t *testing.T) {
 }
 
 func TestFigure6WritebackBeatsIssue(t *testing.T) {
-	rows, err := RunFigure6(quickOpts("swim", "mgrid"))
+	rows, err := execute[[]Fig6Row](figure6Plan, quickOpts("swim", "mgrid"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +138,7 @@ func TestFigure6WritebackBeatsIssue(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	fig, err := RunFigure7(quickOpts("swim"))
+	fig, err := execute[Fig7](figure7Plan, quickOpts("swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +173,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestEarlyReleaseAblation(t *testing.T) {
-	rows, err := RunEarlyReleaseAblation(quickOpts("compress"))
+	rows, err := execute[[]AblationRow](earlyReleasePlan, quickOpts("compress"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +204,7 @@ func TestEarlyReleaseAblation(t *testing.T) {
 }
 
 func TestDisambiguationAblation(t *testing.T) {
-	rows, err := RunDisambiguationAblation(quickOpts("compress"))
+	rows, err := execute[[]AblationRow](disambiguationPlan, quickOpts("compress"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +219,9 @@ func TestDisambiguationAblation(t *testing.T) {
 }
 
 func TestRecoveryAblationPenaltyHurts(t *testing.T) {
-	rows, err := RunRecoveryAblation(quickOpts("go"), []int{0, 16})
+	rows, err := execute[[]AblationRow](func(o Options) (Plan, error) {
+		return recoveryPlan(o, []int{0, 16})
+	}, quickOpts("go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +236,7 @@ func TestRecoveryAblationPenaltyHurts(t *testing.T) {
 }
 
 func TestSplitNRRAblation(t *testing.T) {
-	rows, err := RunSplitNRRAblation(quickOpts("swim"))
+	rows, err := execute[[]AblationRow](splitNRRPlan, quickOpts("swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +250,7 @@ func TestSplitNRRAblation(t *testing.T) {
 }
 
 func TestUnknownWorkloadFails(t *testing.T) {
-	if _, err := RunTable2(quickOpts("nonesuch"), false); err == nil {
+	if _, err := execute[Table2](table2(false), quickOpts("nonesuch")); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }
@@ -237,7 +259,7 @@ func TestProgressCallback(t *testing.T) {
 	var lines int
 	opts := quickOpts("compress")
 	opts.Progress = func(string, ...any) { lines++ }
-	if _, err := RunTable2(opts, false); err != nil {
+	if _, err := execute[Table2](table2(false), opts); err != nil {
 		t.Fatal(err)
 	}
 	if lines == 0 {
@@ -247,7 +269,9 @@ func TestProgressCallback(t *testing.T) {
 
 func TestSMTScaling(t *testing.T) {
 	opts := quickOpts("hydro2d")
-	rows, err := RunSMTScaling([]int{1, 2}, opts)
+	rows, err := execute[[]SMTRow](func(o Options) (Plan, error) {
+		return smtScalingPlan([]int{1, 2}, o)
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +294,7 @@ func TestSMTScaling(t *testing.T) {
 }
 
 func TestLifetimeOrdering(t *testing.T) {
-	rows, err := RunLifetime(quickOpts("swim"))
+	rows, err := execute[[]LifetimeRow](lifetimePlan, quickOpts("swim"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,18 +124,6 @@ func multicorePointSpec(name string, scheme core.Scheme, cores int, l2 mem.L2Con
 	return spec
 }
 
-// RunMulticoreStudy executes the multi-core scaling study on a fresh
-// default engine (the registry path is Experiment "multicore" via
-// Experiment.Run or vpr.Engine.RunExperiment).
-func RunMulticoreStudy(coreCounts []int, opts Options) ([]MulticoreRow, error) {
-	opts.Cores = coreCounts
-	v, err := runPlan(multicorePlan(withMulticoreDefaultWorkloads(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]MulticoreRow), nil
-}
-
 // withMulticoreDefaultWorkloads applies multicoreDefaultSubset when the
 // caller did not restrict the workload set.
 func withMulticoreDefaultWorkloads(opts Options) Options {

@@ -28,14 +28,6 @@ type Plan struct {
 	Reduce func(runs []sim.Result, smt []sim.SMTResult, mc []sim.MulticoreResult) (any, error)
 }
 
-// Runner executes the simulation points of a plan. *engine.Engine is the
-// production implementation; tests may substitute serial fakes.
-type Runner interface {
-	RunBatch(ctx context.Context, specs []sim.Spec) ([]sim.Result, error)
-	RunSMTBatch(ctx context.Context, specs []sim.SMTSpec) ([]sim.SMTResult, error)
-	RunMulticoreBatch(ctx context.Context, specs []sim.MulticoreSpec) ([]sim.MulticoreResult, error)
-}
-
 // Experiment is one named, enumerable study: every table and figure of the
 // paper's evaluation, each ablation, and the SMT future-work projection.
 // Build turns Options into a Plan; Render formats the value Reduce
@@ -54,10 +46,10 @@ type Experiment struct {
 }
 
 // Run builds the experiment's plan, applies the option's named stage
-// policies to every point the plan left at defaults, executes it on r, and
-// reduces the results. The value's dynamic type is the experiment's result
-// type.
-func (e Experiment) Run(ctx context.Context, r Runner, opts Options) (any, error) {
+// policies to every point the plan left at defaults, executes it on eng,
+// and reduces the results. The value's dynamic type is the experiment's
+// result type.
+func (e Experiment) Run(ctx context.Context, eng *engine.Engine, opts Options) (any, error) {
 	plan, err := e.Build(opts)
 	if err != nil {
 		return nil, err
@@ -65,20 +57,20 @@ func (e Experiment) Run(ctx context.Context, r Runner, opts Options) (any, error
 	if err := opts.applyPolicies(&plan); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 	}
-	runs, err := r.RunBatch(ctx, plan.Specs)
+	runs, err := eng.RunBatch(ctx, plan.Specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 	}
 	var smt []sim.SMTResult
 	if len(plan.SMT) > 0 {
-		smt, err = r.RunSMTBatch(ctx, plan.SMT)
+		smt, err = eng.RunSMTBatch(ctx, plan.SMT)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 		}
 	}
 	var mc []sim.MulticoreResult
 	if len(plan.Multicore) > 0 {
-		mc, err = r.RunMulticoreBatch(ctx, plan.Multicore)
+		mc, err = eng.RunMulticoreBatch(ctx, plan.Multicore)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 		}
@@ -221,35 +213,4 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// runPlan executes a plan on a fresh default engine — the path the
-// deprecated free-function runners take. The engine uses the full machine
-// (GOMAXPROCS workers); caching is disabled because a single plan never
-// contains duplicate points and the engine does not outlive the call.
-func runPlan(plan Plan, err error) (any, error) {
-	if err != nil {
-		return nil, err
-	}
-	eng := engine.New(engine.WithCache(0))
-	ctx := context.Background()
-	runs, err := eng.RunBatch(ctx, plan.Specs)
-	if err != nil {
-		return nil, err
-	}
-	var smt []sim.SMTResult
-	if len(plan.SMT) > 0 {
-		smt, err = eng.RunSMTBatch(ctx, plan.SMT)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var mc []sim.MulticoreResult
-	if len(plan.Multicore) > 0 {
-		mc, err = eng.RunMulticoreBatch(ctx, plan.Multicore)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.Reduce(runs, smt, mc)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -113,27 +112,5 @@ func TestPlanBuildingIsPure(t *testing.T) {
 		if len(plan.Specs)+len(plan.SMT)+len(plan.Multicore) == 0 {
 			t.Errorf("%s: empty plan", e.Name)
 		}
-	}
-}
-
-// TestExperimentRunRendersLikeLegacy: the registry path and the deprecated
-// free-function path produce identical renderings (they execute the same
-// plan).
-func TestExperimentRunRendersLikeLegacy(t *testing.T) {
-	opts := Options{Instr: 5_000, Workloads: []string{"swim"}}
-	exp, _ := ByName("fig7")
-	v, err := exp.Run(context.Background(), engine.New(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := RunFigure7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := exp.Render(v), RenderFigure7(legacy); got != want {
-		t.Errorf("registry vs legacy rendering:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-	if !strings.Contains(exp.Render(v), "conv(48)") {
-		t.Errorf("fig7 rendering missing expected column:\n%s", exp.Render(v))
 	}
 }

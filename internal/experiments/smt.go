@@ -86,21 +86,6 @@ func smtScalingPlan(threadCounts []int, opts Options) (Plan, error) {
 	return Plan{SMT: specs, Reduce: reduce}, nil
 }
 
-// RunSMTScaling executes the SMT scaling study over the full catalog (or
-// the opts subset).
-//
-// Deprecated: use Experiment "smt" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead; note the registry entry defaults to a
-// representative workload subset where this wrapper defaults to the full
-// catalog.
-func RunSMTScaling(threadCounts []int, opts Options) ([]SMTRow, error) {
-	v, err := runPlan(smtScalingPlan(threadCounts, opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]SMTRow), nil
-}
-
 func smtPointSpec(name string, scheme core.Scheme, threads int, opts Options) sim.SMTSpec {
 	cfg := pipeline.DefaultConfig()
 	cfg.Scheme = scheme
@@ -189,18 +174,6 @@ func lifetimePlan(opts Options) (Plan, error) {
 		return rows, nil
 	}
 	return Plan{Specs: specs, Reduce: reduce}, nil
-}
-
-// RunLifetime executes the register-holding-time study.
-//
-// Deprecated: use Experiment "lifetime" via Experiment.Run (or
-// vpr.Engine.RunExperiment) instead.
-func RunLifetime(opts Options) ([]LifetimeRow, error) {
-	v, err := runPlan(lifetimePlan(opts))
-	if err != nil {
-		return nil, err
-	}
-	return v.([]LifetimeRow), nil
 }
 
 // RenderLifetime formats the lifetime study.

@@ -215,11 +215,16 @@ func TestProtocolRegistry(t *testing.T) {
 	if _, err := mem.ProtocolByName("mosi"); err == nil {
 		t.Error("unknown protocol name must be rejected")
 	}
-	if err := mem.ParseDirectoryKind("limited:8"); err != nil {
-		t.Errorf("limited:8 must parse: %v", err)
+	for in, want := range map[string]string{
+		"": "fullmap", "fullmap": "fullmap",
+		"limited": "limited:4", "limited:8": "limited:8", "limited:08": "limited:8", "limited:+2": "limited:2",
+	} {
+		if got, err := mem.ParseDirectoryKind(in); err != nil || got != want {
+			t.Errorf("ParseDirectoryKind(%q) = %q, %v; want canonical %q", in, got, err, want)
+		}
 	}
 	for _, bad := range []string{"limited:0", "limited:x", "fullmap:4", "coarse"} {
-		if err := mem.ParseDirectoryKind(bad); err == nil {
+		if _, err := mem.ParseDirectoryKind(bad); err == nil {
 			t.Errorf("directory kind %q must be rejected", bad)
 		}
 	}

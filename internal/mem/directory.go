@@ -91,11 +91,22 @@ func DirectoryKinds() []DirectoryKindInfo {
 
 // ParseDirectoryKind validates a directory selection — a registered name,
 // optionally parameterized as "limited:N" — without building anything,
-// so config validation can fail fast. The empty string selects the
-// default full map.
-func ParseDirectoryKind(kind string) error {
-	_, _, err := splitDirectoryKind(kind)
-	return err
+// so config validation can fail fast, and returns the one canonical
+// spelling of its representation: "fullmap" for "" and "fullmap", and
+// "limited:N" with N in plain decimal otherwise ("limited" is
+// "limited:4"; "limited:04" and "limited:+4" are "limited:4"). Equal
+// representations thus compare, print and key caches equally.
+func ParseDirectoryKind(kind string) (string, error) {
+	e, arg, err := splitDirectoryKind(kind)
+	switch {
+	case err != nil:
+		return "", err
+	case e.name != "limited":
+		return e.name, nil
+	case arg == 0:
+		arg = defaultLimitedPtrs
+	}
+	return e.name + ":" + strconv.Itoa(arg), nil
 }
 
 // splitDirectoryKind resolves a selection to its registry entry and

@@ -203,9 +203,6 @@ func (c *BankedL2) preallocInflight(maxInflight int) {
 // Config returns the configuration the L2 was built with.
 func (c *BankedL2) Config() L2Config { return c.cfg }
 
-// Coherent reports whether the coherence directory is active.
-func (c *BankedL2) Coherent() bool { return c.coherent }
-
 // Protocol returns the active coherence protocol (nil when not coherent).
 func (c *BankedL2) Protocol() Protocol { return c.proto }
 
@@ -543,17 +540,9 @@ func (c *BankedL2) evictVictim(b *bank, set int, now int64) {
 	b.dir.Clear(set)
 }
 
-// WriteBack lands a dirty L1 victim in the L2, occupying the bank's bus
-// for one line transfer. Non-coherent entry point; the L1s call writeBack
-// so the directory learns which port gave the line up.
-//
-//vpr:memphase
-func (c *BankedL2) WriteBack(now int64, lineAddr uint64) {
-	c.writeBack(now, lineAddr, 0)
-}
-
-// writeBack is WriteBack with the writing port: with coherence on, the
-// writer leaves the line's sharer set (its copy is gone) and releases
+// writeBack lands a dirty L1 victim from port core in the L2, occupying
+// the bank's bus for one line transfer. With coherence on, the writer
+// leaves the line's sharer set (its copy is gone) and releases
 // ownership; if the write-back lands on a set holding a different line,
 // that victim is back-invalidated first (inclusion).
 func (c *BankedL2) writeBack(now int64, lineAddr uint64, core int) {

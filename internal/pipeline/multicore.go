@@ -65,12 +65,6 @@ type MulticoreConfig struct {
 	Directory string
 }
 
-// DefaultMulticoreConfig is n copies of the paper's core over the default
-// banked shared L2.
-func DefaultMulticoreConfig(n int) MulticoreConfig {
-	return MulticoreConfig{Cores: n, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
-}
-
 // Validate rejects configurations the runner cannot honour.
 func (c MulticoreConfig) Validate() error {
 	if c.Cores <= 0 {
@@ -88,7 +82,7 @@ func (c MulticoreConfig) Validate() error {
 	if _, err := mem.ProtocolByName(c.Protocol); err != nil {
 		return err
 	}
-	if err := mem.ParseDirectoryKind(c.Directory); err != nil {
+	if _, err := mem.ParseDirectoryKind(c.Directory); err != nil {
 		return err
 	}
 	plan, err := c.Step.plan()

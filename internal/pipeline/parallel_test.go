@@ -413,6 +413,27 @@ func TestParseStepMode(t *testing.T) {
 	}
 }
 
+// FuzzParseStepMode: whatever spelling parses, its canonical spelling is
+// a fixed point — it parses, to itself.
+func FuzzParseStepMode(f *testing.F) {
+	for _, s := range []string{
+		"", "lockstep", "parallel", "skew:0", "skew:-0", "skew:00", "skew:+0",
+		"skew:5", "skew:+5", "skew:05", "skew:inf", "skew:", "skew:-3",
+		"skew:9223372036854775807", "skew:9223372036854775808",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseStepMode(s)
+		if err != nil {
+			return
+		}
+		if again, err := ParseStepMode(string(m)); err != nil || again != m {
+			t.Fatalf("ParseStepMode(%q) = %q, which reparses as %q, %v", s, m, again, err)
+		}
+	})
+}
+
 // TestParallelRejectsProbe: probes are one shared callback across cores
 // and only the serial oracle may drive them.
 func TestParallelRejectsProbe(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mem"
@@ -8,12 +9,13 @@ import (
 )
 
 // TestMulticoreSpecCoherenceOffGolden pins the workload path of the
-// compatibility gate: RunMulticore with Coherence unset must reproduce
+// compatibility gate: RunMulticoreContext with Coherence unset must reproduce
 // the exact statistics the PR-4 hierarchy produced. The values were
 // captured on these configurations (compress × 2 cores, default machine
 // and shared L2, 15000 instructions per core) before the MSI directory
 // existed.
 func TestMulticoreSpecCoherenceOffGolden(t *testing.T) {
+	ctx := context.Background()
 	base := pipeline.Stats{
 		Committed: 30000, Issued: 30000,
 		CondBranches: 3528, Mispredicts: 2,
@@ -48,7 +50,7 @@ func TestMulticoreSpecCoherenceOffGolden(t *testing.T) {
 		sharedAddr bool
 		want       pipeline.Stats
 	}{{false, namespaced}, {true, shared}} {
-		res, err := RunMulticore(MulticoreSpec{
+		res, err := RunMulticoreContext(ctx, MulticoreSpec{
 			Workloads:          []string{"compress", "compress"},
 			Config:             pipeline.DefaultConfig(),
 			L2:                 mem.DefaultL2Config(),
@@ -69,6 +71,7 @@ func TestMulticoreSpecCoherenceOffGolden(t *testing.T) {
 // registry, run deterministically, and unknown presets fail like unknown
 // workloads.
 func TestMulticoreSynthWorkloads(t *testing.T) {
+	ctx := context.Background()
 	spec := MulticoreSpec{
 		Workloads:          []string{"synth:sharing", "synth:sharing"},
 		Config:             pipeline.DefaultConfig(),
@@ -77,7 +80,7 @@ func TestMulticoreSynthWorkloads(t *testing.T) {
 		Coherence:          true,
 		MaxInstrPerCore:    5000,
 	}
-	a, err := RunMulticore(spec)
+	a, err := RunMulticoreContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestMulticoreSynthWorkloads(t *testing.T) {
 	if a.Stats.L2Invalidations == 0 {
 		t.Error("the sharing preset in one address space must generate invalidations")
 	}
-	b, err := RunMulticore(spec)
+	b, err := RunMulticoreContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestMulticoreSynthWorkloads(t *testing.T) {
 		t.Error("synthetic multicore runs must be deterministic")
 	}
 	spec.Workloads = []string{"synth:nonesuch"}
-	if _, err := RunMulticore(spec); err == nil {
+	if _, err := RunMulticoreContext(ctx, spec); err == nil {
 		t.Error("unknown synthetic preset must be rejected")
 	}
 }

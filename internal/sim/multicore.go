@@ -96,12 +96,6 @@ type MulticoreResult struct {
 	PerCore []pipeline.Stats
 }
 
-// RunMulticore executes the specification and runs every core to
-// completion.
-func RunMulticore(spec MulticoreSpec) (MulticoreResult, error) {
-	return RunMulticoreContext(context.Background(), spec)
-}
-
 // RunMulticoreContext executes the specification under ctx: cancellation
 // stops the lockstep loop mid-run and surfaces ctx.Err().
 func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResult, error) {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The §3.1 worked example, verified number by number against the paper.
 func TestPaperPressureExample(t *testing.T) {
@@ -67,7 +70,7 @@ func TestRunByWorkloadName(t *testing.T) {
 	spec := Spec{Workload: "compress", MaxInstr: 3000}
 	cfg := defaultTestConfig()
 	spec.Config = cfg
-	res, err := Run(spec)
+	res, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestRunByWorkloadName(t *testing.T) {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := Run(Spec{Workload: "nonesuch", Config: defaultTestConfig()}); err == nil {
+	if _, err := RunContext(context.Background(), Spec{Workload: "nonesuch", Config: defaultTestConfig()}); err == nil {
 		t.Error("unknown workload must error")
 	}
 }

@@ -47,11 +47,6 @@ type Result struct {
 	BHTAccuracy float64
 }
 
-// Run executes the specification.
-func Run(spec Spec) (Result, error) {
-	return RunContext(context.Background(), spec)
-}
-
 // RunContext executes the specification under ctx: cancellation stops the
 // simulation mid-run and surfaces ctx.Err().
 func RunContext(ctx context.Context, spec Spec) (Result, error) {

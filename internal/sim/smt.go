@@ -27,11 +27,6 @@ type SMTResult struct {
 	PerThreadCommitted []int64
 }
 
-// RunSMT executes the specification and runs every thread to completion.
-func RunSMT(spec SMTSpec) (SMTResult, error) {
-	return RunSMTContext(context.Background(), spec)
-}
-
 // RunSMTContext executes the specification under ctx: cancellation stops
 // the simulation mid-run and surfaces ctx.Err().
 func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {

@@ -177,15 +177,6 @@ var presets = []Preset{
 	{"false-sharing", "cores fight over the words of two lines they never truly share", FalseSharing},
 }
 
-// Presets lists the named parameter sets.
-//
-//vpr:lookup synth-presets
-func Presets() []Preset {
-	out := make([]Preset, len(presets))
-	copy(out, presets)
-	return out
-}
-
 // ByName resolves a preset name to its parameters.
 //
 //vpr:lookup synth-presets

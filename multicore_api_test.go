@@ -2,6 +2,8 @@ package vpr_test
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,14 +12,17 @@ import (
 
 // TestRunMulticoreFacadeMatchesSingleCore: through the public API, a
 // 1-core multi-core run with the shared L2 disabled is the paper's
-// machine — architecturally byte-identical to vpr.Run on the same point.
+// machine — architecturally byte-identical to Engine.Run on the same
+// point.
 func TestRunMulticoreFacadeMatchesSingleCore(t *testing.T) {
+	eng := vpr.New()
+	ctx := context.Background()
 	cfg := vpr.DefaultConfig()
-	single, err := vpr.Run(vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5_000})
+	single, err := eng.Run(ctx, vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := vpr.RunMulticore(vpr.MulticoreSpec{
+	mc, err := eng.RunMulticore(ctx, vpr.MulticoreSpec{
 		Workloads:       []string{"compress"},
 		Config:          cfg,
 		MaxInstrPerCore: 5_000,
@@ -66,4 +71,64 @@ func TestMulticoreExperiment(t *testing.T) {
 	if hits, _ := eng.CacheStats(); hits < 4 {
 		t.Errorf("re-run hit the cache %d times, want >= 4", hits)
 	}
+}
+
+// TestParseL2Geometry pins the -l2 syntax, including sizes whose byte
+// count does not fit an int, which must be rejected rather than wrap.
+func TestParseL2Geometry(t *testing.T) {
+	for _, tc := range []struct {
+		in          string
+		size, banks int
+		ok          bool
+	}{
+		{"256K:4", 256 << 10, 4, true},
+		{"1M:8", 1 << 20, 8, true},
+		{"2m", 2 << 20, 0, true},
+		{"524288", 524288, 0, true},
+		{"9223372036854775807", math.MaxInt64, 0, true},
+		{"8796093022207M", 8796093022207 << 20, 0, true},
+		{"0", 0, 0, false},
+		{"K", 0, 0, false},
+		{"1K:0", 0, 0, false},
+		{"1K:x", 0, 0, false},
+		{"9999999999999M", 0, 0, false},
+		{"8796093022208M", 0, 0, false},
+		{"9223372036854775807K", 0, 0, false},
+	} {
+		size, banks, err := vpr.ParseL2Geometry(tc.in)
+		if ok := err == nil; ok != tc.ok || size != tc.size || banks != tc.banks {
+			t.Errorf("ParseL2Geometry(%q) = %d, %d, %v; want %d, %d, ok=%v",
+				tc.in, size, banks, err, tc.size, tc.banks, tc.ok)
+		}
+	}
+}
+
+// FuzzParseL2Geometry: whatever parses names a positive size and a
+// non-negative bank count, and printing the pair back parses to the same
+// pair.
+func FuzzParseL2Geometry(f *testing.F) {
+	for _, s := range []string{
+		"256K:4", "1M:8", "2m", "524288", "+4K", "1M:+08", "0", "K", "1K:0",
+		"9999999999999M", "8796093022208M", "8796093022207M",
+		"9223372036854775807K", "9223372036854775807",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		size, banks, err := vpr.ParseL2Geometry(s)
+		if err != nil {
+			return
+		}
+		if size <= 0 || banks < 0 {
+			t.Fatalf("ParseL2Geometry(%q) = %d, %d", s, size, banks)
+		}
+		printed := strconv.Itoa(size)
+		if banks > 0 {
+			printed += ":" + strconv.Itoa(banks)
+		}
+		if size2, banks2, err := vpr.ParseL2Geometry(printed); err != nil || size2 != size || banks2 != banks {
+			t.Fatalf("ParseL2Geometry(%q) = %d, %d, but %q parses as %d, %d, %v",
+				s, size, banks, printed, size2, banks2, err)
+		}
+	})
 }

@@ -246,6 +246,21 @@ func TestSMTFetchExperiment(t *testing.T) {
 // to every point and rejects unknown names.
 func TestExperimentPolicyOptions(t *testing.T) {
 	eng := vpr.New(vpr.WithCache(0))
+	smtOpts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"hydro2d"}}
+	def, err := eng.RunExperiment(context.Background(), "smt", smtOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smtOpts.FetchPolicy = vpr.FetchICount
+	icount, err := eng.RunExperiment(context.Background(), "smt", smtOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if icount.Text == def.Text {
+		t.Errorf("smt renders the same with FetchPolicy %q as with the default; the override never reached the points:\n%s",
+			vpr.FetchICount, def.Text)
+	}
+
 	opts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"compress"}, IssueSelect: vpr.IssueLoadFirst}
 	if _, err := eng.RunExperiment(context.Background(), "fig6", opts); err != nil {
 		t.Fatalf("fig6 with load-first: %v", err)

@@ -7,11 +7,12 @@
 // tracking dependences meanwhile through storage-less virtual-physical
 // register tags. This package exposes:
 //
-//   - Engine, the context-aware entry point: New builds one with functional
-//     options (WithParallelism, WithCache, WithProgress), Engine.Run
-//     simulates one workload × machine configuration point,
-//     Engine.RunBatch fans a spec list out over a worker pool with
-//     cancellation and a deterministic result cache, and
+//   - Engine, the one way to run a simulation: New builds one with
+//     functional options (WithParallelism, WithCache, WithProgress),
+//     Engine.Run simulates one workload × machine configuration point,
+//     Engine.RunSMT and Engine.RunMulticore one multithreaded or
+//     multi-core machine, Engine.RunBatch fans a spec list out over a
+//     worker pool with cancellation and a deterministic result cache, and
 //     Engine.RunExperiment executes any named experiment from the registry,
 //   - the experiment registry (Experiments): every table and figure of the
 //     paper's evaluation (Table 2, Figures 4–7), four ablations, the SMT
@@ -41,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -179,7 +181,7 @@ func ParseL2Geometry(s string) (sizeBytes, banks int, err error) {
 		mult, sizePart = 1024*1024, sizePart[:len(sizePart)-1]
 	}
 	n, err := strconv.Atoi(sizePart)
-	if err != nil || n < 1 {
+	if err != nil || n < 1 || n > math.MaxInt/mult {
 		return 0, 0, fmt.Errorf("vpr: bad L2 size %q", s)
 	}
 	return n * mult, banks, nil
@@ -210,8 +212,9 @@ type DirectoryKindInfo = mem.DirectoryKindInfo
 func DirectoryKinds() []DirectoryKindInfo { return mem.DirectoryKinds() }
 
 // ParseDirectoryKind validates a -dir selection ("fullmap",
-// "limited[:N]"; "" = fullmap) without building anything.
-func ParseDirectoryKind(kind string) error { return mem.ParseDirectoryKind(kind) }
+// "limited[:N]"; "" = fullmap) without building anything, and returns its
+// canonical spelling ("fullmap" or "limited:N").
+func ParseDirectoryKind(kind string) (string, error) { return mem.ParseDirectoryKind(kind) }
 
 // MemStats are the memory-hierarchy counters a Memory port accumulates
 // (pipeline.Stats carries the per-run view; this is the raw form the
@@ -247,9 +250,11 @@ func WithProgress(fn func(format string, args ...any)) EngineOption {
 	return engine.WithProgress(fn)
 }
 
-// WithRunHook installs a callback fired immediately before every actual
-// simulation; cache hits do not fire it. Useful for metering and for
-// asserting cache behaviour in tests.
+// WithRunHook installs a callback fired immediately before every
+// single-core simulation that Engine.Run (and so Engine.RunBatch)
+// actually performs; cache hits do not fire it, and neither do SMT or
+// multi-core runs. Useful for metering and for asserting cache behaviour
+// in tests.
 func WithRunHook(fn func(spec RunSpec)) EngineOption { return engine.WithRunHook(fn) }
 
 // WithProbe attaches a pipeline probe to every simulation the engine runs
@@ -335,23 +340,6 @@ func (e *Engine) RunExperiment(ctx context.Context, name string, opts Experiment
 	return ExperimentResult{Name: name, Value: v, Text: exp.Render(v)}, nil
 }
 
-// Run simulates one point on a throwaway engine.
-//
-// Deprecated: construct an Engine with New and use Engine.Run, which adds
-// context cancellation and result caching.
-func Run(spec RunSpec) (Result, error) { return sim.Run(spec) }
-
-// RunSMT simulates one multithreaded machine on a throwaway engine.
-//
-// Deprecated: construct an Engine with New and use Engine.RunSMT.
-func RunSMT(spec SMTSpec) (SMTResult, error) { return sim.RunSMT(spec) }
-
-// RunMulticore simulates one multi-core machine synchronously: N
-// single-thread cores with private L1s behind the banked shared L2,
-// stepped in cycle-lockstep. For batches, cancellation and result
-// caching, construct an Engine with New and use Engine.RunMulticore.
-func RunMulticore(spec MulticoreSpec) (MulticoreResult, error) { return sim.RunMulticore(spec) }
-
 // --- Stage policies and probes ------------------------------------------------
 
 // Policies composes the pluggable per-stage behaviours of a Config: the
@@ -409,8 +397,8 @@ func IssueSelectByName(name string) (IssueSelect, bool) { return pipeline.IssueS
 
 // --- Experiment registry ------------------------------------------------------
 
-// ExperimentOptions tune the experiment runners (instruction budget per
-// run, workload subset, progress callback).
+// ExperimentOptions tune Engine.RunExperiment (instruction budget per
+// run, workload subset, progress callback, ...).
 type ExperimentOptions = experiments.Options
 
 // ExperimentInfo describes one registered experiment.
@@ -453,7 +441,8 @@ func (e *UnknownExperimentError) Error() string {
 	return "vpr: unknown experiment " + e.Name
 }
 
-// Experiment result types, re-exported for consumers of the runners.
+// Experiment result types, re-exported for consumers of
+// ExperimentResult.Value.
 type (
 	Table2      = experiments.Table2
 	NRRSweep    = experiments.NRRSweep
@@ -481,83 +470,6 @@ type MulticoreRow = experiments.MulticoreRow
 // coherence on/off on the sharing-heavy synthetic workload, with a
 // namespaced zero-invalidation control).
 type CoherenceRow = experiments.CoherenceRow
-
-// RunTable2 reproduces Table 2 (conventional vs VP write-back at 64
-// registers, max NRR), optionally with the 20-cycle miss-penalty footnote.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "table2", opts) instead.
-func RunTable2(opts ExperimentOptions, withPenalty20 bool) (Table2, error) {
-	return experiments.RunTable2(opts, withPenalty20)
-}
-
-// RunFigure4 reproduces figure 4 (VP write-back speedup across NRR).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig4", opts) instead.
-func RunFigure4(opts ExperimentOptions) (NRRSweep, error) {
-	return experiments.RunNRRSweep(core.SchemeVPWriteback, nil, opts)
-}
-
-// RunFigure5 reproduces figure 5 (VP issue-allocation speedup across NRR).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig5", opts) instead.
-func RunFigure5(opts ExperimentOptions) (NRRSweep, error) {
-	return experiments.RunNRRSweep(core.SchemeVPIssue, nil, opts)
-}
-
-// RunFigure6 reproduces figure 6 (write-back vs issue at NRR=32).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig6", opts) instead.
-func RunFigure6(opts ExperimentOptions) ([]Fig6Row, error) {
-	return experiments.RunFigure6(opts)
-}
-
-// RunFigure7 reproduces figure 7 (register-count sweep 48/64/96).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig7", opts) instead.
-func RunFigure7(opts ExperimentOptions) (Fig7, error) {
-	return experiments.RunFigure7(opts)
-}
-
-// Ablation runners.
-//
-// Deprecated: use Engine.RunExperiment with "ablation-release",
-// "ablation-disamb", "ablation-recovery" or "ablation-nrr-split" instead.
-var (
-	RunEarlyReleaseAblation   = experiments.RunEarlyReleaseAblation
-	RunDisambiguationAblation = experiments.RunDisambiguationAblation
-	RunRecoveryAblation       = experiments.RunRecoveryAblation
-	RunSplitNRRAblation       = experiments.RunSplitNRRAblation
-)
-
-// RunLifetime measures how long each scheme holds physical registers —
-// the experimental counterpart of the §3.1 analytic example.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "lifetime", opts) instead.
-func RunLifetime(opts ExperimentOptions) ([]LifetimeRow, error) {
-	return experiments.RunLifetime(opts)
-}
-
-// RunSMTScaling realizes the paper's §5 future-work prediction across
-// thread counts (default 1, 2, 4): the virtual-physical advantage under a
-// shared register file.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "smt", opts) instead (note:
-// the registry entry defaults to a representative workload subset; this
-// wrapper defaults to the full catalog).
-func RunSMTScaling(threadCounts []int, opts ExperimentOptions) ([]SMTRow, error) {
-	return experiments.RunSMTScaling(threadCounts, opts)
-}
-
-// Renderers that format experiment results in the paper's row/series shape.
-var (
-	RenderTable2   = experiments.RenderTable2
-	RenderNRRSweep = experiments.RenderNRRSweep
-	RenderFigure6  = experiments.RenderFigure6
-	RenderFigure7  = experiments.RenderFigure7
-	RenderAblation = experiments.RenderAblation
-	RenderSMT      = experiments.RenderSMT
-	RenderLifetime = experiments.RenderLifetime
-)
 
 // --- Workloads and traces -----------------------------------------------------
 

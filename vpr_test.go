@@ -1,6 +1,7 @@
 package vpr_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestWorkloadCatalog(t *testing.T) {
 func TestRunCatalogWorkload(t *testing.T) {
 	cfg := vpr.DefaultConfig()
 	cfg.Scheme = vpr.SchemeVPWriteback
-	res, err := vpr.Run(vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5000})
+	res, err := vpr.New().Run(context.Background(), vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +59,7 @@ loop:   addi r2, r2, 3
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := vpr.New()
 	for _, scheme := range []vpr.Scheme{vpr.SchemeConventional, vpr.SchemeVPWriteback, vpr.SchemeVPIssue} {
 		gen, err := vpr.NewTrace(prog)
 		if err != nil {
@@ -66,7 +68,7 @@ loop:   addi r2, r2, 3
 		cfg := vpr.DefaultConfig()
 		cfg.Scheme = scheme
 		cfg.Debug = true
-		res, err := vpr.Run(vpr.RunSpec{Gen: vpr.TakeTrace(gen, 4000), Config: cfg})
+		res, err := eng.Run(context.Background(), vpr.RunSpec{Gen: vpr.TakeTrace(gen, 4000), Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
