@@ -232,33 +232,36 @@ func TestAssembleFPForms(t *testing.T) {
 	}
 }
 
+// assembleErrorCases are sources Assemble must reject, each with a piece
+// of its error message.
+var assembleErrorCases = []struct {
+	src  string
+	want string
+}{
+	{"frob r1, r2", "unknown mnemonic"},
+	{"add r1, r2", "takes 3 operand"},
+	{"add r1, r2, f3", "wrong file"},
+	{"add r1, r2, r32", "bad register"},
+	{"beq r1, nowhere\nhalt", "undefined label"},
+	{"ldq r1, 8[r2]", "bad memory operand"},
+	{".word 1", "outside .data"},
+	{".data\n.space -1", "non-negative"},
+	{"x: halt\nx: halt", "redefined"},
+	{".quux 1", "unknown directive"},
+	{"9bad: halt", "bad label"},
+	{"ldi r1, tbl*2\nhalt", "bad expression"},
+	// A .space whose rounded size overflows, alone and with a word
+	// after it; one that fits only before rounding; and a word that
+	// lands past the last int64 address.
+	{".data\nbuf: .space 9223372036854775807", "t:2: .space of 9223372036854775807 bytes runs the data section past the end of the address space"},
+	{".data\nbuf: .space 9223372036854775807\nx: .word 1", "t:2: .space of 9223372036854775807 bytes runs the data section past"},
+	{".data\nbuf: .space 9223372036854710265", "t:2: .space of 9223372036854710265 bytes runs the data section past"},
+	{".data\n.space 9223372036854710264\n.word 1", "t:3: .word of 8 bytes runs the data section past"},
+	{".data\n.space 1073741824\n.double 1", "t:3: .double ends 1073741832 bytes into .data, past the 1073741824-byte limit"},
+}
+
 func TestAssembleErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"frob r1, r2", "unknown mnemonic"},
-		{"add r1, r2", "takes 3 operand"},
-		{"add r1, r2, f3", "wrong file"},
-		{"add r1, r2, r32", "bad register"},
-		{"beq r1, nowhere\nhalt", "undefined label"},
-		{"ldq r1, 8[r2]", "bad memory operand"},
-		{".word 1", "outside .data"},
-		{".data\n.space -1", "non-negative"},
-		{"x: halt\nx: halt", "redefined"},
-		{".quux 1", "unknown directive"},
-		{"9bad: halt", "bad label"},
-		{"ldi r1, tbl*2\nhalt", "bad expression"},
-		// A .space whose rounded size overflows, alone and with a word
-		// after it; one that fits only before rounding; and a word that
-		// lands past the last int64 address.
-		{".data\nbuf: .space 9223372036854775807", "t:2: .space of 9223372036854775807 bytes runs the data section past the end of the address space"},
-		{".data\nbuf: .space 9223372036854775807\nx: .word 1", "t:2: .space of 9223372036854775807 bytes runs the data section past"},
-		{".data\nbuf: .space 9223372036854710265", "t:2: .space of 9223372036854710265 bytes runs the data section past"},
-		{".data\n.space 9223372036854710264\n.word 1", "t:3: .word of 8 bytes runs the data section past"},
-		{".data\n.space 1073741824\n.double 1", "t:3: .double ends 1073741832 bytes into .data, past the 1073741824-byte limit"},
-	}
-	for _, c := range cases {
+	for _, c := range assembleErrorCases {
 		_, err := Assemble("t", c.src)
 		if err == nil {
 			t.Errorf("source %q: expected error containing %q", c.src, c.want)
@@ -334,4 +337,32 @@ func TestMustAssemblePanics(t *testing.T) {
 		}
 	}()
 	MustAssemble("t", "frob r1")
+}
+
+// FuzzAssemble: whatever the source, Assemble returns a program or an
+// error, never both, never neither, and never panics.
+func FuzzAssemble(f *testing.F) {
+	for _, c := range assembleErrorCases {
+		f.Add(c.src)
+	}
+	f.Add(`
+        .data
+table:  .word 1, 2, -3, table
+vec:    .double 0.5, 1.5
+buf:    .space 64
+        .text
+loop:   ldq   r1, 0(r2)
+        stq   8(r2), r1
+        addi  r2, r2, 16
+        ldi   r4, table+16
+        mov   r5, r1
+        bne   r3, loop
+        halt
+`)
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble("f", src)
+		if (p == nil) == (err == nil) {
+			t.Fatalf("Assemble(%q) = %v, %v: want exactly one of a program and an error", src, p, err)
+		}
+	})
 }

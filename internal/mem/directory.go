@@ -60,7 +60,7 @@ type directoryKindEntry struct {
 var directoryKinds = []directoryKindEntry{
 	{"fullmap", "full-map bitmask: exact sharer sets, at most 64 cores",
 		func(sets, cores, arg int) Directory { return newFullMapDir(sets) }},
-	{"limited", "limited pointers (limited:N, default 4): N exact sharers, broadcast past that; no core cap",
+	{"limited", "limited pointers (limited:N, N ≤ 255, default 4): N exact sharers, broadcast past that; no core cap",
 		func(sets, cores, arg int) Directory { return newLimitedDir(sets, cores, arg) }},
 }
 
@@ -71,6 +71,10 @@ const DefaultDirectoryKind = "fullmap"
 // defaultLimitedPtrs is the pointer budget of a bare "limited" selection
 // — Dir_4 B in the classic taxonomy.
 const defaultLimitedPtrs = 4
+
+// maxLimitedPtrs is the largest pointer budget: limitedDir counts a set's
+// pointers in a uint8.
+const maxLimitedPtrs = 255
 
 // DirectoryKindInfo describes one registered representation for CLI help.
 type DirectoryKindInfo struct {
@@ -122,8 +126,8 @@ func splitDirectoryKind(kind string) (directoryKindEntry, int, error) {
 			return directoryKindEntry{}, 0, fmt.Errorf("mem: directory kind %q takes no argument", name)
 		}
 		n, err := strconv.Atoi(argStr)
-		if err != nil || n <= 0 {
-			return directoryKindEntry{}, 0, fmt.Errorf("mem: bad pointer count in directory kind %q", kind)
+		if err != nil || n <= 0 || n > maxLimitedPtrs {
+			return directoryKindEntry{}, 0, fmt.Errorf("mem: bad pointer count in directory kind %q (want 1 to %d)", kind, maxLimitedPtrs)
 		}
 		arg = n
 	}

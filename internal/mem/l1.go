@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 )
@@ -120,6 +121,12 @@ type L1 struct {
 	now       int64
 	tr        *CohTracer
 
+	// nextDue is the earliest readyAt among busy MSHRs (noneDue when none
+	// is busy): drain has nothing to install before it. Only drain clears
+	// busy and only a primary miss sets it, so those two keep it exact;
+	// invalidateLine and remoteRead change neither busy nor readyAt.
+	nextDue int64
+
 	// coherent mirrors next.coherent, fixed at construction, so that an
 	// access that stays in the L1 never reads the shared L2's struct,
 	// whose lines other cores write in their gated phases. gate is the
@@ -148,6 +155,7 @@ func NewL1(cfg L1Config, next *BankedL2) (*L1, error) {
 		lines:     make([]line, cfg.SizeBytes/cfg.LineBytes),
 		mshrs:     make([]mshr, cfg.MSHRs),
 		lineShift: shift,
+		nextDue:   noneDue,
 	}, nil
 }
 
@@ -156,35 +164,48 @@ func (l *L1) Config() L1Config { return l.cfg }
 
 func (l *L1) index(lineAddr uint64) int { return int(lineAddr) & (len(l.lines) - 1) }
 
+// noneDue is nextDue while no MSHR is busy.
+const noneDue = math.MaxInt64
+
 // drain installs every refill that has completed by cycle now. Time must
 // not go backwards: a non-monotonic cycle number is a simulator bug that
 // would silently corrupt refill state, so it is asserted here exactly as
-// in cache.Cache.
+// in cache.Cache. Before nextDue no refill is due, and the MSHRs go
+// unvisited.
 func (l *L1) drain(now int64) {
 	if now < l.now {
 		//vpr:allowalloc panic message: an invariant violation aborts the run
 		panic(fmt.Sprintf("mem: time went backwards (%d after %d)", now, l.now))
 	}
 	l.now = now
+	if now < l.nextDue {
+		return
+	}
+	l.nextDue = noneDue
 	for i := range l.mshrs {
 		m := &l.mshrs[i]
-		if m.busy && m.readyAt <= now {
-			if !m.invalidated {
-				ln := &l.lines[l.index(m.lineAddr)]
-				if ln.valid && l.tr != nil {
-					// The install replaces whatever clean (or, in the
-					// inherited stale-window artifact, re-dirtied) copy
-					// occupied the frame.
-					l.traceState(ln.tag, ln.st, Invalid, EvReplace)
-				}
-				ln.valid = true
-				ln.tag = m.lineAddr
-				ln.dirty = m.markDirty
-				ln.st = m.state
-			}
-			m.busy = false
-			m.invalidated = false
+		if !m.busy {
+			continue
 		}
+		if m.readyAt > now {
+			l.nextDue = min(l.nextDue, m.readyAt)
+			continue
+		}
+		if !m.invalidated {
+			ln := &l.lines[l.index(m.lineAddr)]
+			if ln.valid && l.tr != nil {
+				// The install replaces whatever clean (or, in the
+				// inherited stale-window artifact, re-dirtied) copy
+				// occupied the frame.
+				l.traceState(ln.tag, ln.st, Invalid, EvReplace)
+			}
+			ln.valid = true
+			ln.tag = m.lineAddr
+			ln.dirty = m.markDirty
+			ln.st = m.state
+		}
+		m.busy = false
+		m.invalidated = false
 	}
 }
 
@@ -342,6 +363,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 	}
 	l.busFreeAt = ready
 	l.mshrs[slot] = mshr{busy: true, lineAddr: la, readyAt: ready, markDirty: write, state: grant}
+	l.nextDue = min(l.nextDue, ready)
 	return cache.Outcome{ReadyAt: ready}, true
 }
 

@@ -138,6 +138,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxROBSize bounds ROBSize so that every store-queue slot, and so every
+// robEntry.sqTail, fits in 16 bits.
+const maxROBSize = 1 << 16
+
 // Validate rejects configurations the simulator cannot honour.
 func (c Config) Validate() error {
 	switch {
@@ -145,6 +149,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: widths must be positive")
 	case c.ROBSize <= 0 || c.IQSize <= 0:
 		return fmt.Errorf("pipeline: ROB and IQ sizes must be positive")
+	case c.ROBSize > maxROBSize:
+		return fmt.Errorf("pipeline: ROB size %d exceeds the maximum of %d", c.ROBSize, maxROBSize)
 	case c.Rename.VPRegs < c.Rename.LogicalRegs+c.ROBSize && c.Scheme != core.SchemeConventional:
 		return fmt.Errorf("pipeline: VP registers (%d) must cover logical+window (%d) to never stall decode",
 			c.Rename.VPRegs, c.Rename.LogicalRegs+c.ROBSize)

@@ -51,6 +51,7 @@ func (s *Sim) dispatchStage(now int64) error {
 			e.isBranch = info.IsBranch
 			e.isCond = info.IsBranch && !info.IsUncond
 			e.mispred = mispred
+			e.sqTail = th.sqTailSlot()
 			e.completeAt = timeUnset
 			e.aguDoneAt = timeUnset
 			e.allocBlockedAt = timeUnset

@@ -56,7 +56,7 @@ func (s *Sim) executeStage(now int64) error {
 			}
 			switch {
 			case e.isStore:
-				sqe := th.sqEntry(e.inum)
+				sqe := th.sqOf(e)
 				if sqe == nil {
 					//vpr:allowalloc error path: the failed run allocates once and stops
 					return fmt.Errorf("pipeline: store %d missing from store queue", e.inum)
@@ -116,15 +116,13 @@ func (s *Sim) deliverAGU(ev wevent) {
 
 // tryLoad attempts to give a post-AGU load its value: forwarded from the
 // youngest older matching store in its thread, or from the shared cache.
+// The search starts at the load's youngest older store (see sqOlder).
 //
 //vpr:memphase
 func (s *Sim) tryLoad(th *thread, e *robEntry, now int64, ports *int) error {
 	var match *sqEntry
-	for i := th.sqN - 1; i >= 0; i-- {
+	for i := th.sqOlder(e) - 1; i >= 0; i-- {
 		sqe := th.sqAt(i)
-		if sqe.inum >= e.inum {
-			continue
-		}
 		if !sqe.eaKnown {
 			if s.cfg.Disambiguation == DisambConservative {
 				return nil // wait for every older store address
@@ -136,6 +134,15 @@ func (s *Sim) tryLoad(th *thread, e *robEntry, now int64, ports *int) error {
 			break
 		}
 	}
+	return s.loadFrom(th, e, match, now, ports)
+}
+
+// loadFrom gives a load whose search found match (nil: no older store
+// matched) its value: forwarded once the store's data has arrived, or
+// through a free cache port.
+//
+//vpr:memphase
+func (s *Sim) loadFrom(th *thread, e *robEntry, match *sqEntry, now int64, ports *int) error {
 	if match != nil {
 		producer := th.entryByInum(match.inum)
 		if producer == nil {

@@ -325,8 +325,9 @@ func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 // checkEvInvariants cross-checks the scheduler indexes against a full
 // reorder-buffer scan (Debug mode): every issueable instruction must be in
 // the ready queue, every completable store in the write-back pending list,
-// the queues must be inum-sorted, and the store queue's known-address
-// prefix must match a fresh scan.
+// the queues must be inum-sorted, the store queue's known-address prefix
+// must match a fresh scan, and every store's dispatch slot and every
+// load's mark must agree with a search of the queue.
 //
 //vpr:coldpath
 func (s *Sim) checkEvInvariants(th *thread) error {
@@ -346,11 +347,23 @@ func (s *Sim) checkEvInvariants(th *thread) error {
 	}
 	for i := 0; i < th.robCount; i++ {
 		e := th.at(i)
+		if e.isStore && th.sqOf(e) != th.sqEntry(e.inum) {
+			return fmt.Errorf("store %d not in its dispatch slot %d", e.inum, e.sqTail)
+		}
+		if e.isLoad {
+			older := 0
+			for older < th.sqN && th.sqAt(older).inum < e.inum {
+				older++
+			}
+			if n := th.sqOlder(e); n != older {
+				return fmt.Errorf("load %d marks %d older stores, scan finds %d", e.inum, n, older)
+			}
+		}
 		switch {
 		case e.st == stWaiting && e.ready() && !e.inReadyQ:
 			return fmt.Errorf("instruction %d ready but not in the ready queue", e.inum)
 		case e.st == stExecuting && e.isStore && e.src2Ready:
-			if sqe := th.sqEntry(e.inum); sqe != nil && sqe.eaKnown && !inRefs(th.wbPend, e) {
+			if sqe := th.sqOf(e); sqe != nil && sqe.eaKnown && !inRefs(th.wbPend, e) {
 				return fmt.Errorf("store %d completable but not pending write-back", e.inum)
 			}
 		}

@@ -127,3 +127,35 @@ func TestSafeBoundMatchesScanUnderSquash(t *testing.T) {
 		}
 	}
 }
+
+// ROBSize is capped so that every store-queue slot fits robEntry.sqTail.
+// At the cap, a queue whose head starts just below the ring's wrap point
+// must simulate exactly what one starting at slot 0 does, with the Debug
+// cross-checks of every store's slot and every load's mark passing each
+// cycle.
+func TestStoreQueueSlotsAtMaxROB(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROBSize = maxROBSize + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("ROB size %d accepted", cfg.ROBSize)
+	}
+	cfg.ROBSize = maxROBSize
+	cfg.Debug = true
+	run := func(head int) Stats {
+		p := synth.Defaults()
+		p.FracStore, p.FracLoad, p.MeanDepDist = 0.25, 0.3, 3
+		sim, err := New(cfg, trace.Take(synth.New(p), 5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.threads[0].sqHead = head
+		st, err := sim.Run(0)
+		if err != nil {
+			t.Fatalf("head %d: %v", head, err)
+		}
+		return st.Arch()
+	}
+	if a, b := run(0), run(maxROBSize-16); a != b {
+		t.Errorf("store queue from slot 0:\n%+v\nfrom the wrap point:\n%+v", a, b)
+	}
+}

@@ -163,7 +163,7 @@ func (s *Sim) executeScan(now int64) error {
 					}
 				}
 			case e.isLoad && e.valueFrom == valueNone:
-				if err := s.tryLoad(th, e, now, &ports); err != nil {
+				if err := s.tryLoadScan(th, e, now, &ports); err != nil {
 					return err
 				}
 			}
@@ -178,6 +178,32 @@ func (s *Sim) executeScan(now int64) error {
 		ports--
 	}
 	return nil
+}
+
+// tryLoadScan is tryLoad as the reference wrote it: the search walks the
+// whole store queue from its youngest entry, skipping by inum the stores
+// younger than the load.
+//
+//vpr:memphase
+func (s *Sim) tryLoadScan(th *thread, e *robEntry, now int64, ports *int) error {
+	var match *sqEntry
+	for i := th.sqN - 1; i >= 0; i-- {
+		sqe := th.sqAt(i)
+		if sqe.inum >= e.inum {
+			continue
+		}
+		if !sqe.eaKnown {
+			if s.cfg.Disambiguation == DisambConservative {
+				return nil // wait for every older store address
+			}
+			continue // speculate past the unknown address
+		}
+		if sqe.ea == e.rec.EA {
+			match = sqe
+			break
+		}
+	}
+	return s.loadFrom(th, e, match, now, ports)
 }
 
 func (s *Sim) issueScan(now int64) error {

@@ -135,6 +135,13 @@ type robEntry struct {
 	isCond   bool
 	mispred  bool
 
+	// sqTail is the store queue's tail slot when the instruction
+	// dispatched. A store took that slot, and keeps it while it is
+	// queued; for a load, the stores queued from the head up to that slot
+	// are exactly its older ones. (Config.Validate caps ROBSize, and so
+	// the ring, to what 16 bits index.)
+	sqTail uint16
+
 	completeAt int64 // cycle execution finishes (timeUnset while unknown)
 	aguDoneAt  int64 // memory ops: cycle the effective address is ready
 
@@ -259,6 +266,11 @@ func (t *thread) sqAt(i int) *sqEntry {
 	return &t.sqBuf[(t.sqHead+i)&(len(t.sqBuf)-1)]
 }
 
+// sqTailSlot is the ring slot the next pushed store takes.
+func (t *thread) sqTailSlot() uint16 {
+	return uint16((t.sqHead + t.sqN) & (len(t.sqBuf) - 1))
+}
+
 // sqPush appends a store with its address still unknown; the
 // known-address prefix cannot grow past it.
 func (t *thread) sqPush(e sqEntry) {
@@ -291,6 +303,17 @@ func (t *thread) sqResolve(e *sqEntry, ea uint64) {
 	}
 }
 
+// sqOf returns a queued store's entry from the slot it took at dispatch
+// (nil if the slot holds another store, which is a simulator bug).
+func (t *thread) sqOf(e *robEntry) *sqEntry {
+	if sqe := &t.sqBuf[e.sqTail]; sqe.inum == e.inum {
+		return sqe
+	}
+	return nil
+}
+
+// sqEntry finds a store's entry by scanning the queue: the scan reference
+// kernel's lookup, and the Debug-mode cross-check of sqOf.
 func (t *thread) sqEntry(inum int64) *sqEntry {
 	for i := 0; i < t.sqN; i++ {
 		if e := t.sqAt(i); e.inum == inum {
@@ -298,6 +321,14 @@ func (t *thread) sqEntry(inum int64) *sqEntry {
 		}
 	}
 	return nil
+}
+
+// sqOlder returns how many queued stores are older than the load e: the
+// stores from the head up to the slot its dispatch marked. The count is
+// below the ring length (a load has fewer than ROBSize older stores in
+// flight), so the masked difference is exact.
+func (t *thread) sqOlder(e *robEntry) int {
+	return (int(e.sqTail) - t.sqHead) & (len(t.sqBuf) - 1)
 }
 
 // addr namespaces an effective address for the shared cache.

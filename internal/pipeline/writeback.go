@@ -43,7 +43,7 @@ func (s *Sim) writebackStage(now int64) error {
 				// consumes no write port. Both conditions held when it
 				// was filed here and neither can revert within a
 				// generation.
-				sqe := th.sqEntry(e.inum)
+				sqe := th.sqOf(e)
 				if sqe == nil || !sqe.eaKnown || !e.src2Ready {
 					//vpr:allowalloc error path: the failed run allocates once and stops
 					return fmt.Errorf("pipeline: store %d pending write-back without being completable", e.inum)
@@ -188,7 +188,7 @@ func (s *Sim) operandBecameReady(th *thread, e *robEntry) {
 		}
 	case stExecuting:
 		if e.isStore && e.src2Ready {
-			if sqe := th.sqEntry(e.inum); sqe != nil && sqe.eaKnown {
+			if sqe := th.sqOf(e); sqe != nil && sqe.eaKnown {
 				th.wbPend = insertRef(th.wbPend, evRef{inum: e.inum, gen: e.gen})
 			}
 		}

@@ -7,8 +7,6 @@
 package synth
 
 import (
-	"math/rand"
-
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -189,10 +187,14 @@ func ByName(name string) (Params, bool) {
 	return Params{}, false
 }
 
-// gen implements trace.Generator.
+// gen implements trace.Generator and trace.BatchGenerator.
 type gen struct {
-	p   Params
-	rng *rand.Rand
+	p Params
+
+	// geoCut lets geometric() compare raw 63-bit draws x instead of
+	// computing Float64 values: a kept draw's Float64 exceeds
+	// 1/MeanDepDist exactly when x ≥ geoCut.
+	geoCut uint64
 
 	pc        int
 	seq       int64
@@ -206,16 +208,19 @@ type gen struct {
 	recentFP  []isa.Reg
 	nextInt   uint8
 	nextFP    uint8
+
+	// rng comes last, after every pointer, so the collector's scan of a
+	// generator stops before the 4.8 KB of state.
+	rng source
 }
 
 // New builds a generator. The stream is infinite and deterministic for a
 // given Params (including Seed).
 func New(p Params) trace.Generator {
-	g := &gen{
-		p:        p,
-		rng:      rand.New(rand.NewSource(p.Seed)),
-		missLine: 1 << 30,
-	}
+	g := &gen{p: p, missLine: 1 << 30}
+	g.rng.seed(p.Seed)
+	q := 1 / max(p.MeanDepDist, 1)
+	g.geoCut = firstDraw(func(f float64) bool { return f > q })
 	// The resident working set: the classic 64 lines ≈ 2 KB (comfortably
 	// inside the 16 KB L1) unless the parameters size it explicitly.
 	lines := p.ResidentLines
@@ -236,10 +241,23 @@ const migBurst = 48
 const loopLen = 64 // synthetic "loop body" length; PCs cycle mod loopLen
 
 func (g *gen) Next() (trace.Record, bool) {
-	rec := trace.Record{Seq: g.seq, PC: g.pc}
-	in := g.pick()
-	rec.Inst = in
-	info := in.Op.Info()
+	var rec trace.Record
+	g.fill(&rec)
+	return rec, true
+}
+
+// NextBatch fills every record of dst in place; the stream never ends.
+func (g *gen) NextBatch(dst []trace.Record) int {
+	for i := range dst {
+		g.fill(&dst[i])
+	}
+	return len(dst)
+}
+
+// fill overwrites rec with the next record.
+func (g *gen) fill(rec *trace.Record) {
+	*rec = trace.Record{Seq: g.seq, PC: g.pc, Inst: g.pick()}
+	info := rec.Inst.Op.Info()
 
 	switch {
 	case info.IsLoad || info.IsStore:
@@ -249,9 +267,9 @@ func (g *gen) Next() (trace.Record, bool) {
 		// 2-bit table sees a consistent stream per slot.
 		biased := float64(g.pc%loopLen)/loopLen < g.p.BiasedBranchFrac
 		if biased {
-			rec.Taken = g.rng.Float64() < 0.95
+			rec.Taken = g.rng.float64() < 0.95
 		} else {
-			rec.Taken = g.rng.Float64() < 0.5
+			rec.Taken = g.rng.float64() < 0.5
 		}
 		// Taken branches skip one instruction (wrapping inside the
 		// synthetic loop body), so taken vs not-taken genuinely
@@ -267,21 +285,20 @@ func (g *gen) Next() (trace.Record, bool) {
 	g.pc = rec.NextPC
 	g.seq++
 	g.note(rec.Inst.Dst)
-	return rec, true
 }
 
 // pick chooses the next instruction according to the mix.
 func (g *gen) pick() isa.Inst {
-	r := g.rng.Float64()
+	r := g.rng.float64()
 	p := g.p
 	switch {
 	case r < p.FracLoad:
-		if g.rng.Float64() < p.FracFPLoads {
+		if g.rng.float64() < p.FracFPLoads {
 			return isa.Inst{Op: isa.LDT, Dst: g.freshFP(), Src1: g.srcInt()}
 		}
 		return isa.Inst{Op: isa.LDQ, Dst: g.freshInt(), Src1: g.srcInt()}
 	case r < p.FracLoad+p.FracStore:
-		if g.rng.Float64() < p.FracFPLoads {
+		if g.rng.float64() < p.FracFPLoads {
 			return isa.Inst{Op: isa.STT, Src1: g.srcInt(), Src2: g.srcFP()}
 		}
 		return isa.Inst{Op: isa.STQ, Src1: g.srcInt(), Src2: g.srcInt()}
@@ -307,18 +324,18 @@ func (g *gen) pick() isa.Inst {
 // off in the parameters draws nothing from the RNG, keeping pre-existing
 // parameter sets byte-identical.
 func (g *gen) address() uint64 {
-	if g.p.MigratoryFrac > 0 && g.rng.Float64() < g.p.MigratoryFrac {
+	if g.p.MigratoryFrac > 0 && g.rng.float64() < g.p.MigratoryFrac {
 		g.migSeq++
 		return g.residents[int(g.migSeq/migBurst)%len(g.residents)]
 	}
-	if g.rng.Float64() < g.p.MissRatio {
+	if g.rng.float64() < g.p.MissRatio {
 		a := g.missLine
 		g.missLine += 32 // next line; never revisited
 		return a
 	}
-	a := g.residents[g.rng.Intn(len(g.residents))]
+	a := g.residents[g.rng.intn(len(g.residents))]
 	if g.p.FalseShareWords > 1 {
-		a += uint64(g.rng.Intn(g.p.FalseShareWords)) * 8
+		a += uint64(g.rng.intn(g.p.FalseShareWords)) * 8
 	}
 	return a
 }
@@ -380,15 +397,30 @@ func (g *gen) src(recent []isa.Reg, class isa.RegClass) isa.Reg {
 	return recent[len(recent)-1-d]
 }
 
+// geometric draws a dependence distance: the number of draws whose
+// Float64 exceeds 1/MeanDepDist before the first that does not, capped at
+// maxDepDist. It consumes exactly the draws of the loop
+//
+//	for Float64() > 1/mean && d < maxDepDist { d++ }
+//
+// including the one made at the cap, but compares integers (see geoCut).
 func (g *gen) geometric() int {
-	mean := g.p.MeanDepDist
-	if mean < 1 {
-		mean = 1
-	}
 	d := 0
-	p := 1 / mean
-	for g.rng.Float64() > p && d < 64 {
+	for {
+		x := g.rng.int63()
+		if x >= oneCut {
+			continue // Float64 redraws
+		}
+		if x < g.geoCut || d == maxDepDist {
+			return d
+		}
 		d++
 	}
-	return d
 }
+
+// maxDepDist caps a dependence distance.
+const maxDepDist = 64
+
+// oneCut is where raw draws start to round to 1.0: math/rand's Float64
+// redraws exactly the x ≥ oneCut.
+var oneCut = firstDraw(func(f float64) bool { return f == 1 })
