@@ -10,8 +10,8 @@ check: vet build test
 # detexempt) exceeds this baseline. Lower it when a waiver is removed;
 # raising it needs a justification in the change that does so. The
 # baseline covers the scanoracle variant, which carries the extra
-# scan-kernel waivers (58 on the default tags as of this writing).
-VPLINT_MAX_WAIVERS ?= 60
+# scan-kernel waivers (57 on the default tags as of this writing).
+VPLINT_MAX_WAIVERS ?= 59
 
 # Invariant lint: the vplint analyzers (docs/LINTING.md) over the whole
 # module, in both build-tag variants so the scan oracle stays analyzable.

@@ -2,6 +2,12 @@
 // scheme, one machine configuration. It is the low-level probe; use
 // vptables to regenerate whole paper tables and figures.
 //
+// By default the L1 sits over the paper's infinite L2. -l2 K puts a
+// private K KB direct-mapped L2 behind it instead: the point then runs as
+// a one-core machine over a one-bank shared L2 with no bank-bus
+// contention, where an L1 miss that hits the L2 costs -miss-penalty and
+// one that misses both levels -l2-miss-penalty.
+//
 // Example:
 //
 //	vpsim -workload swim -scheme vp-wb -regs 64 -nrr 32 -instr 200000
@@ -64,11 +70,6 @@ func main() {
 	cfg.Rename.NRRFP = *nrr
 	cfg.Rename.EarlyRelease = *early
 	cfg.Cache.MissPenalty = *penalty
-	if *l2 > 0 {
-		cfg.Cache.L2Enabled = true
-		cfg.Cache.L2SizeBytes = *l2 * 1024
-		cfg.Cache.L2MissPenalty = *l2miss
-	}
 	cfg.ValueCheck = *check
 	cfg.Debug = *debug
 	switch *disamb {
@@ -85,11 +86,34 @@ func main() {
 	defer stop()
 
 	eng := vpr.New(vpr.WithParallelism(1))
-	res, err := eng.Run(ctx, vpr.RunSpec{Workload: *workload, Config: cfg, MaxInstr: *instr})
-	if err != nil {
-		fatalf("%v", err)
+	var (
+		st          vpr.Stats
+		bhtAccuracy float64
+	)
+	if *l2 > 0 {
+		res, err := eng.RunMulticore(ctx, vpr.MulticoreSpec{
+			Workloads: []string{*workload},
+			Config:    cfg,
+			L2: vpr.L2Config{
+				Enabled:     true,
+				SizeBytes:   *l2 * 1024,
+				Banks:       1,
+				HitPenalty:  *penalty,
+				MissPenalty: *l2miss,
+			},
+			MaxInstrPerCore: *instr,
+		})
+		if err != nil {
+			fatalf("%v", err)
+		}
+		st, bhtAccuracy = res.Stats, res.BHTAccuracy[0]
+	} else {
+		res, err := eng.Run(ctx, vpr.RunSpec{Workload: *workload, Config: cfg, MaxInstr: *instr})
+		if err != nil {
+			fatalf("%v", err)
+		}
+		st, bhtAccuracy = res.Stats, res.BHTAccuracy
 	}
-	st := res.Stats
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -100,7 +124,7 @@ func main() {
 			IPC         float64
 			BHTAccuracy float64
 			Stats       vpr.Stats
-		}{*workload, *scheme, *regs, *nrr, st.IPC(), res.BHTAccuracy, st}); err != nil {
+		}{*workload, *scheme, *regs, *nrr, st.IPC(), bhtAccuracy, st}); err != nil {
 			fatalf("%v", err)
 		}
 		return
@@ -109,7 +133,7 @@ func main() {
 	fmt.Printf("IPC        %.3f   (%d instructions in %d cycles)\n", st.IPC(), st.Committed, st.Cycles)
 	fmt.Printf("exec/commit %.2f   re-executions %d, issue blocks %d\n", st.ExecPerCommit(), st.Reexecutions, st.IssueBlocks)
 	fmt.Printf("branches   %.1f%% mispredicted (%d/%d), BHT accuracy %.3f\n",
-		st.MispredictRate()*100, st.Mispredicts, st.CondBranches, res.BHTAccuracy)
+		st.MispredictRate()*100, st.Mispredicts, st.CondBranches, bhtAccuracy)
 	fmt.Printf("cache      %.1f%% miss ratio (%d primary + %d merged / %d accesses), peak MSHRs %d\n",
 		st.MissRatio()*100, st.CacheMisses, st.CacheMergedMiss, st.CacheAccesses, st.PeakMSHRs)
 	fmt.Printf("memory     %d forwarded, %d violations (%d squashed), %d SB commit stalls\n",

@@ -148,3 +148,42 @@ func TestEngineSMT(t *testing.T) {
 		t.Errorf("smt result = %+v", res)
 	}
 }
+
+// TestEnginePanicContained: a trace that panics mid-run fails its batch
+// with a *PanicError naming the spec, and the engine keeps working.
+func TestEnginePanicContained(t *testing.T) {
+	gen, err := vpr.WorkloadGenerator("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	panicky := vpr.TraceFunc(func() (vpr.TraceRecord, bool) {
+		if records++; records == 500 {
+			panic("trace broke")
+		}
+		return gen.Next()
+	})
+	cfg := vpr.DefaultConfig()
+	eng := vpr.New(vpr.WithParallelism(2))
+	ctx := context.Background()
+	_, err = eng.RunBatch(ctx, []vpr.RunSpec{
+		engineSpec("compress", vpr.SchemeConventional, 3000),
+		{Gen: panicky, GenID: "panicky", Config: cfg, MaxInstr: 3000},
+		engineSpec("swim", vpr.SchemeConventional, 3000),
+	})
+	var pe *vpr.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("batch error %v is not a *PanicError", err)
+	}
+	if pe.Label != "gen:panicky" || pe.Value != "trace broke" ||
+		!strings.Contains(string(pe.Stack), "TestEnginePanicContained") {
+		t.Errorf("PanicError{Label: %q, Value: %v} with a %d-byte stack", pe.Label, pe.Value, len(pe.Stack))
+	}
+	if _, err := eng.RunBatch(ctx, []vpr.RunSpec{
+		engineSpec("compress", vpr.SchemeVPWriteback, 3000),
+		engineSpec("swim", vpr.SchemeVPWriteback, 3000),
+		engineSpec("hydro2d", vpr.SchemeVPIssue, 3000),
+	}); err != nil {
+		t.Fatalf("clean batch after the panic: %v", err)
+	}
+}

@@ -1,9 +1,16 @@
-// Package cache models the paper's lockup-free L1 data cache (Kroft [7]):
-// 16 KB direct-mapped with 32-byte lines, 2-cycle hit latency, a 50-cycle
-// miss penalty, up to 8 outstanding misses to distinct lines (MSHRs) with
-// secondary-miss merging, write-back + write-allocate, and a 64-bit bus to
-// an infinite L2 on which each line transfer (refill or dirty eviction)
-// occupies 4 cycles.
+// Package cache is the reference model of the paper's lockup-free L1
+// data cache. The simulator runs mem.L1, a line-for-line port of this
+// model with the next level abstracted; this package survives only as
+// the oracle of mem's TestL1MatchesCacheInfinite and as the code behind
+// the benchmark's cache.ns_per_access replay, and its Config is the L1
+// geometry pipeline.Config carries.
+//
+// The model is the paper's L1 (Kroft [7]): 16 KB direct-mapped with
+// 32-byte lines, 2-cycle hit latency, a 50-cycle miss penalty, up to 8
+// outstanding misses to distinct lines (MSHRs) with secondary-miss
+// merging, write-back + write-allocate, and a 64-bit bus to an infinite
+// L2 on which each line transfer (refill or dirty eviction) occupies 4
+// cycles.
 //
 // The cache is driven lazily: every Access carries the current cycle, and
 // pending refills whose completion time has passed are installed before the
@@ -24,14 +31,6 @@ type Config struct {
 	MissPenalty      int // additional cycles after the hit latency
 	MSHRs            int
 	BusCyclesPerLine int
-
-	// The paper assumes an infinite L2 (every L1 miss costs MissPenalty).
-	// Setting L2Enabled models a finite direct-mapped L2 instead: L1
-	// misses that hit in L2 cost MissPenalty; those that miss both
-	// levels cost L2MissPenalty.
-	L2Enabled     bool
-	L2SizeBytes   int
-	L2MissPenalty int
 }
 
 // DefaultConfig is the paper's §4.1 configuration.
@@ -70,7 +69,6 @@ type mshr struct {
 type Cache struct {
 	cfg       Config
 	lines     []line
-	l2tags    []uint64 // finite-L2 option: tag per set, +1 (0 = invalid)
 	mshrs     []mshr
 	busFreeAt int64
 	lineShift uint
@@ -84,8 +82,6 @@ type Cache struct {
 	MSHRStalls   int64 // accesses rejected because every MSHR was busy
 	Evictions    int64 // dirty lines written back
 	PeakInFlight int
-	L2Hits       int64 // L1 misses that hit the finite L2
-	L2Misses     int64 // L1 misses that also missed the L2
 }
 
 // New builds a cache; the configuration must have power-of-two line size.
@@ -100,22 +96,12 @@ func New(cfg Config) *Cache {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
 		lines:     make([]line, cfg.SizeBytes/cfg.LineBytes),
 		mshrs:     make([]mshr, cfg.MSHRs),
 		lineShift: shift,
 	}
-	if cfg.L2Enabled {
-		if cfg.L2SizeBytes < cfg.SizeBytes || cfg.L2SizeBytes%cfg.LineBytes != 0 {
-			panic("cache: L2 must be at least L1-sized and line-aligned")
-		}
-		if cfg.L2MissPenalty < cfg.MissPenalty {
-			panic("cache: L2 miss penalty below the L2 hit penalty")
-		}
-		c.l2tags = make([]uint64, cfg.L2SizeBytes/cfg.LineBytes)
-	}
-	return c
 }
 
 // Config returns the configuration the cache was built with.
@@ -218,23 +204,8 @@ func (c *Cache) Access(now int64, addr uint64, write bool) (Outcome, bool) {
 		}
 		c.busFreeAt += int64(c.cfg.BusCyclesPerLine)
 		victim.dirty = false
-		if c.cfg.L2Enabled {
-			// The written-back victim lands in the L2.
-			c.l2tags[int(victim.tag)%len(c.l2tags)] = victim.tag + 1
-		}
 	}
-	penalty := c.cfg.MissPenalty
-	if c.cfg.L2Enabled {
-		set := int(la) % len(c.l2tags)
-		if c.l2tags[set] == la+1 {
-			c.L2Hits++
-		} else {
-			c.L2Misses++
-			penalty = c.cfg.L2MissPenalty
-			c.l2tags[set] = la + 1 // refill installs into L2 (inclusive)
-		}
-	}
-	ready := now + int64(c.cfg.HitLatency+penalty)
+	ready := now + int64(c.cfg.HitLatency+c.cfg.MissPenalty)
 	if b := c.busFreeAt + int64(c.cfg.BusCyclesPerLine); b > ready {
 		ready = b
 	}

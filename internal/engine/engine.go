@@ -13,12 +13,17 @@
 // instruction budget (see specKey) — for multi-core specs also the
 // shared-L2 geometry, address-space mode and coherence switch — so
 // overlapping sweeps, e.g. the conventional baseline shared by figures
-// 4, 5 and 7, never re-simulate the same point.
+// 4, 5 and 7, never re-simulate the same point. Every run, single or
+// batched, goes through one cached-run path (cachedRun), which also
+// recovers a panicking run into a *PanicError, so one bad spec fails its
+// batch instead of the process.
 package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/pipeline"
@@ -113,71 +118,37 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 	return e.cache.stats()
 }
 
-func (e *Engine) progressf(format string, args ...any) {
+// report prints one progress line for a finished spec; label is only
+// evaluated when a progress callback is installed.
+func (e *Engine) report(outcome string, label func() string) {
 	if e.progress == nil {
 		return
 	}
 	e.progressMu.Lock()
 	defer e.progressMu.Unlock()
-	e.progress(format, args...)
+	e.progress("engine: %s %s", outcome, label())
 }
 
 // Run executes one point, consulting and populating the cache. Probed
 // specs (an attached engine probe or Config.Policies.Probe) bypass the
 // cache read so the probe always observes a real simulation.
 func (e *Engine) Run(ctx context.Context, spec sim.Spec) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	if e.probe != nil && spec.Config.Policies.Probe == nil {
-		spec.Config.Policies.Probe = e.probe
-	}
 	key, cacheable := specKey(spec)
-	if cacheable && e.cache != nil && spec.Config.Policies.Probe == nil {
-		if v, ok := e.cache.get(key); ok {
-			e.progressf("engine: cached %s", runLabel(spec))
-			return v.(sim.Result), nil
-		}
-	}
-	if e.runHook != nil {
-		e.runHook(spec)
-	}
-	res, err := sim.RunContext(ctx, spec)
-	if err != nil {
-		return res, err
-	}
-	if cacheable && e.cache != nil {
-		e.cache.put(key, res)
-	}
-	e.progressf("engine: ran %s", runLabel(spec))
-	return res, nil
+	return cachedRun(ctx, e, &spec.Config, key, cacheable, func() string { return runLabel(spec) }, nil,
+		func(ctx context.Context) (sim.Result, error) {
+			if e.runHook != nil {
+				e.runHook(spec)
+			}
+			return sim.RunContext(ctx, spec)
+		})
 }
 
 // RunSMT executes one multithreaded point, consulting and populating the
 // cache. The same probe handling as Run applies.
 func (e *Engine) RunSMT(ctx context.Context, spec sim.SMTSpec) (sim.SMTResult, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.SMTResult{}, err
-	}
-	if e.probe != nil && spec.Config.Policies.Probe == nil {
-		spec.Config.Policies.Probe = e.probe
-	}
-	key := smtKey(spec)
-	if e.cache != nil && spec.Config.Policies.Probe == nil {
-		if v, ok := e.cache.get(key); ok {
-			e.progressf("engine: cached smt %v", spec.Workloads)
-			return copySMTResult(v.(sim.SMTResult)), nil
-		}
-	}
-	res, err := sim.RunSMTContext(ctx, spec)
-	if err != nil {
-		return res, err
-	}
-	if e.cache != nil {
-		e.cache.put(key, copySMTResult(res))
-	}
-	e.progressf("engine: ran smt %v", spec.Workloads)
-	return res, nil
+	return cachedRun(ctx, e, &spec.Config, smtKey(spec), true,
+		func() string { return fmt.Sprintf("smt %v", spec.Workloads) }, copySMTResult,
+		func(ctx context.Context) (sim.SMTResult, error) { return sim.RunSMTContext(ctx, spec) })
 }
 
 // copySMTResult deep-copies the result's slice so cached entries never
@@ -193,35 +164,73 @@ func copySMTResult(r sim.SMTResult) sim.SMTResult {
 // memory configuration. The same probe handling as Run applies (the
 // probe reaches every core).
 func (e *Engine) RunMulticore(ctx context.Context, spec sim.MulticoreSpec) (sim.MulticoreResult, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.MulticoreResult{}, err
-	}
-	if e.probe != nil && spec.Config.Policies.Probe == nil {
-		spec.Config.Policies.Probe = e.probe
-	}
-	key := multicoreKey(spec)
-	if e.cache != nil && spec.Config.Policies.Probe == nil {
-		if v, ok := e.cache.get(key); ok {
-			e.progressf("engine: cached multicore %v", spec.Workloads)
-			return copyMulticoreResult(v.(sim.MulticoreResult)), nil
-		}
-	}
-	res, err := sim.RunMulticoreContext(ctx, spec)
-	if err != nil {
-		return res, err
-	}
-	if e.cache != nil {
-		e.cache.put(key, copyMulticoreResult(res))
-	}
-	e.progressf("engine: ran multicore %v", spec.Workloads)
-	return res, nil
+	return cachedRun(ctx, e, &spec.Config, multicoreKey(spec), true,
+		func() string { return fmt.Sprintf("multicore %v", spec.Workloads) }, copyMulticoreResult,
+		func(ctx context.Context) (sim.MulticoreResult, error) { return sim.RunMulticoreContext(ctx, spec) })
 }
 
-// copyMulticoreResult deep-copies the per-core slice so cached entries
+// copyMulticoreResult deep-copies the per-core slices so cached entries
 // never share a backing array with what callers receive.
 func copyMulticoreResult(r sim.MulticoreResult) sim.MulticoreResult {
 	r.PerCore = append([]pipeline.Stats(nil), r.PerCore...)
+	r.BHTAccuracy = append([]float64(nil), r.BHTAccuracy...)
 	return r
+}
+
+// PanicError is a run that panicked. The engine recovers the panic, so a
+// bad spec fails its own run, and its batch, instead of the process.
+type PanicError struct {
+	Label string // the spec's progress label: workload, "smt [...]" or "multicore [...]"
+	Value any    // the value the run panicked with
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("engine: %s panicked: %v", p.Label, p.Value)
+}
+
+// cachedRun is the one path behind Run, RunSMT and RunMulticore. It checks
+// ctx, attaches the engine probe to cfg (the spec's own Config) unless the
+// spec carries one, serves an unprobed cacheable spec from the cache,
+// runs the simulation with a panic recovered into a *PanicError, caches
+// the result and reports progress. label names the spec; clone (nil when
+// results share no memory) copies a result on its way into and out of
+// the cache.
+func cachedRun[R any](ctx context.Context, e *Engine, cfg *pipeline.Config, key cacheKey, cacheable bool,
+	label func() string, clone func(R) R, run func(context.Context) (R, error)) (R, error) {
+	if err := ctx.Err(); err != nil {
+		var zero R
+		return zero, err
+	}
+	if e.probe != nil && cfg.Policies.Probe == nil {
+		cfg.Policies.Probe = e.probe
+	}
+	if clone == nil {
+		clone = func(r R) R { return r }
+	}
+	cacheable = cacheable && e.cache != nil
+	if cacheable && cfg.Policies.Probe == nil {
+		if v, ok := e.cache.get(key); ok {
+			e.report("cached", label)
+			return clone(v.(R)), nil
+		}
+	}
+	res, err := func() (res R, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = &PanicError{Label: label(), Value: v, Stack: debug.Stack()}
+			}
+		}()
+		return run(ctx)
+	}()
+	if err != nil {
+		return res, err
+	}
+	if cacheable {
+		e.cache.put(key, clone(res))
+	}
+	e.report("ran", label)
+	return res, nil
 }
 
 // RunBatch fans specs out over the worker pool and returns results in spec

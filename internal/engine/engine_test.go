@@ -328,3 +328,36 @@ func TestEmptyBatch(t *testing.T) {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
 }
+
+// TestBadL1GeometryRejected: an L1 the model cannot index fails
+// validation, construction and the engine run alike — none of them may
+// run it silently, panic or wait for the deadlock detector.
+func TestBadL1GeometryRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*pipeline.Config)
+	}{
+		{"24KB has 768 sets", func(c *pipeline.Config) { c.Cache.SizeBytes = 24 * 1024 }},
+		{"48-byte lines", func(c *pipeline.Config) { c.Cache.LineBytes = 48 }},
+		{"no MSHRs", func(c *pipeline.Config) { c.Cache.MSHRs = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec("compress", 32)
+			tc.edit(&s.Config)
+			if err := s.Config.Validate(); err == nil {
+				t.Error("Validate accepted the geometry")
+			}
+			w, _ := workloads.ByName("compress")
+			gen, err := w.NewGen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipeline.New(s.Config, gen); err == nil {
+				t.Error("pipeline.New accepted the geometry")
+			}
+			if _, err := New().Run(context.Background(), s); err == nil {
+				t.Error("Engine.Run accepted the geometry")
+			}
+		})
+	}
+}

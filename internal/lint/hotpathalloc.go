@@ -14,8 +14,8 @@ import (
 // kernel. Functions annotated //vpr:hotpath are roots; everything they
 // statically call within the module (direct function calls and concrete
 // method calls — interface dispatch is a traversal boundary, which is why
-// the per-cycle core.Renamer and mem.Memory implementations carry their
-// own //vpr:hotpath annotations) is checked for:
+// the per-cycle core.Renamer implementations carry their own //vpr:hotpath
+// annotations) is checked for:
 //
 //   - append (growth may allocate; retained-capacity idioms are waived
 //     explicitly so the amortization argument is written down)

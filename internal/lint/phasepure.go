@@ -17,7 +17,7 @@ import (
 // serializes, may.
 //
 // The surface is declared in the source: //vpr:memstate marks the shared
-// types (mem.Memory, System, BankedL2, L1), //vpr:memphase marks the
+// types (mem.L1, BankedL2, System), //vpr:memphase marks the
 // functions and interface methods allowed to touch them. Three checks
 // hold the two sides together:
 //

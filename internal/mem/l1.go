@@ -7,9 +7,8 @@ import (
 	"repro/internal/cache"
 )
 
-// L1Config sizes one core's lockup-free L1; the fields are the L1 subset
-// of cache.Config and L1FromCacheConfig carries a pipeline configuration
-// over.
+// L1Config sizes one core's lockup-free L1; L1FromCacheConfig carries a
+// pipeline configuration's cache.Config over.
 type L1Config struct {
 	SizeBytes        int
 	LineBytes        int
@@ -19,8 +18,8 @@ type L1Config struct {
 	BusCyclesPerLine int // L1↔L2 bus occupancy per line transfer
 }
 
-// L1FromCacheConfig extracts the L1 geometry of a cache.Config (the L2
-// fields, if set, are superseded by the System's shared BankedL2).
+// L1FromCacheConfig converts the L1 geometry a pipeline configuration
+// carries (pipeline.Config.Cache) into the L1's own configuration.
 func L1FromCacheConfig(c cache.Config) L1Config {
 	return L1Config{
 		SizeBytes:        c.SizeBytes,
@@ -64,14 +63,17 @@ type Gate interface {
 	Enter(core int, now int64) bool
 }
 
+// line packs the three one-byte fields ahead of the tag, so a line takes
+// 16 bytes and the paper's 512-line L1 8 KiB.
 type line struct {
 	valid bool
 	dirty bool
-	tag   uint64
 
 	// st is the line's coherence state under the active protocol; unused
 	// (Invalid) without coherence. In coherent mode dirty == st.Dirty().
 	st State
+
+	tag uint64
 }
 
 type mshr struct {
@@ -209,7 +211,8 @@ func (l *L1) drain(now int64) {
 	}
 }
 
-// Drain implements Memory.
+// Drain installs every refill completed by cycle now. Accesses drain
+// lazily, so calling it is only needed to settle state for inspection.
 //
 //vpr:hotpath
 //vpr:memphase
@@ -474,6 +477,6 @@ func (l *L1) InFlight() int {
 	return n
 }
 
-// Stats implements Memory. An L1 port of a System reports only its own
-// counters; the shared L2's live on System.L2().
+// Stats snapshots the L1's counters. An L1 port of a System reports only
+// its own; the shared L2's live on System.L2().
 func (l *L1) Stats() Stats { return l.st }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 )
 
-// L2Config sizes the banked, finite, shared L2. It subsumes the old
-// cache.Config L2Enabled tag-array approximation: with Banks=1,
-// BankBusCycles=0, HitPenalty equal to the L1's MissPenalty and
-// MissPenalty equal to the old L2MissPenalty, the timing is cycle-exact
-// with that mode (a differential test pins this).
+// L2Config sizes the banked, finite, shared L2. With Banks=1 and
+// BankBusCycles=0 it is a private direct-mapped L2 behind one core,
+// which is what vpsim -l2 runs: HitPenalty is then the L1's MissPenalty
+// and MissPenalty the memory latency (pinned by pipeline's
+// TestMulticoreMatchesPrivateL2Mode).
 //
 //vpr:cachekey
 type L2Config struct {
@@ -234,8 +234,7 @@ func (c *BankedL2) attachPorts(ports []*L1, proto Protocol, dirKind string) erro
 // hashed back down before indexing — without this, cores running
 // identical workloads in lockstep would land in the same bank+set and
 // evict each other's lines on every fetch. Namespace-free addresses
-// (single core, base-0 L1s, and therefore the cache.Config L2Enabled
-// equivalence) index exactly as a plain modulo. Tags always compare the
+// (single core, base-0 L1s) index exactly as a plain modulo. Tags always compare the
 // full line address, so the hash can never cause a false hit.
 func (c *BankedL2) bankOf(lineAddr uint64) (*bank, int) {
 	h := lineAddr
@@ -565,8 +564,8 @@ func (c *BankedL2) writeBack(now int64, lineAddr uint64, core int) {
 	c.reserveBus(b, now)
 }
 
-// Stats reports the shared counters in Memory's stats shape (L1 fields
-// zero). Aggregate them once per System, not per port.
+// Stats reports the shared counters in the hierarchy's stats shape (L1
+// fields zero). Aggregate them once per System, not per port.
 func (c *BankedL2) Stats() Stats {
 	return Stats{
 		L2Fetches:           c.Fetches,

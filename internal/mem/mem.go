@@ -1,16 +1,15 @@
-// Package mem is the shared memory hierarchy extracted from internal/cache
-// and the pipeline: a Memory interface the pipeline drives one port of,
-// per-core lockup-free L1 caches (L1), a banked finite shared L2 with
-// per-bank bus occupancy and MSHR-style refill tracking (BankedL2), and a
-// System that wires N L1 ports over one shared L2 for the multi-core
-// runner.
+// Package mem is the memory hierarchy every simulated core drives: a
+// per-core lockup-free L1 (L1), a banked finite shared L2 with per-bank
+// bus occupancy and MSHR-style refill tracking (BankedL2), and a System
+// that wires N L1 ports over one shared L2 for the multi-core runner.
 //
-// The paper's own configuration — one core, lockup-free L1 over an
-// infinite L2 — stays on internal/cache as the single-core fast path;
-// Single adapts it to the Memory interface so the pipeline is agnostic.
-// The L1 here is a line-for-line port of cache.Cache with the next level
-// abstracted, and a differential test pins the two against each other on
-// randomized access streams.
+// An L1 built with no next level is the paper's own configuration — one
+// core, lockup-free L1 over an infinite L2 — and is the port of every
+// single-core run and of every core of a multi-core run without the
+// shared L2. The L1 was ported line for line from internal/cache, which
+// survives only as the reference model a differential test pins the L1
+// against on randomized access streams, and as the benchmark's cache
+// replay.
 //
 // When a System is built coherent, the BankedL2 additionally runs a
 // directory under a pluggable invalidation protocol (protocol.go: MSI,
@@ -37,40 +36,9 @@
 //vpr:detpkg
 package mem
 
-import "repro/internal/cache"
-
-// Memory is one port into the memory hierarchy, as seen by a core's
-// execute stage. Access performs a load or store at the given cycle;
-// Drain installs every refill completed by the given cycle (accesses
-// drain lazily, so calling it is only needed to settle state for
-// inspection); Stats snapshots the counters.
-//
-// Callers must present non-decreasing cycle numbers; implementations
-// panic on time going backwards rather than silently corrupting refill
-// state.
-//
-//vpr:memstate
-type Memory interface {
-	// Access performs one load or store — the memory phase's mutating
-	// entry point.
-	//
-	//vpr:memphase
-	Access(now int64, addr uint64, write bool) (cache.Outcome, bool)
-	// Drain settles matured refills — mutating, memory phase only.
-	//
-	//vpr:memphase
-	Drain(now int64)
-	// Stats snapshots the counters without touching hierarchy state.
-	//
-	//vpr:phaseexempt read-only snapshot; safe from any phase
-	Stats() Stats
-}
-
-// Stats are the counters a Memory accumulates. The L1 fields mirror
-// cache.Cache's; the L2 fields describe the next level — the private
-// finite L2 of the single-core fast path, or a core's share of the banked
-// shared L2 (zero on L1 ports of a System: the shared counters are
-// reported once, by the System, so aggregates never double-count).
+// Stats are the counters of the hierarchy. An L1 fills only the L1
+// fields; the L2 fields are the shared BankedL2's, reported once by
+// BankedL2.Stats and System.Stats so aggregates never double-count.
 //
 //vpr:stats
 type Stats struct {
@@ -136,40 +104,4 @@ func (s *Stats) Add(other Stats) {
 	s.L2OwnerForwards += other.L2OwnerForwards
 	s.L2DirOverflows += other.L2DirOverflows
 	s.L2DirBroadcasts += other.L2DirBroadcasts
-}
-
-// Single adapts the original single-core cache.Cache (infinite L2, or the
-// private finite-L2 tag-array approximation) to the Memory interface —
-// the paper's configuration and the default fast path.
-type Single struct{ C *cache.Cache }
-
-// NewSingle wraps an existing cache.
-func NewSingle(c *cache.Cache) Single { return Single{C: c} }
-
-// Access implements Memory.
-//
-//vpr:hotpath
-func (s Single) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
-	return s.C.Access(now, addr, write)
-}
-
-// Drain implements Memory.
-//
-//vpr:hotpath
-func (s Single) Drain(now int64) { s.C.Drain(now) }
-
-// Stats implements Memory.
-func (s Single) Stats() Stats {
-	return Stats{
-		Accesses:     s.C.Accesses,
-		Hits:         s.C.Hits,
-		Misses:       s.C.Misses,
-		Merges:       s.C.Merges,
-		MSHRStalls:   s.C.MSHRStalls,
-		Evictions:    s.C.Evictions,
-		PeakInFlight: s.C.PeakInFlight,
-		L2Fetches:    s.C.L2Hits + s.C.L2Misses,
-		L2Hits:       s.C.L2Hits,
-		L2Misses:     s.C.L2Misses,
-	}
 }

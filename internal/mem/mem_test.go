@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 )
@@ -45,25 +49,33 @@ func TestL1MatchesCacheInfinite(t *testing.T) {
 	}
 }
 
-// TestL1MatchesCacheFiniteL2 pins the L1 + single-bank BankedL2 (bank bus
-// disabled) against cache.Cache's private finite-L2 tag-array mode — the
-// configuration the banked L2 subsumes.
+// TestL1MatchesCacheFiniteL2: an L1 over a one-bank, bus-free BankedL2 —
+// the private L2 vpsim -l2 runs — still produces, on the randomized
+// access streams of TestL1MatchesCacheInfinite, the outcomes and L2
+// counters of cache.Cache's deleted private finite-L2 mode. Those were
+// recorded from that mode and are pinned here (the SHA-256 of every
+// outcome, see outcomeDigest); a mismatch is a timing change in the L1
+// or the L2, not a baseline to re-record.
 func TestL1MatchesCacheFiniteL2(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		oldCfg := cache.DefaultConfig()
-		oldCfg.L2Enabled = true
-		oldCfg.L2SizeBytes = 64 * 1024
-		oldCfg.L2MissPenalty = 100
-		c := cache.New(oldCfg)
-
+	pins := []struct {
+		digest       string
+		hits, misses int64
+	}{
+		{"6f6ce9142139c5bb4708ee5702e6446311cf1c58b40564079bccfd726994eebb", 275, 2060},
+		{"f40397bb074eca9b637c5e78d4150a948d68d35cb8bbdcac2035dd9bf6e3aee8", 249, 2106},
+		{"0d019becfe58c1fce9548360387f075fc4f0301ecd35cc9d54fd647616f150a3", 270, 2074},
+		{"ef92bc5ecf2df659d583c6b2ab41e78efe30c598393ea54a0b01859e9c99a602", 275, 2056},
+	}
+	for i, pin := range pins {
+		seed := int64(i + 1)
 		l2, err := NewBankedL2(L2Config{
 			Enabled:       true,
 			SizeBytes:     64 * 1024,
 			Banks:         1,
-			HitPenalty:    oldCfg.MissPenalty,
-			MissPenalty:   oldCfg.L2MissPenalty,
+			HitPenalty:    l1cfg().MissPenalty,
+			MissPenalty:   100,
 			BankBusCycles: 0,
-		}, oldCfg.LineBytes)
+		}, l1cfg().LineBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,19 +83,27 @@ func TestL1MatchesCacheFiniteL2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareStreams(t, seed, c, l1)
-		if c.L2Hits != l2.Hits || c.L2Misses != l2.Misses {
-			t.Fatalf("seed %d: L2 counters diverge: cache %d/%d vs banked %d/%d",
-				seed, c.L2Hits, c.L2Misses, l2.Hits, l2.Misses)
+		if got := outcomeDigest(seed, l1.Access); got != pin.digest {
+			t.Errorf("seed %d: outcome digest %s, want %s", seed, got, pin.digest)
+		}
+		if l2.Hits != pin.hits || l2.Misses != pin.misses {
+			t.Errorf("seed %d: L2 hits/misses %d/%d, want %d/%d", seed, l2.Hits, l2.Misses, pin.hits, pin.misses)
 		}
 	}
 }
 
-// compareStreams drives both hierarchies with an identical randomized
-// access stream — hot and cold lines, reads and writes, idle gaps — and
-// fails on the first divergent outcome.
-func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
-	t.Helper()
+// TestLineLayout: a line packs its three one-byte fields ahead of the
+// tag, so the paper's 512-line L1 takes 8 KiB, as cache.Cache's does.
+func TestLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Fatalf("line is %d bytes, want 16", got)
+	}
+}
+
+// accessStream presents one seed's randomized access stream — hot and
+// cold lines, reads and writes, idle gaps — to access, one call per
+// access.
+func accessStream(seed int64, access func(now int64, addr uint64, write bool)) {
 	rng := rand.New(rand.NewSource(seed))
 	now := int64(0)
 	for i := 0; i < 20_000; i++ {
@@ -97,14 +117,106 @@ func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
 		default: // cold streaming
 			addr = uint64(1<<24) + uint64(i)*32
 		}
-		write := rng.Intn(4) == 0
+		access(now, addr, rng.Intn(4) == 0)
+	}
+}
+
+// compareStreams drives both hierarchies with one seed's access stream
+// and fails on the first divergent outcome.
+func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
+	t.Helper()
+	i := 0
+	accessStream(seed, func(now int64, addr uint64, write bool) {
 		wantOut, wantOK := c.Access(now, addr, write)
 		gotOut, gotOK := l1.Access(now, addr, write)
 		if wantOut != gotOut || wantOK != gotOK {
 			t.Fatalf("seed %d access %d (now %d addr %#x write %v): cache (%+v,%v) vs L1 (%+v,%v)",
 				seed, i, now, addr, write, wantOut, wantOK, gotOut, gotOK)
 		}
+		i++
+	})
+}
+
+// outcomeDigest is the hex SHA-256 of one seed's outcome stream: per
+// access, ReadyAt as 8 little-endian bytes, then a flags byte (1 = hit,
+// 2 = merged, 4 = accepted).
+func outcomeDigest(seed int64, access func(now int64, addr uint64, write bool) (cache.Outcome, bool)) string {
+	h := sha256.New()
+	accessStream(seed, func(now int64, addr uint64, write bool) {
+		out, ok := access(now, addr, write)
+		var b [9]byte
+		binary.LittleEndian.PutUint64(b[:8], uint64(out.ReadyAt))
+		if out.Hit {
+			b[8] |= 1
+		}
+		if out.Merged {
+			b[8] |= 2
+		}
+		if ok {
+			b[8] |= 4
+		}
+		h.Write(b[:])
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPrivateL2Timing: behind one core, a one-bank, bus-free L2 charges
+// HitPenalty for an L1 miss that hits it and MissPenalty for a miss in
+// both levels, and a line the L2 lost to a conflict pays the full miss
+// again.
+func TestPrivateL2Timing(t *testing.T) {
+	cfg := l1cfg() // 2-cycle hit, 16 KB direct-mapped
+	private := func(sizeBytes int) (*L1, *BankedL2) {
+		t.Helper()
+		l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: sizeBytes, Banks: 1,
+			HitPenalty: cfg.MissPenalty, MissPenalty: 150}, cfg.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1, err := NewL1(cfg, l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l1, l2
 	}
+
+	t.Run("latency", func(t *testing.T) {
+		l1, l2 := private(64 * 1024)
+		out, _ := l1.Access(0, 0x10000, false)
+		if out.ReadyAt != 2+150 {
+			t.Errorf("cold miss in both levels ready at %d, want 152", out.ReadyAt)
+		}
+		if l2.Hits != 0 || l2.Misses != 1 {
+			t.Fatalf("L2 hits/misses = %d/%d, want 0/1", l2.Hits, l2.Misses)
+		}
+		// Conflict the line out of the 16 KB L1; it stays in the 64 KB
+		// L2, so the re-touch pays only the L2 hit penalty.
+		o2, _ := l1.Access(200, 0x10000+16*1024, false)
+		o3, _ := l1.Access(o2.ReadyAt, 0x10000, false)
+		if got := o3.ReadyAt - o2.ReadyAt; got != 2+50 {
+			t.Errorf("L2 hit latency = %d, want 52", got)
+		}
+		if l2.Hits != 1 {
+			t.Errorf("L2 hits = %d, want 1", l2.Hits)
+		}
+	})
+
+	t.Run("conflict-remiss", func(t *testing.T) {
+		l1, l2 := private(32 * 1024)
+		// a and b sit 32 KB apart: one set in the L1 and in the L2, so b
+		// displaces a from both and re-touching a misses both again.
+		a, b := uint64(0x10000), uint64(0x10000+32*1024)
+		o, _ := l1.Access(0, a, false)
+		o, _ = l1.Access(o.ReadyAt, b, false)
+		now := o.ReadyAt
+		o, _ = l1.Access(now, a, false)
+		if got := o.ReadyAt - now; got != 2+150 {
+			t.Errorf("post-conflict re-touch = %d cycles, want full 152", got)
+		}
+		if l2.Misses != 3 {
+			t.Errorf("L2 misses = %d, want 3", l2.Misses)
+		}
+	})
 }
 
 // TestDirtyEvictionCost: writing a line and then conflicting it out pays
@@ -336,6 +448,12 @@ func TestBadConfigsRejected(t *testing.T) {
 	}
 	if _, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 1, HitPenalty: 10, MissPenalty: 5}, 32); err == nil {
 		t.Error("miss penalty below hit penalty must be rejected")
+	}
+	if _, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 0, HitPenalty: 2, MissPenalty: 4}, 32); err == nil {
+		t.Error("an L2 without banks must be rejected")
+	}
+	if _, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 1, HitPenalty: 2, MissPenalty: 4, BankBusCycles: -1}, 32); err == nil {
+		t.Error("negative bank bus cycles must be rejected")
 	}
 	if _, err := NewSystem(l1cfg(), L2Config{SizeBytes: 64 * 1024, Banks: 1, HitPenalty: 2, MissPenalty: 4}, 0, false, CoherenceConfig{}); err == nil {
 		t.Error("zero cores must be rejected")

@@ -120,7 +120,7 @@ func (s *System) EnableStrictCoreOrder() { s.l2.strictOrder = true }
 // Cores returns the number of L1 ports.
 func (s *System) Cores() int { return len(s.l1s) }
 
-// Port returns core i's L1 — the Memory a core's pipeline drives.
+// Port returns core i's L1 — the port a core's pipeline drives.
 func (s *System) Port(i int) *L1 { return s.l1s[i] }
 
 // L2 exposes the shared level for statistics collection.

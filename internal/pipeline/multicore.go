@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -13,7 +12,7 @@ import (
 // MulticoreConfig describes a multi-core machine: N identical cores, each
 // a full single-thread pipeline (Core), optionally sharing a banked
 // finite L2 (L2.Enabled). With the shared L2 disabled every core keeps
-// its private Core.Cache hierarchy — with one core that is exactly the
+// a private L1 over an infinite L2 — with one core that is exactly the
 // paper's machine, and Multicore produces byte-identical statistics to
 // Sim.
 //
@@ -69,9 +68,6 @@ type MulticoreConfig struct {
 func (c MulticoreConfig) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("pipeline: need at least one core, have %d", c.Cores)
-	}
-	if c.L2.Enabled && c.Core.Cache.L2Enabled {
-		return fmt.Errorf("pipeline: shared L2 and the private cache.Config L2 approximation are mutually exclusive")
 	}
 	if c.Coherence && !c.L2.Enabled {
 		return fmt.Errorf("pipeline: coherence needs the shared L2 (L2.Enabled)")
@@ -170,11 +166,9 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 		m.sys = sys
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		var port Memory
+		var port *mem.L1 // nil: a private L1 over an infinite L2
 		if m.sys != nil {
 			port = m.sys.Port(i)
-		} else {
-			port = mem.NewSingle(cache.New(cfg.Core.Cache))
 		}
 		core, err := newSMTMem(cfg.Core, []trace.Generator{gens[i]}, false, port)
 		if err != nil {

@@ -56,11 +56,69 @@ func TestMulticoreSingleCoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMulticoreMatchesPrivateL2Mode: the internal/mem single-core path —
-// an L1 over a 1-bank BankedL2 with the bank bus disabled — is
-// cycle-exact with the old cache.Config L2Enabled tag-array mode it
-// subsumes, across randomized synthetic workloads.
+// TestMulticoreMatchesPrivateL2Mode: a one-core Multicore over a
+// one-bank, bus-free BankedL2 — the private L2 vpsim -l2 runs — still
+// produces, on randomized synthetic workloads, the Arch() values that
+// the deleted cache.Config L2Enabled tag-array mode did. Those values
+// were recorded from that mode and are pinned here; a mismatch is a
+// timing change, not a baseline to re-record.
 func TestMulticoreMatchesPrivateL2Mode(t *testing.T) {
+	pins := map[string]Stats{
+		"seed1-miss0.05": {
+			Cycles: 48411, Committed: 30000, Issued: 30292, RenameRegStall: 26858,
+			CondBranches: 4565, Mispredicts: 570, Loads: 7455, Stores: 3007,
+			LoadsForwarded: 97, MemViolations: 35, SquashedByMem: 809, CacheAccesses: 10456,
+			CacheMisses: 691, CacheMergedMiss: 16, PeakMSHRs: 8, L2Fetches: 691, L2Hits: 27,
+			L2Misses: 664, ROBOccupancySum: 1658807, IQOccupancySum: 843689,
+			IntRegsInUseSum: 2796599, FPRegsInUseSum: 1549152, RegLifetimeSum: 2676489,
+			RegsFreed: 23093,
+		},
+		"seed1-miss0.25": {
+			Cycles: 67063, Committed: 30000, Issued: 30108, RenameRegStall: 62857,
+			CondBranches: 1831, Mispredicts: 165, Loads: 8961, Stores: 2387,
+			LoadsForwarded: 215, MemViolations: 11, SquashedByMem: 256, CacheAccesses: 28124,
+			CacheMisses: 3258, CacheMergedMiss: 64, MSHRStallCycles: 16952, PeakMSHRs: 8,
+			L2Fetches: 3258, L2Hits: 256, L2Misses: 3002, ROBOccupancySum: 3314241,
+			IQOccupancySum: 1047845, IntRegsInUseSum: 2885469, FPRegsInUseSum: 4254993,
+			RegLifetimeSum: 6833377, RegsFreed: 26002,
+		},
+		"seed2-miss0.05": {
+			Cycles: 47101, Committed: 30000, Issued: 30170, RenameRegStall: 28067,
+			CondBranches: 4461, Mispredicts: 598, Loads: 7635, Stores: 2994,
+			LoadsForwarded: 81, MemViolations: 28, SquashedByMem: 655, CacheAccesses: 10614,
+			CacheMisses: 644, CacheMergedMiss: 14, PeakMSHRs: 7, L2Fetches: 644, L2Hits: 1,
+			L2Misses: 643, ROBOccupancySum: 1607623, IQOccupancySum: 805183,
+			IntRegsInUseSum: 2728942, FPRegsInUseSum: 1507232, RegLifetimeSum: 2609134,
+			RegsFreed: 23054,
+		},
+		"seed2-miss0.25": {
+			Cycles: 68703, Committed: 30000, Issued: 30060, RenameRegStall: 64381,
+			CondBranches: 1750, Mispredicts: 155, Loads: 9121, Stores: 2435,
+			LoadsForwarded: 264, MemViolations: 10, SquashedByMem: 164, CacheAccesses: 30166,
+			CacheMisses: 3294, CacheMergedMiss: 58, MSHRStallCycles: 18845, PeakMSHRs: 8,
+			L2Fetches: 3294, L2Hits: 256, L2Misses: 3038, ROBOccupancySum: 3384029,
+			IQOccupancySum: 1068139, IntRegsInUseSum: 2945986, FPRegsInUseSum: 4362717,
+			RegLifetimeSum: 6996726, RegsFreed: 25958,
+		},
+		"seed3-miss0.05": {
+			Cycles: 45710, Committed: 30000, Issued: 30180, RenameRegStall: 25465,
+			CondBranches: 4448, Mispredicts: 605, Loads: 7498, Stores: 3023,
+			LoadsForwarded: 94, MemViolations: 32, SquashedByMem: 682, CacheAccesses: 10498,
+			CacheMisses: 688, CacheMergedMiss: 9, PeakMSHRs: 8, L2Fetches: 688, L2Hits: 24,
+			L2Misses: 664, ROBOccupancySum: 1545818, IQOccupancySum: 805113,
+			IntRegsInUseSum: 2630512, FPRegsInUseSum: 1462720, RegLifetimeSum: 2514128,
+			RegsFreed: 23074,
+		},
+		"seed3-miss0.25": {
+			Cycles: 67505, Committed: 30000, Issued: 30058, RenameRegStall: 63907,
+			CondBranches: 1753, Mispredicts: 144, Loads: 8967, Stores: 2457,
+			LoadsForwarded: 263, MemViolations: 8, SquashedByMem: 147, CacheAccesses: 29689,
+			CacheMisses: 3325, CacheMergedMiss: 73, MSHRStallCycles: 18501, PeakMSHRs: 8,
+			L2Fetches: 3325, L2Hits: 257, L2Misses: 3068, ROBOccupancySum: 3333010,
+			IQOccupancySum: 1045309, IntRegsInUseSum: 2892106, FPRegsInUseSum: 4295478,
+			RegLifetimeSum: 6879742, RegsFreed: 25917,
+		},
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, params := range []synth.Params{synth.Defaults(), synth.FPStream()} {
 			params.Seed = seed
@@ -68,20 +126,6 @@ func TestMulticoreMatchesPrivateL2Mode(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.ValueCheck = false // synthetic traces carry no values
-
-				oldCfg := cfg
-				oldCfg.Cache.L2Enabled = true
-				oldCfg.Cache.L2SizeBytes = 64 * 1024
-				oldCfg.Cache.L2MissPenalty = 100
-				oldSim, err := New(oldCfg, trace.Take(synth.New(params), 30_000))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := oldSim.Run(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-
 				mc, err := NewMulticore(MulticoreConfig{
 					Cores: 1,
 					Core:  cfg,
@@ -101,8 +145,8 @@ func TestMulticoreMatchesPrivateL2Mode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Arch() != want.Arch() {
-					t.Errorf("mem path diverges from L2Enabled mode:\n mem %+v\n old %+v", got.Arch(), want.Arch())
+				if want := pins[name]; got.Arch() != want {
+					t.Errorf("private-L2 run diverges from its pin:\n got  %+v\n want %+v", got.Arch(), want)
 				}
 			})
 		}
@@ -228,13 +272,5 @@ func TestMulticoreConfigValidation(t *testing.T) {
 	}
 	if _, err := NewMulticore(MulticoreConfig{Cores: 2, Core: DefaultConfig()}, []trace.Generator{gen()}); err == nil {
 		t.Error("trace/core count mismatch must be rejected")
-	}
-	bad := DefaultConfig()
-	bad.Cache.L2Enabled = true
-	bad.Cache.L2SizeBytes = 64 * 1024
-	bad.Cache.L2MissPenalty = 100
-	if _, err := NewMulticore(MulticoreConfig{Cores: 1, Core: bad, L2: mem.DefaultL2Config()},
-		[]trace.Generator{gen()}); err == nil {
-		t.Error("private L2 approximation + shared L2 must be rejected")
 	}
 }

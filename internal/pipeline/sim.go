@@ -65,17 +65,11 @@ import (
 	"time"
 
 	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
-
-// Memory is the port into the data memory hierarchy a Sim drives: the
-// wrapped single-core cache by default, or one L1 of a shared mem.System
-// under the Multicore runner.
-type Memory = mem.Memory
 
 type state uint8
 
@@ -360,7 +354,7 @@ type Sim struct {
 	threads []*thread
 	pool    *core.SharedPool
 	bht     *bpred.BHT
-	dmem    Memory
+	dmem    *mem.L1 // the core's L1: private, or a port of a mem.System
 
 	cycle int64
 
@@ -427,20 +421,18 @@ func NewSMT(cfg Config, gens []trace.Generator) (*Sim, error) {
 	return newSMT(cfg, gens, false)
 }
 
-// newSMT builds the default memory hierarchy — the paper's single
-// lockup-free cache, wrapped for the Memory interface. (newSMTMem
-// validates the configuration; cache geometry errors panic in cache.New,
-// as they always have.)
+// newSMT builds a simulator over the paper's memory hierarchy: a private
+// lockup-free L1 over an infinite L2.
 func newSMT(cfg Config, gens []trace.Generator, scan bool) (*Sim, error) {
-	return newSMTMem(cfg, gens, scan, mem.NewSingle(cache.New(cfg.Cache)))
+	return newSMTMem(cfg, gens, scan, nil)
 }
 
 // newSMTMem is the shared constructor; scan selects the pre-refactor
 // full-window-scan reference kernel (differential tests only; compiled
-// under the scanoracle build tag) and m is the core's port into the data
-// memory hierarchy (the Multicore runner passes one L1 of a shared
-// mem.System).
-func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, error) {
+// under the scanoracle build tag) and port is the core's L1 (the
+// Multicore runner passes a port of a shared mem.System; nil builds a
+// private L1 over an infinite L2).
+func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -451,6 +443,12 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 		return nil, fmt.Errorf("pipeline: %d physical registers cannot back %d threads × %d logical",
 			cfg.Rename.PhysRegs, len(gens), cfg.Rename.LogicalRegs)
 	}
+	if port == nil {
+		var err error
+		if port, err = mem.NewL1(mem.L1FromCacheConfig(cfg.Cache), nil); err != nil {
+			return nil, err
+		}
+	}
 	s := &Sim{
 		cfg:      cfg,
 		scan:     scan,
@@ -459,7 +457,7 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 		probe:    cfg.Policies.Probe,
 		pool:     core.NewSharedPool(cfg.Rename.PhysRegs),
 		bht:      bpred.New(cfg.BHTEntries),
-		dmem:     m,
+		dmem:     port,
 		sbBuf:    make([]uint64, ringLen(cfg.StoreBufferSize)),
 	}
 	if s.fetchPol != nil {
@@ -529,10 +527,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 // Renamer exposes thread 0's renamer for statistics collection.
 func (s *Sim) Renamer() core.Renamer { return s.threads[0].ren }
 
-// Memory exposes the data memory hierarchy port for statistics
-// collection.
-func (s *Sim) Memory() Memory { return s.dmem }
-
 // BHT exposes the shared branch predictor for statistics collection.
 func (s *Sim) BHT() *bpred.BHT { return s.bht }
 
@@ -564,11 +558,6 @@ func (s *Sim) Stats() Stats {
 	st.MSHRStallCycles = ms.MSHRStalls
 	st.PeakMSHRs = ms.PeakInFlight
 	st.SilentUpgrades = ms.SilentUpgrades
-	st.L2Fetches = ms.L2Fetches
-	st.L2Hits = ms.L2Hits
-	st.L2Misses = ms.L2Misses
-	st.L2Merges = ms.L2Merges
-	st.L2Conflicts = ms.L2Conflicts
 	for _, th := range s.threads {
 		lifetime, freed := th.ren.PressureStats()
 		st.RegLifetimeSum += lifetime

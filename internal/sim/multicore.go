@@ -94,6 +94,9 @@ type MulticoreResult struct {
 	Stats pipeline.Stats
 	// PerCore holds each core's own statistics (local L1 counters only).
 	PerCore []pipeline.Stats
+	// BHTAccuracy holds each core's branch-predictor accuracy, in the
+	// order of PerCore.
+	BHTAccuracy []float64
 }
 
 // RunMulticoreContext executes the specification under ctx: cancellation
@@ -136,6 +139,7 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 	out := MulticoreResult{Stats: agg}
 	for i := 0; i < mc.Cores(); i++ {
 		out.PerCore = append(out.PerCore, mc.CoreStats(i))
+		out.BHTAccuracy = append(out.BHTAccuracy, mc.Core(i).BHT().Accuracy())
 	}
 	return out, nil
 }

@@ -293,10 +293,16 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) (Result, error) {
 // RunBatch fans specs out over the worker pool and returns results in spec
 // order. Results are identical at every parallelism level; the first
 // error (or ctx cancellation — test with errors.Is, since a cancellation
-// landing mid-simulation arrives wrapped) stops the batch.
+// landing mid-simulation arrives wrapped) stops the batch. A spec whose
+// run panics fails with a *PanicError.
 func (e *Engine) RunBatch(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	return e.eng.RunBatch(ctx, specs)
 }
+
+// PanicError is a run that panicked, with the spec's label, the panic
+// value and the stack. The engine recovers the panic, so one bad spec
+// fails its own run and batch instead of the process.
+type PanicError = engine.PanicError
 
 // RunSMT simulates one multithreaded machine under ctx: one workload per
 // hardware thread sharing the pipeline, cache and physical register files.
