@@ -2,7 +2,10 @@ GO ?= go
 
 .PHONY: check vet build test lint diff-oracle race bench profile tables clean
 
-# Tier-1 gate: everything must vet, build and pass.
+# Tier-1 gate: everything must vet, build and pass. vet and test also
+# cover benchmark/, its own module (replace repro => ../), which
+# `go build ./...` never compiles: a renamed or deleted export it still
+# uses fails here, as in CI's check job.
 check: vet build test
 
 # Waiver ratchet: vplint fails when the tree's total waiver count
@@ -24,12 +27,14 @@ lint:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+	$(GO) test -C benchmark ./...
 
 # Differential oracle: the pre-refactor scan kernel lives behind the
 # scanoracle build tag; this runs the event-vs-scan equivalence sweep

@@ -95,7 +95,6 @@ func main() {
 			Workloads: []string{*workload},
 			Config:    cfg,
 			L2: vpr.L2Config{
-				Enabled:     true,
 				SizeBytes:   *l2 * 1024,
 				Banks:       1,
 				HitPenalty:  *penalty,

@@ -86,6 +86,9 @@ func main() {
 			}
 			fmt.Println(line)
 		}
+		if err := vpr.TraceErr(gen); err != nil {
+			fatal(err)
+		}
 		fmt.Println()
 	}
 
@@ -103,6 +106,9 @@ func main() {
 		return r, ok
 	})
 	m := vpr.MeasureTraceMix(counting, *instr)
+	if err := vpr.TraceErr(gen); err != nil {
+		fatal(err)
+	}
 
 	if *load != "" {
 		fmt.Printf("trace     %s\n", *load)

@@ -104,9 +104,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 func (c *Cache) index(lineAddr uint64) int   { return int(lineAddr) & (len(c.lines) - 1) }
 
@@ -135,11 +132,6 @@ func (c *Cache) install(lineAddr uint64, dirty bool) {
 	l.tag = lineAddr
 	l.dirty = dirty
 }
-
-// Drain installs every refill that has completed by cycle now. Accesses
-// drain lazily, so calling this is only needed to settle state for
-// inspection. Like Access, it panics if time goes backwards.
-func (c *Cache) Drain(now int64) { c.drain(now) }
 
 // Access performs a load (write=false) or store (write=true) of the word at
 // addr. ok=false means a primary miss could not start because all MSHRs are

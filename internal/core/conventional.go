@@ -169,13 +169,6 @@ func (c *Conventional) Complete(inum int64) (int, bool) {
 //vpr:hotpath
 func (c *Conventional) ReadPhys(class isa.RegClass, tag int) int { return tag }
 
-// LookupReady implements Renamer.
-//
-//vpr:hotpath
-func (c *Conventional) LookupReady(class isa.RegClass, tag int) bool {
-	return c.ready[classIdx(class)][tag]
-}
-
 // TagSpace implements Renamer: wakeup tags are physical register numbers.
 func (c *Conventional) TagSpace(class isa.RegClass) int { return c.pool.PhysRegs() }
 

@@ -141,10 +141,6 @@ type Renamer interface {
 	// guarantees this.
 	ReadPhys(class isa.RegClass, tag int) int
 
-	// LookupReady re-tests an operand's readiness against current state
-	// (used when re-dispatching after squashes).
-	LookupReady(class isa.RegClass, tag int) bool
-
 	// TagSpace returns the size of the wakeup-tag namespace for the
 	// class: physical registers for the conventional scheme, VP registers
 	// for the virtual-physical schemes. The pipeline's event-indexed

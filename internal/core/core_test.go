@@ -54,7 +54,7 @@ func TestConvRenameBasics(t *testing.T) {
 	if !ok || p != r0.Dst.Tag {
 		t.Fatalf("complete = %d,%v", p, ok)
 	}
-	if !c.LookupReady(isa.RegInt, r1.Src1.Tag) {
+	if !c.ready[classIdx(isa.RegInt)][r1.Src1.Tag] {
 		t.Error("operand should be ready after completion")
 	}
 	if c.ReadPhys(isa.RegInt, r1.Src1.Tag) != p {
@@ -217,7 +217,7 @@ func TestVPRenameAllocatesNoPhysical(t *testing.T) {
 	if v.InUse(isa.RegInt) != inUse+1 {
 		t.Error("completion must allocate exactly one register")
 	}
-	if !v.LookupReady(isa.RegInt, r1.Src1.Tag) || v.ReadPhys(isa.RegInt, r1.Src1.Tag) != p {
+	if !v.vpReady[classIdx(isa.RegInt)][r1.Src1.Tag] || v.ReadPhys(isa.RegInt, r1.Src1.Tag) != p {
 		t.Error("consumer must resolve to the allocated register after completion")
 	}
 	// A decode after completion sees the physical mapping ready.
@@ -428,10 +428,10 @@ func TestNewSelectsScheme(t *testing.T) {
 	if _, ok := New(SchemeConventional, DefaultParams()).(*Conventional); !ok {
 		t.Error("conv")
 	}
-	if v, ok := New(SchemeVPWriteback, DefaultParams()).(*VP); !ok || v.Policy() != AllocAtWriteback {
+	if v, ok := New(SchemeVPWriteback, DefaultParams()).(*VP); !ok || v.policy != AllocAtWriteback {
 		t.Error("vp-wb")
 	}
-	if v, ok := New(SchemeVPIssue, DefaultParams()).(*VP); !ok || v.Policy() != AllocAtIssue {
+	if v, ok := New(SchemeVPIssue, DefaultParams()).(*VP); !ok || v.policy != AllocAtIssue {
 		t.Error("vp-issue")
 	}
 }

@@ -135,9 +135,6 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
 	return v
 }
 
-// Policy returns the allocation policy.
-func (v *VP) Policy() AllocPolicy { return v.policy }
-
 // Rename implements Renamer. The VP scheme never stalls here: the VP pool
 // is sized (logical + window) so a tag is always available.
 //
@@ -298,13 +295,6 @@ func (v *VP) ReadPhys(class isa.RegClass, tag int) int {
 		panic(fmt.Sprintf("core: reading unmapped VP register %s/%d", class, tag))
 	}
 	return p
-}
-
-// LookupReady implements Renamer.
-//
-//vpr:hotpath
-func (v *VP) LookupReady(class isa.RegClass, tag int) bool {
-	return v.vpReady[classIdx(class)][tag]
 }
 
 // TagSpace implements Renamer: wakeup tags are VP register numbers.

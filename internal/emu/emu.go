@@ -41,9 +41,6 @@ func New(prog *isa.Program) (*Machine, error) {
 // Halted reports whether the program has executed HALT or run off the end.
 func (m *Machine) Halted() bool { return m.halted }
 
-// PC returns the next instruction index to execute.
-func (m *Machine) PC() int { return m.pc }
-
 // IntReg returns the architectural value of integer register i.
 func (m *Machine) IntReg(i int) uint64 {
 	if i == isa.ZeroReg {
@@ -403,6 +400,3 @@ func (g *TraceGen) NextBatch(dst []trace.Record) int {
 
 // Err reports the error that ended the trace, if any.
 func (g *TraceGen) Err() error { return g.err }
-
-// Machine exposes the underlying machine (for golden-state comparisons).
-func (g *TraceGen) Machine() *Machine { return g.m }

@@ -106,9 +106,6 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// Parallelism reports the worker-pool width batches run with.
-func (e *Engine) Parallelism() int { return e.parallelism }
-
 // CacheStats reports lifetime cache hits and misses (zeros when caching is
 // disabled).
 func (e *Engine) CacheStats() (hits, misses int64) {
@@ -134,7 +131,7 @@ func (e *Engine) report(outcome string, label func() string) {
 // cache read so the probe always observes a real simulation.
 func (e *Engine) Run(ctx context.Context, spec sim.Spec) (sim.Result, error) {
 	key, cacheable := specKey(spec)
-	return cachedRun(ctx, e, &spec.Config, key, cacheable, func() string { return runLabel(spec) }, nil,
+	return cachedRun(ctx, e, &spec.Config, key, cacheable, spec.Label, nil,
 		func(ctx context.Context) (sim.Result, error) {
 			if e.runHook != nil {
 				e.runHook(spec)
@@ -178,7 +175,10 @@ func copyMulticoreResult(r sim.MulticoreResult) sim.MulticoreResult {
 }
 
 // PanicError is a run that panicked. The engine recovers the panic, so a
-// bad spec fails its own run, and its batch, instead of the process.
+// bad spec fails its own run, and its batch, instead of the process. The
+// parallel stepper re-raises a panic from one of its core goroutines on
+// the run's own goroutine; Value then names the core and carries that
+// goroutine's stack.
 type PanicError struct {
 	Label string // the spec's progress label: workload, "smt [...]" or "multicore [...]"
 	Value any    // the value the run panicked with
@@ -313,14 +313,4 @@ func batch[S, R any](ctx context.Context, workers int, specs []S, run func(conte
 		return nil, err
 	}
 	return results, nil
-}
-
-func runLabel(spec sim.Spec) string {
-	if spec.Workload != "" {
-		return spec.Workload
-	}
-	if spec.GenID != "" {
-		return "gen:" + spec.GenID
-	}
-	return "custom"
 }

@@ -3,11 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -103,6 +107,48 @@ func TestRunBatchPreCancelled(t *testing.T) {
 	}
 	if n := started.Load(); n != 0 {
 		t.Errorf("simulations started under cancelled context: %d", n)
+	}
+}
+
+// TestWithProgress pins the progress callback: one call per completed
+// point, cache hits included, reading "engine: ran <label>" or "engine:
+// cached <label>", and never two calls at once at parallelism 4.
+func TestWithProgress(t *testing.T) {
+	var (
+		inside  atomic.Int32
+		overlap atomic.Bool
+		mu      sync.Mutex
+		lines   = map[string]int{}
+	)
+	eng := New(WithParallelism(4), WithProgress(func(format string, args ...any) {
+		if inside.Add(1) > 1 {
+			overlap.Store(true)
+		}
+		time.Sleep(time.Millisecond) // widen the window an unserialized call would overlap in
+		mu.Lock()
+		lines[fmt.Sprintf(format, args...)]++
+		mu.Unlock()
+		inside.Add(-1)
+	}))
+	ctx := context.Background()
+	for pass := 0; pass < 2; pass++ {
+		if _, err := eng.RunBatch(ctx, batchSpecs()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunMulticoreBatch(ctx, []sim.MulticoreSpec{mcSpec(2, mem.DefaultL2Config())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]int{
+		"engine: ran compress": 3, "engine: ran hydro2d": 3,
+		"engine: cached compress": 3, "engine: cached hydro2d": 3,
+		"engine: ran multicore [compress compress]": 1, "engine: cached multicore [compress compress]": 1,
+	}
+	if !reflect.DeepEqual(lines, want) {
+		t.Errorf("progress lines = %v, want %v", lines, want)
+	}
+	if overlap.Load() {
+		t.Error("two progress calls overlapped")
 	}
 }
 

@@ -15,7 +15,7 @@ func coherentPair(t *testing.T, l2 L2Config) *System {
 }
 
 func smallL2() L2Config {
-	return L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 1,
+	return L2Config{SizeBytes: 64 * 1024, Banks: 1,
 		HitPenalty: 2, MissPenalty: 4, BankBusCycles: 0}
 }
 

@@ -24,7 +24,6 @@ func tinyL1() mem.L1Config {
 
 func tinyL2() mem.L2Config {
 	return mem.L2Config{
-		Enabled:       true,
 		SizeBytes:     2048,
 		Banks:         2,
 		HitPenalty:    3,

@@ -18,8 +18,6 @@ import (
 // order — part of the determinism contract, since invalidation
 // bus reservations happen in visit order.
 type Directory interface {
-	// Kind is the registry name the directory was built from.
-	Kind() string
 	// Clear forgets everything about a set (its line was replaced).
 	Clear(set int)
 	// AddSharer records core as holding the set's line; overflowed
@@ -171,8 +169,6 @@ func newFullMapDir(sets int) *fullMapDir {
 	return d
 }
 
-func (d *fullMapDir) Kind() string { return "fullmap" }
-
 func (d *fullMapDir) Clear(set int) {
 	d.sharers[set] = 0
 	d.owner[set] = -1
@@ -243,8 +239,6 @@ func newLimitedDir(sets, cores, slots int) *limitedDir {
 	}
 	return d
 }
-
-func (d *limitedDir) Kind() string { return "limited" }
 
 func (d *limitedDir) set(set int) []int16 { return d.ptrs[set*d.slots : (set+1)*d.slots] }
 

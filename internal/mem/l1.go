@@ -161,9 +161,6 @@ func NewL1(cfg L1Config, next *BankedL2) (*L1, error) {
 	}, nil
 }
 
-// Config returns the configuration the L1 was built with.
-func (l *L1) Config() L1Config { return l.cfg }
-
 func (l *L1) index(lineAddr uint64) int { return int(lineAddr) & (len(l.lines) - 1) }
 
 // noneDue is nextDue while no MSHR is busy.
@@ -464,17 +461,6 @@ func (l *L1) Probe(addr uint64) bool {
 	la := (addr + l.base) >> l.lineShift
 	ln := l.lines[l.index(la)]
 	return ln.valid && ln.tag == la
-}
-
-// InFlight returns the number of busy MSHRs as of the last drained cycle.
-func (l *L1) InFlight() int {
-	n := 0
-	for i := range l.mshrs {
-		if l.mshrs[i].busy {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats snapshots the L1's counters. An L1 port of a System reports only

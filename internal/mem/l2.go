@@ -4,19 +4,16 @@ import (
 	"fmt"
 )
 
-// L2Config sizes the banked, finite, shared L2. With Banks=1 and
-// BankBusCycles=0 it is a private direct-mapped L2 behind one core,
-// which is what vpsim -l2 runs: HitPenalty is then the L1's MissPenalty
-// and MissPenalty the memory latency (pinned by pipeline's
-// TestMulticoreMatchesPrivateL2Mode).
+// L2Config sizes the banked, finite, shared L2. The zero value means no
+// L2: every core of a multi-core machine keeps a private L1 over an
+// infinite L2 (the paper's machine). Any non-zero L2Config is a shared
+// L2 and must validate. With Banks=1 and BankBusCycles=0 it is a private
+// direct-mapped L2 behind one core, which is what vpsim -l2 runs:
+// HitPenalty is then the L1's MissPenalty and MissPenalty the memory
+// latency (pinned by pipeline's TestMulticoreMatchesPrivateL2Mode).
 //
 //vpr:cachekey
 type L2Config struct {
-	// Enabled gates the shared-L2 path of a multi-core configuration;
-	// disabled, every core keeps a private L1 over an infinite L2 (the
-	// paper's machine).
-	Enabled bool
-
 	SizeBytes int
 	Banks     int // lines are interleaved across banks by line address
 
@@ -38,7 +35,6 @@ type L2Config struct {
 // holds a bank's bus for 4 cycles as on the L1 bus.
 func DefaultL2Config() L2Config {
 	return L2Config{
-		Enabled:       true,
 		SizeBytes:     256 * 1024,
 		Banks:         4,
 		HitPenalty:    20,
@@ -199,12 +195,6 @@ func (c *BankedL2) preallocInflight(maxInflight int) {
 		c.banks[i].inflight = make([]refill, 0, maxInflight)
 	}
 }
-
-// Config returns the configuration the L2 was built with.
-func (c *BankedL2) Config() L2Config { return c.cfg }
-
-// Protocol returns the active coherence protocol (nil when not coherent).
-func (c *BankedL2) Protocol() Protocol { return c.proto }
 
 // attachPorts switches the L2 and its L1s into coherent mode under the
 // given protocol and directory representation, registering the L1s it may
@@ -582,12 +572,4 @@ func (c *BankedL2) Stats() Stats {
 		L2DirOverflows:      c.DirOverflows,
 		L2DirBroadcasts:     c.DirBroadcasts,
 	}
-}
-
-// MissRatio returns L2 misses per fetch.
-func (c *BankedL2) MissRatio() float64 {
-	if c.Fetches == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Fetches)
 }

@@ -69,7 +69,6 @@ func TestL1MatchesCacheFiniteL2(t *testing.T) {
 	for i, pin := range pins {
 		seed := int64(i + 1)
 		l2, err := NewBankedL2(L2Config{
-			Enabled:       true,
 			SizeBytes:     64 * 1024,
 			Banks:         1,
 			HitPenalty:    l1cfg().MissPenalty,
@@ -168,7 +167,7 @@ func TestPrivateL2Timing(t *testing.T) {
 	cfg := l1cfg() // 2-cycle hit, 16 KB direct-mapped
 	private := func(sizeBytes int) (*L1, *BankedL2) {
 		t.Helper()
-		l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: sizeBytes, Banks: 1,
+		l2, err := NewBankedL2(L2Config{SizeBytes: sizeBytes, Banks: 1,
 			HitPenalty: cfg.MissPenalty, MissPenalty: 150}, cfg.LineBytes)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +227,7 @@ func TestDirtyEvictionCost(t *testing.T) {
 	const conflictStride = 16 * 1024 // same L1 set, different tag
 	evict := func(write bool) (refillAt int64, l1 *L1, l2 *BankedL2) {
 		t.Helper()
-		l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 1,
+		l2, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 1,
 			HitPenalty: 2, MissPenalty: 4, BankBusCycles: 0}, cfg.LineBytes)
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +266,7 @@ func TestDirtyEvictionCost(t *testing.T) {
 func TestL2ConflictEviction(t *testing.T) {
 	cfg := l1cfg()
 	const l2Size = 64 * 1024
-	l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: l2Size, Banks: 1,
+	l2, err := NewBankedL2(L2Config{SizeBytes: l2Size, Banks: 1,
 		HitPenalty: 20, MissPenalty: 100, BankBusCycles: 0}, cfg.LineBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestL2ConflictEviction(t *testing.T) {
 // conflicts are counted.
 func TestBankBusConflictsDelayRefills(t *testing.T) {
 	cfg := l1cfg()
-	l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 1,
+	l2, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 1,
 		HitPenalty: 2, MissPenalty: 4, BankBusCycles: 40}, cfg.LineBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +325,7 @@ func TestBankBusConflictsDelayRefills(t *testing.T) {
 // merges into the in-flight refill instead of paying a second full miss.
 func TestCrossCoreRefillMerge(t *testing.T) {
 	cfg := l1cfg()
-	l2, err := NewBankedL2(L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 2,
+	l2, err := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 2,
 		HitPenalty: 20, MissPenalty: 100, BankBusCycles: 4}, cfg.LineBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +349,7 @@ func TestCrossCoreRefillMerge(t *testing.T) {
 // shared-address-space mode the same access pattern shares lines and
 // merges refills.
 func TestSystemNamespacesCores(t *testing.T) {
-	l2geom := L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 4,
+	l2geom := L2Config{SizeBytes: 64 * 1024, Banks: 4,
 		HitPenalty: 20, MissPenalty: 100, BankBusCycles: 0}
 	sys, err := NewSystem(l1cfg(), l2geom, 2, false, CoherenceConfig{})
 	if err != nil {
@@ -383,7 +382,7 @@ func TestSystemNamespacesCores(t *testing.T) {
 // addresses would land in the same direct-mapped set and evict each
 // other on every fetch (zero L2 hits in every lockstep run).
 func TestNamespacedCoresDoNotEvictEachOther(t *testing.T) {
-	sys, err := NewSystem(l1cfg(), L2Config{Enabled: true, SizeBytes: 256 * 1024, Banks: 4,
+	sys, err := NewSystem(l1cfg(), L2Config{SizeBytes: 256 * 1024, Banks: 4,
 		HitPenalty: 20, MissPenalty: 100, BankBusCycles: 0}, 2, false, CoherenceConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +425,7 @@ func TestTimeMustNotGoBackwards(t *testing.T) {
 		l1.Access(50, 0x20000, false)
 	})
 	t.Run("L2", func(t *testing.T) {
-		l2, _ := NewBankedL2(L2Config{Enabled: true, SizeBytes: 64 * 1024, Banks: 1,
+		l2, _ := NewBankedL2(L2Config{SizeBytes: 64 * 1024, Banks: 1,
 			HitPenalty: 20, MissPenalty: 100}, 32)
 		l2.Fetch(100, 1)
 		defer func() {

@@ -66,27 +66,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row built from formatted cells: each argument pair is a
-// format string and its value.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case int64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	if len(t.rows) == 0 {

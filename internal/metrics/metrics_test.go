@@ -71,8 +71,8 @@ func TestQuickHarmonicLeArithmetic(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	var tb Table
 	tb.AddRow("bench", "conv", "vp")
-	tb.AddRowf("swim", 1.12, 2.06)
-	tb.AddRowf("go", 0.73, 0.76)
+	tb.AddRow("swim", "1.12", "2.06")
+	tb.AddRow("go", "0.73", "0.76")
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
@@ -168,18 +167,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: deadlock threshold must be positive")
 	}
 	return mem.L1FromCacheConfig(c.Cache).Validate()
-}
-
-// poolFor maps an opcode's FU kind onto the configured unit pools.
-// Integer multiply and divide share the complex-integer units.
-func (c Config) unitCounts() [isa.NumFUKinds]int {
-	var n [isa.NumFUKinds]int
-	n[isa.FUIntALU] = c.SimpleIntUnits
-	n[isa.FUIntMul] = c.ComplexIntUnits
-	n[isa.FUIntDiv] = c.ComplexIntUnits // same physical units as FUIntMul
-	n[isa.FUEffAddr] = c.EffAddrUnits
-	n[isa.FUFPALU] = c.SimpleFPUnits
-	n[isa.FUFPMul] = c.FPMulUnits
-	n[isa.FUFPDiv] = c.FPDivUnits
-	return n
 }

@@ -119,17 +119,6 @@ func (w *wheel) schedule(now int64, ev wevent) int64 {
 	return ev.due
 }
 
-// emptyAt reports whether due(now) would return nothing. The slot for
-// now holds only events due exactly at now — every slot is drained at its
-// cycle, and schedule files an event into a slot only when its deadline
-// is within the horizon — so an empty slot is exact; a non-empty overflow
-// list is answered conservatively (its events may migrate anywhere).
-//
-//vpr:hotpath
-func (w *wheel) emptyAt(now int64) bool {
-	return len(w.overflow) == 0 && len(w.slots[now&w.mask]) == 0
-}
-
 // due returns every event due at now and empties its slot. Called once
 // per cycle. The returned slice aliases the slot's storage; it stays
 // intact while the caller walks it, because schedule never files into the

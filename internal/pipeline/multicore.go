@@ -10,11 +10,10 @@ import (
 )
 
 // MulticoreConfig describes a multi-core machine: N identical cores, each
-// a full single-thread pipeline (Core), optionally sharing a banked
-// finite L2 (L2.Enabled). With the shared L2 disabled every core keeps
-// a private L1 over an infinite L2 — with one core that is exactly the
-// paper's machine, and Multicore produces byte-identical statistics to
-// Sim.
+// a full single-thread pipeline (Core), sharing the banked finite L2 that
+// any non-zero L2 describes. With the zero L2 every core keeps a private
+// L1 over an infinite L2 — with one core that is exactly the paper's
+// machine, and Multicore produces byte-identical statistics to Sim.
 //
 //vpr:cachekey
 type MulticoreConfig struct {
@@ -43,7 +42,7 @@ type MulticoreConfig struct {
 	// evictions back-invalidate their sharers (inclusive hierarchy). Off
 	// (the default), runs are byte-identical to the coherence-free
 	// hierarchy — no directory state exists and no invalidation traffic
-	// is modelled, exactly the PR-4 behaviour. Requires L2.Enabled. The
+	// is modelled, exactly the PR-4 behaviour. Requires a non-zero L2. The
 	// traffic appears in Stats as L2Invalidations /
 	// L2BackInvalidations / L2Upgrades / L2WritebackForwards; the
 	// sharing-driven L2Invalidations are only nonzero when cores actually
@@ -69,8 +68,8 @@ func (c MulticoreConfig) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("pipeline: need at least one core, have %d", c.Cores)
 	}
-	if c.Coherence && !c.L2.Enabled {
-		return fmt.Errorf("pipeline: coherence needs the shared L2 (L2.Enabled)")
+	if c.Coherence && c.L2 == (mem.L2Config{}) {
+		return fmt.Errorf("pipeline: coherence needs the shared L2 (a non-zero L2)")
 	}
 	if !c.Coherence && (c.Protocol != "" || c.Directory != "") {
 		return fmt.Errorf("pipeline: Protocol/Directory selections need Coherence enabled")
@@ -100,7 +99,7 @@ func (c MulticoreConfig) Validate() error {
 type Multicore struct {
 	cfg   MulticoreConfig
 	cores []*Sim
-	sys   *mem.System // nil when the shared L2 is disabled
+	sys   *mem.System // nil with the zero L2: no shared L2
 	step  stepPlan    // cfg.Step parsed once (Validate already accepted it)
 
 	// gate is the memory gate installed on sys's L1 ports when the cores
@@ -147,7 +146,7 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 	m.drained = make([]bool, cfg.Cores)
 	m.liveCount = cfg.Cores
 	m.liveBuf = make([]int, 0, cfg.Cores)
-	if cfg.L2.Enabled {
+	if cfg.L2 != (mem.L2Config{}) {
 		coh := mem.CoherenceConfig{
 			Enabled:   cfg.Coherence,
 			Protocol:  cfg.Protocol,
@@ -184,10 +183,6 @@ func (m *Multicore) Cores() int { return len(m.cores) }
 
 // Core exposes one core's simulator (probes, renamer statistics).
 func (m *Multicore) Core(i int) *Sim { return m.cores[i] }
-
-// System exposes the shared memory hierarchy (nil when the shared L2 is
-// disabled).
-func (m *Multicore) System() *mem.System { return m.sys }
 
 // noteDrained marks core i as drained exactly once, maintaining the
 // live-core count.

@@ -130,7 +130,6 @@ func TestMulticoreMatchesPrivateL2Mode(t *testing.T) {
 					Cores: 1,
 					Core:  cfg,
 					L2: mem.L2Config{
-						Enabled:       true,
 						SizeBytes:     64 * 1024,
 						Banks:         1,
 						HitPenalty:    cfg.Cache.MissPenalty,

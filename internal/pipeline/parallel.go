@@ -87,6 +87,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -356,7 +357,7 @@ func (g *memGate) Enter(core int, now int64) bool {
 }
 
 // parRun is one parallel stepping session: the per-core goroutines, their
-// published progress, and the first error.
+// published progress, the first error and the first core panic.
 type parRun struct {
 	m      *Multicore
 	ctx    context.Context
@@ -377,10 +378,24 @@ type parRun struct {
 	cores   []coreSlot // per-core; written by the owning goroutine, read after wg.Wait
 
 	//vpr:shared
-	stopped atomic.Bool
-	errMu   sync.Mutex
-	err     error
-	wg      sync.WaitGroup
+	stopped  atomic.Bool
+	errMu    sync.Mutex
+	err      error
+	panicked *corePanic // guarded by errMu
+	wg       sync.WaitGroup
+}
+
+// corePanic is a panic recovered on a core's stepper goroutine, where no
+// caller's recover can reach it. runParallel re-panics with it on its own
+// goroutine once every core has joined.
+type corePanic struct {
+	core  int
+	value any
+	stack []byte // the core goroutine's stack at the panic
+}
+
+func (p *corePanic) Error() string {
+	return fmt.Sprintf("pipeline: core %d panicked: %v\n\ncore goroutine stack:\n%s", p.core, p.value, p.stack)
 }
 
 // runParallel steps every core on its own goroutine under the memory
@@ -425,11 +440,14 @@ func (m *Multicore) runParallel(ctx context.Context, maxCommitsPerCore int64) er
 	}
 	r.wg.Add(len(m.cores))
 	for i := range m.cores {
-		go r.coreLoop(i)
+		go r.runCore(i)
 	}
 	r.wg.Wait()
 	if r.gated {
 		m.gate.run = nil
+	}
+	if r.panicked != nil {
+		panic(r.panicked)
 	}
 	for i, c := range m.cores {
 		if c.Done() {
@@ -438,6 +456,29 @@ func (m *Multicore) runParallel(ctx context.Context, maxCommitsPerCore int64) er
 		m.parSync.add(r.cores[i].f)
 	}
 	return r.err
+}
+
+// runCore is core i's goroutine: coreLoop, with a panic recovered so it
+// cannot kill the process (the panic stops the run instead). Either way
+// the core then publishes terminal progress and wakes any parker, so no
+// gate or pacing wait ever blocks on a finished core.
+func (r *parRun) runCore(i int) {
+	defer r.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			p := &corePanic{core: i, value: v, stack: debug.Stack()}
+			r.errMu.Lock()
+			if r.panicked == nil {
+				r.panicked = p
+			}
+			r.errMu.Unlock()
+			r.fail(p)
+		}
+		r.slots[i].memCycle.Store(parDone)
+		r.slots[i].completed.Store(parDone)
+		r.wakeParked(i)
+	}()
+	r.coreLoop(i)
 }
 
 // fail records the first error and stops every core, waking any parked
@@ -463,7 +504,6 @@ func (r *parRun) fail(err error) {
 //
 //vpr:hotpath
 func (r *parRun) coreLoop(i int) {
-	defer r.wg.Done()
 	c := r.m.cores[i]
 	cs := &r.cores[i].coreState
 	sinceCheck := 0
@@ -517,11 +557,6 @@ func (r *parRun) coreLoop(i int) {
 			r.publishDone(i, now, cs)
 		}
 	}
-	// Publish terminal progress and wake any parker, so no gate or
-	// pacing wait ever blocks on a finished core.
-	r.slots[i].memCycle.Store(parDone)
-	r.slots[i].completed.Store(parDone)
-	r.wakeParked(i)
 }
 
 // publishMem advertises core i's memory-phase progress and wakes its

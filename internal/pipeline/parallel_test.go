@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -450,6 +451,46 @@ func TestParallelRejectsProbe(t *testing.T) {
 	cfg.Core.Policies.Probe = nil
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown step mode must be rejected")
+	}
+}
+
+// TestParallelCorePanicReachesCaller: a panic on a stepper goroutine
+// stops the run and re-panics on the caller of Run, where a recover (the
+// engine's) can contain it, naming the core and carrying its stack. No
+// stepper goroutine outlives the run.
+func TestParallelCorePanicReachesCaller(t *testing.T) {
+	cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config(), Step: StepSkew(64)}
+	mc, err := NewMulticore(cfg, kernelGens(t, []string{"compress", "swim"}, 5000)())
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := 0
+	mc.Core(1).onCommit = func(int, int64) {
+		if commits++; commits == 500 {
+			panic("tripwire")
+		}
+	}
+	var p *corePanic
+	func() {
+		defer func() { p, _ = recover().(*corePanic) }()
+		_, err = mc.Run(0)
+	}()
+	if p == nil {
+		t.Fatalf("Run returned (err %v) instead of re-panicking with the core's panic", err)
+	}
+	if p.core != 1 || p.value != "tripwire" || !strings.Contains(string(p.stack), "TestParallelCorePanicReachesCaller") {
+		t.Errorf("corePanic{core: %d, value: %v} with stack:\n%s", p.core, p.value, p.stack)
+	}
+	buf := make([]byte, 1<<20)
+	for tries := 0; ; tries++ {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*parRun)") {
+			break
+		}
+		if tries == 1000 {
+			t.Fatalf("stepper goroutines outlived the run:\n%s", stacks)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -237,8 +237,7 @@ func (t *thread) entryByInum(inum int64) *robEntry {
 
 // --- fetch-buffer ring -------------------------------------------------------
 
-func (t *thread) fbFull() bool  { return t.fbN == fetchBufSize }
-func (t *thread) fbEmpty() bool { return t.fbN == 0 }
+func (t *thread) fbFull() bool { return t.fbN == fetchBufSize }
 
 func (t *thread) fbPush(it fetchItem) {
 	t.fbuf[(t.fbHead+t.fbN)&(len(t.fbuf)-1)] = it
@@ -523,9 +522,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 	}
 	return s, nil
 }
-
-// Renamer exposes thread 0's renamer for statistics collection.
-func (s *Sim) Renamer() core.Renamer { return s.threads[0].ren }
 
 // BHT exposes the shared branch predictor for statistics collection.
 func (s *Sim) BHT() *bpred.BHT { return s.bht }

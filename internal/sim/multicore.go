@@ -21,8 +21,9 @@ const SynthWorkloadPrefix = "synth:"
 
 // MulticoreSpec describes a multi-core run: one workload per core, each
 // core a full single-thread pipeline with a private L1, all cores behind
-// a banked finite shared L2 (or private infinite-L2 hierarchies when
-// L2.Enabled is false — with one core, exactly the paper's machine).
+// the banked finite shared L2 that any non-zero L2 describes (or private
+// infinite-L2 hierarchies with the zero L2 — with one core, exactly the
+// paper's machine).
 //
 //vpr:cachekey
 type MulticoreSpec struct {
@@ -133,6 +134,9 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 		return MulticoreResult{}, err
 	}
 	agg, err := mc.RunContext(ctx, 0)
+	if err == nil {
+		err = traceErr(gens)
+	}
 	if err != nil {
 		return MulticoreResult{}, fmt.Errorf("sim: multicore %v: %w", spec.Workloads, err)
 	}

@@ -74,8 +74,36 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	stats, err := s.RunContext(ctx, 0)
+	if err == nil {
+		err = trace.Err(gen)
+	}
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", name, err)
+		return Result{}, fmt.Errorf("sim: %s: %w", spec.Label(), err)
 	}
 	return Result{Workload: name, Stats: stats, BHTAccuracy: s.BHT().Accuracy()}, nil
+}
+
+// Label names the spec in errors and progress lines: its workload, else
+// "gen:" and its GenID, else "custom".
+func (s Spec) Label() string {
+	switch {
+	case s.Workload != "":
+		return s.Workload
+	case s.GenID != "":
+		return "gen:" + s.GenID
+	}
+	return "custom"
+}
+
+// traceErr returns the error that ended one of a run's traces early,
+// naming the trace by its core or thread index. A run whose trace failed
+// stopped short; it is an error, not a result, so the engine never
+// caches it.
+func traceErr(gens []trace.Generator) error {
+	for i, gen := range gens {
+		if err := trace.Err(gen); err != nil {
+			return fmt.Errorf("trace %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -56,6 +56,9 @@ func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {
 		return SMTResult{}, err
 	}
 	stats, err := s.RunContext(ctx, 0)
+	if err == nil {
+		err = traceErr(gens)
+	}
 	if err != nil {
 		return SMTResult{}, fmt.Errorf("sim: smt %v: %w", spec.Workloads, err)
 	}

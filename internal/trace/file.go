@@ -155,7 +155,7 @@ func (tw *Writer) Count() int64 { return tw.n }
 func (tw *Writer) Flush() error { return tw.w.Flush() }
 
 // Dump drains up to max records from gen into w. It returns the number of
-// records written.
+// records written, and gen's Err when gen's trace failed.
 func Dump(w io.Writer, gen Generator, max int64) (int64, error) {
 	tw, err := NewWriter(w)
 	if err != nil {
@@ -169,6 +169,9 @@ func Dump(w io.Writer, gen Generator, max int64) (int64, error) {
 		if err := tw.Write(r); err != nil {
 			return tw.Count(), err
 		}
+	}
+	if err := Err(gen); err != nil {
+		return tw.Count(), err
 	}
 	return tw.Count(), tw.Flush()
 }

@@ -82,6 +82,34 @@ func TestFileTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestTakeAndDumpForwardErr: a capped or re-dumped trace whose source
+// failed reports the source's error, not a clean end.
+func TestTakeAndDumpForwardErr(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Dump(&buf, FromSlice(sampleRecords()), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:buf.Len()-3]
+	open := func() *Reader {
+		r, err := NewReader(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	capped := Take(open(), 100)
+	Collect(capped, 100)
+	if Err(capped) == nil {
+		t.Error("Take must forward its source's error")
+	}
+	if _, err := Dump(io.Discard, open(), 100); err == nil {
+		t.Error("Dump must return its source's error")
+	}
+	if clean := Take(FromSlice(sampleRecords()), 100); Collect(clean, 100) == nil || Err(clean) != nil {
+		t.Error("a clean trace reports no error")
+	}
+}
+
 func TestFileUnknownOpcode(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewWriter(&buf)

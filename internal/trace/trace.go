@@ -86,8 +86,21 @@ func FromSlice(recs []Record) Generator {
 	})
 }
 
+// Err reports the error that ended gen's trace early, or nil when gen ran
+// to its end or cannot fail. Generators that can fail (the emulator, a
+// file Reader, Take over either) report it through an Err method; a
+// consumer checks it once the trace runs out, since a failed trace is
+// short, not finished.
+func Err(gen Generator) error {
+	if f, ok := gen.(interface{ Err() error }); ok {
+		return f.Err()
+	}
+	return nil
+}
+
 // Take caps gen at n records. The returned generator preserves gen's
-// batch fast path, so a Take-bounded emulator still refills in batches.
+// batch fast path, so a Take-bounded emulator still refills in batches,
+// and forwards gen's Err.
 func Take(gen Generator, n int64) Generator {
 	t := &takeGen{gen: gen, left: n}
 	t.batch, _ = gen.(BatchGenerator)
@@ -110,6 +123,8 @@ func (t *takeGen) Next() (Record, bool) {
 	}
 	return r, ok
 }
+
+func (t *takeGen) Err() error { return Err(t.gen) }
 
 func (t *takeGen) NextBatch(dst []Record) int {
 	if t.left <= 0 {

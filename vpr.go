@@ -152,9 +152,10 @@ func StepSkew(w int64) StepMode { return pipeline.StepSkew(w) }
 // "skew:W" or "skew:inf" — and returns its plan's canonical spelling.
 func ParseStepMode(s string) (StepMode, error) { return pipeline.ParseStepMode(s) }
 
-// L2Config sizes the banked shared L2 of a multi-core run; the zero
-// value (Enabled=false) gives every core a private infinite-L2 hierarchy
-// — the paper's machine per core.
+// L2Config sizes the banked shared L2 of a multi-core run. The zero value
+// gives every core a private infinite-L2 hierarchy — the paper's machine
+// per core; any non-zero L2Config is a shared L2, and a run rejects one
+// that does not validate.
 type L2Config = mem.L2Config
 
 // DefaultL2Config is a 256 KB, 4-bank shared L2 (L2 hits 20 cycles,
@@ -216,11 +217,6 @@ func DirectoryKinds() []DirectoryKindInfo { return mem.DirectoryKinds() }
 // canonical spelling ("fullmap" or "limited:N").
 func ParseDirectoryKind(kind string) (string, error) { return mem.ParseDirectoryKind(kind) }
 
-// MemStats are the memory-hierarchy counters a Memory port accumulates
-// (pipeline.Stats carries the per-run view; this is the raw form the
-// internal hierarchy reports).
-type MemStats = mem.Stats
-
 // DefaultConfig returns the paper's machine: 8-way out-of-order, 128-entry
 // ROB, Table 1 functional units, 64 physical registers per file, 16 KB
 // lockup-free L1 with 8 MSHRs, 2048-entry BHT, PA-8000-style speculative
@@ -277,9 +273,6 @@ type Engine struct {
 func New(opts ...EngineOption) *Engine {
 	return &Engine{eng: engine.New(opts...)}
 }
-
-// Parallelism reports the worker-pool width batches run with.
-func (e *Engine) Parallelism() int { return e.eng.Parallelism() }
 
 // CacheStats reports lifetime result-cache hits and misses.
 func (e *Engine) CacheStats() (hits, misses int64) { return e.eng.CacheStats() }
@@ -545,6 +538,11 @@ type TraceMix = trace.Mix
 
 // TakeTrace bounds a generator to n instructions.
 func TakeTrace(gen trace.Generator, n int64) trace.Generator { return trace.Take(gen, n) }
+
+// TraceErr reports the error that ended gen's trace early (an emulator
+// fault, a corrupt trace file), or nil when the trace ran to its end. A
+// run whose trace failed returns that error instead of a result.
+func TraceErr(gen trace.Generator) error { return trace.Err(gen) }
 
 // CollectTrace drains up to n records into a slice.
 func CollectTrace(gen trace.Generator, n int64) []TraceRecord { return trace.Collect(gen, n) }

@@ -78,6 +78,42 @@ loop:   addi r2, r2, 3
 	}
 }
 
+// TestTraceErrorFailsRun: a program that faults after its loop ends its
+// trace early. The run must return the fault, labelled with the spec, and
+// must not cache a short result for the next Run to serve.
+func TestTraceErrorFailsRun(t *testing.T) {
+	prog, err := vpr.Assemble("unaligned", `
+        ldi  r1, 100
+loop:   addi r2, r2, 3
+        addi r3, r3, 1
+        subi r1, r1, 1
+        bne  r1, loop
+        ldi  r4, 4
+        ldq  r5, 0(r4)
+        halt`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := vpr.New()
+	for run := 1; run <= 2; run++ {
+		gen, err := vpr.NewTrace(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), vpr.RunSpec{
+			Gen: vpr.TakeTrace(gen, 10_000), GenID: "unaligned", Config: vpr.DefaultConfig()})
+		if err == nil || !strings.Contains(err.Error(), "unaligned load") || !strings.Contains(err.Error(), "gen:unaligned") {
+			t.Fatalf("run %d: err = %v after %d committed, want the unaligned-load fault", run, err, res.Stats.Committed)
+		}
+		if !errors.Is(err, vpr.TraceErr(gen)) {
+			t.Errorf("run %d: err = %v does not wrap the trace's own error %v", run, err, vpr.TraceErr(gen))
+		}
+	}
+	if hits, _ := eng.CacheStats(); hits != 0 {
+		t.Errorf("%d cache hits: a failed run was cached", hits)
+	}
+}
+
 func TestAssembleErrorSurface(t *testing.T) {
 	if _, err := vpr.Assemble("bad", "frobnicate r1"); err == nil {
 		t.Error("assembler errors must surface through the facade")
