@@ -171,7 +171,6 @@ func main() {
 		gridInstr  = flag.Int64("grid-instr", 20_000, "instructions per harness grid point")
 		wls        = flag.String("workloads", "compress,swim,hydro2d", "workloads for the scheme points")
 		fetchPol   = flag.String("fetch", "", "fetch policy for every run (default round-robin)")
-		issueSel   = flag.String("issue", "", "issue-select heuristic for every run (default oldest-first)")
 		cores      = flag.Int("cores", 2, "core count for the recorded multicore and coherence points")
 		l2Geom     = flag.String("l2", "", "shared L2 geometry for the multicore/coherence points: SIZE[:BANKS], e.g. 256K:4 (default DefaultL2Config)")
 		coh        = flag.Bool("coherence", false, "run the generic multicore point with one shared address space and the coherence directory on (the dedicated coherence points always do)")
@@ -224,14 +223,6 @@ func main() {
 			os.Exit(1)
 		}
 		policies.Fetch = p
-	}
-	if *issueSel != "" {
-		sel, ok := vpr.IssueSelectByName(*issueSel)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "vpbench: unknown issue-select heuristic %q\n", *issueSel)
-			os.Exit(1)
-		}
-		policies.Issue = sel
 	}
 	var cpuFile *os.File
 	if *cpuprofile != "" {

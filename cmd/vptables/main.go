@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	vpr "repro"
+	"repro/internal/isa"
 )
 
 // entry is one runnable unit of the CLI: either a registry experiment
@@ -59,7 +60,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print per-run progress to stderr")
 		par      = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS); results are identical at any level")
 		fetchPol = flag.String("fetch", "", "fetch policy for every run (see the policy list; default round-robin)")
-		issueSel = flag.String("issue", "", "issue-select heuristic for every run (see the policy list; default oldest-first)")
 		cores    = flag.String("cores", "", "core counts for the multicore/coherence experiments (comma-separated; defaults 1,2,4 and 2,4)")
 		l2       = flag.String("l2", "", "shared L2 geometry for the multicore/coherence experiments: SIZE[:BANKS], e.g. 256K:4 or 1M:8")
 		coh      = flag.Bool("coherence", false, "run the multicore experiment with one shared address space and the coherence directory on")
@@ -73,7 +73,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := vpr.ExperimentOptions{Instr: *instr, FetchPolicy: *fetchPol, IssueSelect: *issueSel, Coherence: *coh}
+	opts := vpr.ExperimentOptions{Instr: *instr, FetchPolicy: *fetchPol, Coherence: *coh}
 	if _, err := vpr.ParseStepMode(*step); err != nil {
 		fmt.Fprintf(os.Stderr, "vptables: -step: %v\n", err)
 		os.Exit(1)
@@ -110,12 +110,6 @@ func main() {
 	if *fetchPol != "" {
 		if _, ok := vpr.FetchPolicyByName(*fetchPol); !ok {
 			fmt.Fprintf(os.Stderr, "vptables: unknown fetch policy %q (want %s)\n", *fetchPol, policyNames(vpr.FetchPolicies()))
-			os.Exit(1)
-		}
-	}
-	if *issueSel != "" {
-		if _, ok := vpr.IssueSelectByName(*issueSel); !ok {
-			fmt.Fprintf(os.Stderr, "vptables: unknown issue-select heuristic %q (want %s)\n", *issueSel, policyNames(vpr.IssueSelects()))
 			os.Exit(1)
 		}
 	}
@@ -211,10 +205,6 @@ func usage() {
 	for _, p := range vpr.FetchPolicies() {
 		fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", p.Name, p.Description)
 	}
-	fmt.Fprintf(flag.CommandLine.Output(), "\nissue-select heuristics (-issue, from the policy registry):\n")
-	for _, p := range vpr.IssueSelects() {
-		fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", p.Name, p.Description)
-	}
 	fmt.Fprintf(flag.CommandLine.Output(), "\ncoherence protocols (-protocol, from the protocol registry):\n")
 	for _, p := range vpr.CoherenceProtocols() {
 		fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", p.Name(), p.Description())
@@ -241,7 +231,7 @@ func runConfig(bool) error {
 	fmt.Printf("FUs: %d simple int (1), %d complex int (mul 9, div 67), %d eff-addr (1), %d simple FP (4), %d FP mul (4), %d FP div/sqrt (16)\n",
 		cfg.SimpleIntUnits, cfg.ComplexIntUnits, cfg.EffAddrUnits, cfg.SimpleFPUnits, cfg.FPMulUnits, cfg.FPDivUnits)
 	fmt.Printf("register files: %d logical + %d physical per file, %dR/%dW ports\n",
-		cfg.Rename.LogicalRegs, cfg.Rename.PhysRegs, cfg.RFReadPorts, cfg.RFWritePorts)
+		isa.NumLogical, cfg.Rename.PhysRegs, cfg.RFReadPorts, cfg.RFWritePorts)
 	fmt.Printf("cache: %d KB direct-mapped, %dB lines, hit %d, miss +%d, %d MSHRs, %d ports, bus %d cycles/line\n",
 		cfg.Cache.SizeBytes/1024, cfg.Cache.LineBytes, cfg.Cache.HitLatency,
 		cfg.Cache.MissPenalty, cfg.Cache.MSHRs, cfg.CachePorts, cfg.Cache.BusCyclesPerLine)

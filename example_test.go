@@ -24,25 +24,27 @@ func (p *commitCounter) Squashed(cycle int64, tid int, from int64, flushed int) 
 	p.squashes.Add(1)
 }
 
-// Example_policiesAndProbes selects a non-default issue heuristic from the
-// policy registry and attaches a cycle-level probe to the engine: the
-// probe observes every commit of a real simulation (probed runs bypass
-// cache reads), and the policy participates in the result-cache key by
-// name.
+// Example_policiesAndProbes selects the ICOUNT fetch policy from the
+// policy registry for a two-thread SMT machine and attaches a cycle-level
+// probe to the engine: the probe observes every commit of a real
+// simulation (probed runs bypass cache reads), and the policy
+// participates in the result-cache key by name.
 func Example_policiesAndProbes() {
 	probe := &commitCounter{}
 	eng := vpr.New(vpr.WithProbe(probe))
 
 	cfg := vpr.DefaultConfig()
 	cfg.Scheme = vpr.SchemeVPWriteback
-	if sel, ok := vpr.IssueSelectByName(vpr.IssueLoadFirst); ok {
-		cfg.Policies.Issue = sel // ready loads issue ahead of ALU work
+	cfg.Rename.PhysRegs = 96 // two threads' logical registers plus 32 to rename into
+	cfg.Rename.NRRInt, cfg.Rename.NRRFP = 16, 16
+	if pol, ok := vpr.FetchPolicyByName(vpr.FetchICount); ok {
+		cfg.Policies.Fetch = pol // the thread with fewer instructions in flight fetches
 	}
 
-	res, err := eng.Run(context.Background(), vpr.RunSpec{
-		Workload: "compress",
-		Config:   cfg,
-		MaxInstr: 2000,
+	res, err := eng.RunSMT(context.Background(), vpr.SMTSpec{
+		Workloads:         []string{"compress", "swim"},
+		Config:            cfg,
+		MaxInstrPerThread: 1000,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,8 @@
 // Policies demonstrates the pluggable stage-policy and probe surface: it
-// sweeps every registered issue-select heuristic over a miss-heavy
-// workload with a cycle-level probe attached, then compares the two SMT
-// fetch policies on an asymmetric two-thread machine. Policies come out of
-// the registry by name — the same names the -fetch/-issue flags of
+// attaches a cycle-level probe to a miss-heavy VP-issue run to measure
+// how long issued instructions stay in flight, then compares the two SMT
+// fetch policies on an asymmetric two-thread machine. Fetch policies come
+// out of the registry by name — the same names the -fetch flags of
 // cmd/vptables and cmd/vpbench accept.
 package main
 
@@ -53,24 +53,19 @@ func main() {
 	ctx := context.Background()
 	const instr = 50_000
 
-	fmt.Println("issue-select heuristics on swim (vp-issue, 48 regs, NRR 8):")
-	for _, info := range vpr.IssueSelects() {
-		sel, _ := vpr.IssueSelectByName(info.Name)
-		probe := &latencyProbe{}
-		cfg := vpr.DefaultConfig()
-		cfg.Scheme = vpr.SchemeVPIssue
-		cfg.Rename.PhysRegs = 48
-		cfg.Rename.NRRInt, cfg.Rename.NRRFP = 8, 8
-		cfg.Policies.Issue = sel
-		cfg.Policies.Probe = probe
-
-		res, err := vpr.New().Run(ctx, vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: instr})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-20s IPC %.3f  issue blocks %6d  mean issue→complete %.1f cycles\n",
-			info.Name, res.Stats.IPC(), res.Stats.IssueBlocks, probe.mean())
+	fmt.Println("issue latency on swim (vp-issue, 48 regs, NRR 8):")
+	probe := &latencyProbe{}
+	cfg := vpr.DefaultConfig()
+	cfg.Scheme = vpr.SchemeVPIssue
+	cfg.Rename.PhysRegs = 48
+	cfg.Rename.NRRInt, cfg.Rename.NRRFP = 8, 8
+	cfg.Policies.Probe = probe
+	res, err := vpr.New().Run(ctx, vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: instr})
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("  IPC %.3f  issue blocks %6d  mean issue→complete %.1f cycles\n",
+		res.Stats.IPC(), res.Stats.IssueBlocks, probe.mean())
 
 	fmt.Println("\nSMT fetch policies, compress+swim sharing the machine (vp-wb, 2 threads):")
 	for _, info := range vpr.FetchPolicies() {

@@ -60,8 +60,8 @@ var _ Renamer = (*Conventional)(nil)
 // instruction window is empty each logical register is mapped to a physical
 // register".
 func NewConventional(p Params) *Conventional {
-	if p.PhysRegs <= p.LogicalRegs {
-		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, p.LogicalRegs))
+	if p.PhysRegs <= isa.NumLogical {
+		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, isa.NumLogical))
 	}
 	return NewConventionalShared(p, NewSharedPool(p.PhysRegs))
 }
@@ -76,12 +76,12 @@ func NewConventionalShared(p Params, pool *SharedPool) *Conventional {
 		entries:   newRing[convEntry](windowHint),
 		safeBound: -1,
 	}
-	arch := pool.attach(p.LogicalRegs, 0, 0, false)
+	arch := pool.attach(0, 0, false)
 	for f := 0; f < 2; f++ {
-		c.mapTable[f] = make([]int, p.LogicalRegs)
+		c.mapTable[f] = make([]int, isa.NumLogical)
 		c.ready[f] = make([]bool, pool.PhysRegs())
 		c.allocCycle[f] = make([]int64, pool.PhysRegs())
-		for l := 0; l < p.LogicalRegs; l++ {
+		for l := 0; l < isa.NumLogical; l++ {
 			c.mapTable[f][l] = arch[f][l]
 			c.ready[f][arch[f][l]] = true
 		}

@@ -57,15 +57,15 @@ func (s Scheme) String() string {
 	}
 }
 
-// Params sizes a renamer. The zero value is invalid; use DefaultParams.
+// Params sizes a renamer. Each file backs the ISA's isa.NumLogical
+// logical registers. The zero value is invalid; use DefaultParams.
 //
 //vpr:cachekey
 type Params struct {
-	LogicalRegs int // per file; fixed at 32 by the ISA
-	PhysRegs    int // per file; the paper sweeps 48, 64, 96
-	VPRegs      int // per file; paper: logical + window size (VP schemes)
-	NRRInt      int // reserved registers, integer file (VP schemes)
-	NRRFP       int // reserved registers, FP file (VP schemes)
+	PhysRegs int // per file; the paper sweeps 48, 64, 96
+	VPRegs   int // per file; paper: logical + window size (VP schemes)
+	NRRInt   int // reserved registers, integer file (VP schemes)
+	NRRFP    int // reserved registers, FP file (VP schemes)
 
 	// EarlyRelease enables the oracle-flavoured early register release
 	// ablation on the conventional scheme (the paper's "second source of
@@ -80,17 +80,16 @@ type Params struct {
 // maximum (physical minus logical = 32).
 func DefaultParams() Params {
 	return Params{
-		LogicalRegs: isa.NumLogical,
-		PhysRegs:    64,
-		VPRegs:      isa.NumLogical + 128,
-		NRRInt:      32,
-		NRRFP:       32,
+		PhysRegs: 64,
+		VPRegs:   isa.NumLogical + 128,
+		NRRInt:   32,
+		NRRFP:    32,
 	}
 }
 
 // MaxNRR returns the largest legal NRR for the parameter set
 // (physical registers minus logical registers).
-func (p Params) MaxNRR() int { return p.PhysRegs - p.LogicalRegs }
+func (p Params) MaxNRR() int { return p.PhysRegs - isa.NumLogical }
 
 // SrcOp is a renamed source operand.
 type SrcOp struct {

@@ -448,18 +448,18 @@ func TestSchemeAndPolicyStrings(t *testing.T) {
 
 func TestBadParamsPanic(t *testing.T) {
 	cases := []func(){
-		func() { NewConventional(Params{LogicalRegs: 32, PhysRegs: 32}) },
+		func() { NewConventional(Params{PhysRegs: 32}) },
 		func() {
-			NewVP(Params{LogicalRegs: 32, PhysRegs: 31, VPRegs: 100, NRRInt: 1, NRRFP: 1}, AllocAtWriteback)
+			NewVP(Params{PhysRegs: 31, VPRegs: 100, NRRInt: 1, NRRFP: 1}, AllocAtWriteback)
 		},
 		func() {
-			NewVP(Params{LogicalRegs: 32, PhysRegs: 64, VPRegs: 32, NRRInt: 1, NRRFP: 1}, AllocAtWriteback)
+			NewVP(Params{PhysRegs: 64, VPRegs: 32, NRRInt: 1, NRRFP: 1}, AllocAtWriteback)
 		},
 		func() {
-			NewVP(Params{LogicalRegs: 32, PhysRegs: 64, VPRegs: 160, NRRInt: 0, NRRFP: 1}, AllocAtWriteback)
+			NewVP(Params{PhysRegs: 64, VPRegs: 160, NRRInt: 0, NRRFP: 1}, AllocAtWriteback)
 		},
 		func() {
-			NewVP(Params{LogicalRegs: 32, PhysRegs: 64, VPRegs: 160, NRRInt: 33, NRRFP: 1}, AllocAtWriteback)
+			NewVP(Params{PhysRegs: 64, VPRegs: 160, NRRInt: 33, NRRFP: 1}, AllocAtWriteback)
 		},
 	}
 	for i, f := range cases {

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // SharedPool owns the physical register files when several hardware
 // contexts share them — the paper's "future work" scenario: "in the context
@@ -21,7 +25,6 @@ type SharedPool struct {
 	free     [2]*freeList
 	reserve  [2]int // Σ over VP members of (NRR − Used)
 	members  int
-	claimed  int // registers handed out for architectural state at attach
 
 	// onFree, when set, observes every register returned to the pool.
 	// The pipeline's scheduler uses it for shared-file diagnostics: a
@@ -64,8 +67,8 @@ func (p *SharedPool) release(f, reg int) {
 
 // attach claims the architectural registers for one new context and, for
 // VP members, registers its reservation in the aggregate.
-func (p *SharedPool) attach(logical int, nrrInt, nrrFP int, vp bool) [2][]int {
-	need := 2 * logical
+func (p *SharedPool) attach(nrrInt, nrrFP int, vp bool) [2][]int {
+	const logical = isa.NumLogical
 	if p.free[0].len() < logical || p.free[1].len() < logical {
 		panic(fmt.Sprintf("core: pool of %d registers/file cannot back another context of %d logical (%d contexts attached)",
 			p.physRegs, logical, p.members))
@@ -85,7 +88,6 @@ func (p *SharedPool) attach(logical int, nrrInt, nrrFP int, vp bool) [2][]int {
 		}
 	}
 	p.members++
-	p.claimed += need
 	return arch
 }
 

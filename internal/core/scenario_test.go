@@ -14,11 +14,10 @@ import (
 // free registers one by one — "which forces a sequential execution".
 func TestPaperSection33Narrative(t *testing.T) {
 	p := Params{
-		LogicalRegs: 32,
-		PhysRegs:    64,
-		VPRegs:      32 + 64,
-		NRRInt:      1,
-		NRRFP:       1,
+		PhysRegs: 64,
+		VPRegs:   32 + 64,
+		NRRInt:   1,
+		NRRFP:    1,
 	}
 	v := NewVP(p, AllocAtWriteback)
 

@@ -87,8 +87,8 @@ var _ Renamer = (*VP)(nil)
 // is mapped to VP register i, which is mapped to physical register i, so
 // architectural state is readable exactly as in the conventional scheme.
 func NewVP(p Params, policy AllocPolicy) *VP {
-	if p.PhysRegs <= p.LogicalRegs {
-		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, p.LogicalRegs))
+	if p.PhysRegs <= isa.NumLogical {
+		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, isa.NumLogical))
 	}
 	return NewVPShared(p, policy, NewSharedPool(p.PhysRegs))
 }
@@ -99,7 +99,7 @@ func NewVP(p Params, policy AllocPolicy) *VP {
 // architectural registers are claimed from the pool immediately and its
 // NRR reservation joins the pool's aggregate deadlock-avoidance guard.
 func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
-	if p.VPRegs <= p.LogicalRegs {
+	if p.VPRegs <= isa.NumLogical {
 		panic("core: need more VP registers than logical registers")
 	}
 	maxNRR := p.MaxNRR()
@@ -115,22 +115,22 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
 		nrr:     [2]int{p.NRRInt, p.NRRFP},
 		entries: newRing[vpEntry](windowHint),
 	}
-	arch := pool.attach(p.LogicalRegs, p.NRRInt, p.NRRFP, true)
+	arch := pool.attach(p.NRRInt, p.NRRFP, true)
 	for f := 0; f < 2; f++ {
 		v.pending[f] = newRing[int64](windowHint)
 		v.allocCycle[f] = make([]int64, pool.PhysRegs())
-		v.gmt[f] = make([]gmtEntry, p.LogicalRegs)
+		v.gmt[f] = make([]gmtEntry, isa.NumLogical)
 		v.pmt[f] = make([]int, p.VPRegs)
 		v.vpReady[f] = make([]bool, p.VPRegs)
 		for i := range v.pmt[f] {
 			v.pmt[f][i] = -1
 		}
-		for l := 0; l < p.LogicalRegs; l++ {
+		for l := 0; l < isa.NumLogical; l++ {
 			v.gmt[f][l] = gmtEntry{vp: l, p: arch[f][l], valid: true}
 			v.pmt[f][l] = arch[f][l]
 			v.vpReady[f][l] = true
 		}
-		v.vpFree[f] = newFreeList(p.LogicalRegs, p.VPRegs)
+		v.vpFree[f] = newFreeList(isa.NumLogical, p.VPRegs)
 	}
 	return v
 }
@@ -467,7 +467,7 @@ func (v *VP) CheckInvariants() error {
 		for _, r := range v.vpFree[f].regs {
 			seenVP[r]++
 		}
-		for l := 0; l < v.params.LogicalRegs; l++ {
+		for l := 0; l < isa.NumLogical; l++ {
 			seenVP[v.gmt[f][l].vp]++
 		}
 		for i := 0; i < v.entries.len(); i++ {

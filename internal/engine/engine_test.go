@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -375,35 +376,84 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestBadL1GeometryRejected: an L1 the model cannot index fails
-// validation, construction and the engine run alike — none of them may
-// run it silently, panic or wait for the deadlock detector.
-func TestBadL1GeometryRejected(t *testing.T) {
+// TestBadMachineRejected: a machine the simulator cannot run fails
+// validation, construction and the engine run alike, with an error that
+// names the violated bound — none of them may run it silently, panic or
+// wait for the deadlock detector.
+func TestBadMachineRejected(t *testing.T) {
+	vp := func(edit func(*pipeline.Config)) func(*pipeline.Config) {
+		return func(c *pipeline.Config) {
+			c.Scheme = core.SchemeVPWriteback
+			edit(c)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		edit func(*pipeline.Config)
+		want string
 	}{
-		{"24KB has 768 sets", func(c *pipeline.Config) { c.Cache.SizeBytes = 24 * 1024 }},
-		{"48-byte lines", func(c *pipeline.Config) { c.Cache.LineBytes = 48 }},
-		{"no MSHRs", func(c *pipeline.Config) { c.Cache.MSHRs = 0 }},
+		{"24KB has 768 sets", func(c *pipeline.Config) { c.Cache.SizeBytes = 24 * 1024 }, "line count 768"},
+		{"48-byte lines", func(c *pipeline.Config) { c.Cache.LineBytes = 48 }, "line size 48"},
+		{"no MSHRs", func(c *pipeline.Config) { c.Cache.MSHRs = 0 }, "MSHRs"},
+		{"unknown scheme", func(c *pipeline.Config) { c.Scheme = 9 }, "unknown scheme 9"},
+		{"one read port", func(c *pipeline.Config) { c.RFReadPorts = 1 }, "needs at least 2"},
+		{"32 physical registers", func(c *pipeline.Config) { c.Rename.PhysRegs = 32 }, "32 physical registers cannot back"},
+		{"NRR 0", vp(func(c *pipeline.Config) { c.Rename.NRRInt = 0 }), "NRR 0 out of range [1,32]"},
+		{"NRR 40", vp(func(c *pipeline.Config) { c.Rename.NRRFP = 40 }), "NRR 40 out of range [1,32]"},
+		{"NRR 32 of 48 registers", vp(func(c *pipeline.Config) { c.Rename.PhysRegs = 48 }), "NRR 32 out of range [1,16]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := spec("compress", 32)
 			tc.edit(&s.Config)
-			if err := s.Config.Validate(); err == nil {
-				t.Error("Validate accepted the geometry")
+			check := func(stage string, err error) {
+				t.Helper()
+				var pe *PanicError
+				switch {
+				case err == nil:
+					t.Errorf("%s accepted the machine", stage)
+				case errors.As(err, &pe):
+					t.Errorf("%s panicked: %v", stage, err)
+				case !strings.Contains(err.Error(), tc.want):
+					t.Errorf("%s: error %q does not name the bound %q", stage, err, tc.want)
+				}
 			}
+			check("Validate", s.Config.Validate())
 			w, _ := workloads.ByName("compress")
 			gen, err := w.NewGen()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := pipeline.New(s.Config, gen); err == nil {
-				t.Error("pipeline.New accepted the geometry")
-			}
-			if _, err := New().Run(context.Background(), s); err == nil {
-				t.Error("Engine.Run accepted the geometry")
-			}
+			_, err = pipeline.New(s.Config, gen)
+			check("pipeline.New", err)
+			_, err = New().Run(context.Background(), s)
+			check("Engine.Run", err)
 		})
+	}
+}
+
+// TestSMTRegisterBudgetRejected: two VP threads over 96 registers leave
+// 32 per file for the reservations, so NRR 32 per thread does not fit.
+// RunSMT returns that as an error naming the per-thread bound, not as a
+// panic from the renamer's shared pool.
+func TestSMTRegisterBudgetRejected(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	cfg.Scheme = core.SchemeVPWriteback
+	cfg.Rename.PhysRegs = 96
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("one thread over 96 registers with NRR 32 is a valid machine: %v", err)
+	}
+	_, err := New().RunSMT(context.Background(), sim.SMTSpec{
+		Workloads:         []string{"compress", "swim"},
+		Config:            cfg,
+		MaxInstrPerThread: testInstr,
+	})
+	var pe *PanicError
+	switch {
+	case err == nil:
+		t.Fatal("RunSMT accepted two threads whose reservations exceed the pool")
+	case errors.As(err, &pe):
+		t.Fatalf("RunSMT panicked: %v", err)
+	case !strings.Contains(err.Error(), "NRR 32 out of range [1,16]"):
+		t.Errorf("error %q does not name the per-thread NRR bound [1,16]", err)
 	}
 }

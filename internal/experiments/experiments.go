@@ -29,12 +29,10 @@ type Options struct {
 	// Progress, when non-nil, receives a line per completed run.
 	Progress func(format string, args ...any)
 
-	// FetchPolicy and IssueSelect name pipeline stage policies
-	// (pipeline.FetchPolicyByName / IssueSelectByName) applied to every
-	// simulation point whose plan did not already choose one. Empty
-	// selects the defaults — the paper's machine.
+	// FetchPolicy names the SMT fetch policy (pipeline.FetchPolicyByName)
+	// applied to every simulation point whose plan did not already
+	// choose one. Empty selects round-robin, the paper's front end.
 	FetchPolicy string
-	IssueSelect string
 
 	// Cores is the core-count sweep of the multicore and coherence
 	// experiments (defaults 1,2,4 and 2,4 respectively; the CLI -cores
@@ -115,38 +113,23 @@ func (o Options) checkWorkloads() error {
 	return nil
 }
 
-// applyPolicies resolves the option's named stage policies and applies
-// them to every point of the plan that has not already chosen its own —
+// applyPolicies resolves the option's named fetch policy and applies it
+// to every point of the plan that has not already chosen its own —
 // plan-level selections (e.g. the smt-fetch study's per-point fetch
 // policies) win over the experiment-wide override.
 func (o Options) applyPolicies(plan *Plan) error {
-	if o.FetchPolicy == "" && o.IssueSelect == "" {
+	if o.FetchPolicy == "" {
 		return nil
 	}
-	var fetch pipeline.FetchPolicy
-	var issue pipeline.IssueSelect
-	// Errors stay unprefixed: Experiment.Run wraps them with the
-	// "experiments: <name>:" context.
-	if o.FetchPolicy != "" {
-		p, ok := pipeline.FetchPolicyByName(o.FetchPolicy)
-		if !ok {
-			return fmt.Errorf("unknown fetch policy %q", o.FetchPolicy)
-		}
-		fetch = p
-	}
-	if o.IssueSelect != "" {
-		sel, ok := pipeline.IssueSelectByName(o.IssueSelect)
-		if !ok {
-			return fmt.Errorf("unknown issue-select heuristic %q", o.IssueSelect)
-		}
-		issue = sel
+	fetch, ok := pipeline.FetchPolicyByName(o.FetchPolicy)
+	if !ok {
+		// Unprefixed: Experiment.Run wraps it with the
+		// "experiments: <name>:" context.
+		return fmt.Errorf("unknown fetch policy %q", o.FetchPolicy)
 	}
 	apply := func(p *pipeline.Policies) {
-		if fetch != nil && p.Fetch == nil {
+		if p.Fetch == nil {
 			p.Fetch = fetch
-		}
-		if issue != nil && p.Issue == nil {
-			p.Issue = issue
 		}
 	}
 	for i := range plan.Specs {

@@ -43,9 +43,12 @@ func DefaultL2Config() L2Config {
 	}
 }
 
-// validate checks the L2 against the line size it must interleave.
-func (c L2Config) validate(lineBytes int) error {
+// Validate checks the L2 against the L1 line size it must interleave.
+// NewBankedL2 and pipeline.MulticoreConfig.Validate both apply it.
+func (c L2Config) Validate(lineBytes int) error {
 	switch {
+	case lineBytes <= 0:
+		return fmt.Errorf("mem: L2 needs a positive line size, have %d", lineBytes)
 	case c.Banks <= 0:
 		return fmt.Errorf("mem: L2 needs at least one bank, have %d", c.Banks)
 	case c.SizeBytes <= 0 || c.SizeBytes%(lineBytes*c.Banks) != 0:
@@ -167,7 +170,7 @@ type BankedL2 struct {
 
 // NewBankedL2 builds the shared L2 for the given L1 line size.
 func NewBankedL2(cfg L2Config, lineBytes int) (*BankedL2, error) {
-	if err := cfg.validate(lineBytes); err != nil {
+	if err := cfg.Validate(lineBytes); err != nil {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / lineBytes / cfg.Banks

@@ -457,4 +457,7 @@ func TestBadConfigsRejected(t *testing.T) {
 	if _, err := NewSystem(l1cfg(), L2Config{SizeBytes: 64 * 1024, Banks: 1, HitPenalty: 2, MissPenalty: 4}, 0, false, CoherenceConfig{}); err == nil {
 		t.Error("zero cores must be rejected")
 	}
+	if err := DefaultL2Config().Validate(0); err == nil {
+		t.Error("an L2 over a zero line size must be rejected, not divide by zero")
+	}
 }

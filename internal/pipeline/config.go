@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
@@ -50,8 +51,8 @@ type Config struct {
 	Rename core.Params
 
 	// Policies composes the pluggable stage behaviours: the fetch
-	// policy, the issue-select heuristic and an optional probe. The zero
-	// value is the paper's machine (see Policies).
+	// policy and an optional probe. The zero value is the paper's
+	// machine (see Policies).
 	Policies Policies
 
 	// Functional-unit counts (paper Table 1). Complex-integer units are
@@ -142,7 +143,14 @@ func DefaultConfig() Config {
 // robEntry.sqTail, fits in 16 bits.
 const maxROBSize = 1 << 16
 
-// Validate rejects configurations the simulator cannot honour.
+// minReadPorts is the fewest register-file read ports per file a machine
+// can run on: a two-source instruction reads both operands from one file
+// in its issue cycle, so with one port it never issues.
+const minReadPorts = 2
+
+// Validate rejects configurations the simulator cannot honour. A machine
+// it accepts runs one thread; NewSMT checks the register budget again for
+// its thread count.
 func (c Config) Validate() error {
 	switch {
 	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0:
@@ -151,14 +159,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: ROB and IQ sizes must be positive")
 	case c.ROBSize > maxROBSize:
 		return fmt.Errorf("pipeline: ROB size %d exceeds the maximum of %d", c.ROBSize, maxROBSize)
-	case c.Rename.VPRegs < c.Rename.LogicalRegs+c.ROBSize && c.Scheme != core.SchemeConventional:
+	case c.Scheme < core.SchemeConventional || c.Scheme > core.SchemeVPIssue:
+		return fmt.Errorf("pipeline: unknown scheme %d", int(c.Scheme))
+	case c.Rename.VPRegs < isa.NumLogical+c.ROBSize && c.Scheme != core.SchemeConventional:
 		return fmt.Errorf("pipeline: VP registers (%d) must cover logical+window (%d) to never stall decode",
-			c.Rename.VPRegs, c.Rename.LogicalRegs+c.ROBSize)
+			c.Rename.VPRegs, isa.NumLogical+c.ROBSize)
 	case c.SimpleIntUnits <= 0 || c.ComplexIntUnits <= 0 || c.EffAddrUnits <= 0 ||
 		c.SimpleFPUnits <= 0 || c.FPMulUnits <= 0 || c.FPDivUnits <= 0:
 		return fmt.Errorf("pipeline: all functional-unit counts must be positive")
 	case c.RFReadPorts <= 0 || c.RFWritePorts <= 0 || c.CachePorts <= 0:
 		return fmt.Errorf("pipeline: port counts must be positive")
+	case c.RFReadPorts < minReadPorts:
+		return fmt.Errorf("pipeline: %d register read port per file; a two-source instruction needs at least %d",
+			c.RFReadPorts, minReadPorts)
 	case c.StoreBufferSize <= 0:
 		return fmt.Errorf("pipeline: store buffer must have at least one entry")
 	case c.ForwardLatency <= 0:
@@ -166,5 +179,33 @@ func (c Config) Validate() error {
 	case c.DeadlockCycles <= 0:
 		return fmt.Errorf("pipeline: deadlock threshold must be positive")
 	}
+	if err := c.checkRegBudget(1); err != nil {
+		return err
+	}
 	return mem.L1FromCacheConfig(c.Cache).Validate()
+}
+
+// checkRegBudget is the register budget of threads hardware threads
+// sharing the physical files. Each thread claims isa.NumLogical
+// registers per file for its architectural state, and at least one
+// register must remain to rename into. Under a VP scheme each thread
+// also reserves NRR of the rest (§3.3), so per file
+// threads × NRR ≤ PhysRegs − threads × isa.NumLogical, with NRR ≥ 1.
+func (c Config) checkRegBudget(threads int) error {
+	arch := threads * isa.NumLogical
+	if c.Rename.PhysRegs <= arch {
+		return fmt.Errorf("pipeline: %d physical registers cannot back %d thread(s) × %d logical",
+			c.Rename.PhysRegs, threads, isa.NumLogical)
+	}
+	if c.Scheme == core.SchemeConventional {
+		return nil
+	}
+	maxNRR := (c.Rename.PhysRegs - arch) / threads
+	for _, nrr := range []int{c.Rename.NRRInt, c.Rename.NRRFP} {
+		if nrr < 1 || nrr > maxNRR {
+			return fmt.Errorf("pipeline: NRR %d out of range [1,%d] with %d physical registers shared by %d thread(s) × %d logical",
+				nrr, maxNRR, c.Rename.PhysRegs, threads, isa.NumLogical)
+		}
+	}
+	return nil
 }

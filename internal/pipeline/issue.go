@@ -7,8 +7,7 @@ import "repro/internal/core"
 // ports and — under VP issue allocation — the renamer's willingness to
 // hand out a register (a refusal leaves the instruction queued and counts
 // an issue block, every cycle, exactly like the reference scan retries
-// it). Selection within a thread is oldest-first by default; a configured
-// IssueSelect heuristic reorders the attempts under the same budgets.
+// it). Selection within a thread is oldest-first, the paper's machine.
 //
 // Event kernel: only the ready queue is walked; an instruction enters it
 // at dispatch (operands already ready) or when the last missing operand is
@@ -18,9 +17,6 @@ func (s *Sim) issueStage(now int64) error {
 		return s.issueScan(now)
 	}
 	s.tickPools(now)
-	if s.issueSel != nil {
-		return s.issueRanked(now)
-	}
 	budget := s.cfg.IssueWidth
 	rfReads := [2]int{s.cfg.RFReadPorts, s.cfg.RFReadPorts}
 	for _, th := range s.threadOrder() {
@@ -48,57 +44,6 @@ func (s *Sim) issueStage(now int64) error {
 				//vpr:allowalloc amortized: stage buffers retain capacity across cycles
 				kept = append(kept, ref)
 			}
-		}
-		th.readyQ = kept
-	}
-	return nil
-}
-
-// issueRanked is the issue stage under a configured IssueSelect: per
-// thread the live ready-queue entries become candidates (oldest-first),
-// the heuristic reorders them, and issue is attempted in that order under
-// the same budgets the default path charges.
-func (s *Sim) issueRanked(now int64) error {
-	budget := s.cfg.IssueWidth
-	rfReads := [2]int{s.cfg.RFReadPorts, s.cfg.RFReadPorts}
-	for _, th := range s.threadOrder() {
-		cands := s.issueCands[:0]
-		for _, ref := range th.readyQ {
-			e := th.entryByInum(ref.inum)
-			if e == nil || e.gen != ref.gen || e.st != stWaiting || !e.ready() {
-				continue // stale reference; dropped at compaction below
-			}
-			//vpr:allowalloc amortized: stage buffers retain capacity across cycles
-			cands = append(cands, IssueCandidate{
-				Inum:    ref.inum,
-				Latency: int(e.latency),
-				IsLoad:  e.isLoad,
-				IsStore: e.isStore,
-			})
-		}
-		s.issueCands = cands
-		if len(cands) > 1 {
-			s.issueSel.Rank(now, cands)
-		}
-		for _, c := range cands {
-			e := th.entryByInum(c.Inum)
-			if e == nil || e.st != stWaiting || !e.ready() || !e.inReadyQ {
-				continue // defensive against a duplicating Rank
-			}
-			if _, err := s.tryIssueEntry(th, e, now, &budget, &rfReads); err != nil {
-				return err
-			}
-		}
-		// Compact the queue: drop issued and stale references, keeping
-		// the survivors in inum order.
-		kept := th.readyQ[:0]
-		for _, ref := range th.readyQ {
-			e := th.entryByInum(ref.inum)
-			if e == nil || e.gen != ref.gen || !e.inReadyQ {
-				continue
-			}
-			//vpr:allowalloc amortized: stage buffers retain capacity across cycles
-			kept = append(kept, ref)
 		}
 		th.readyQ = kept
 	}

@@ -87,7 +87,13 @@ func (c MulticoreConfig) Validate() error {
 	if plan.concurrent && c.Core.Policies.Probe != nil {
 		return fmt.Errorf("pipeline: probes observe every core through one shared callback and need the serial oracle; use Step=%q", StepLockstep)
 	}
-	return c.Core.Validate()
+	if err := c.Core.Validate(); err != nil {
+		return err
+	}
+	if c.L2 == (mem.L2Config{}) {
+		return nil
+	}
+	return c.L2.Validate(c.Core.Cache.LineBytes)
 }
 
 // Multicore steps N single-thread Sims in cycle-lockstep against a shared

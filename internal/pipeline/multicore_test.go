@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -271,5 +272,21 @@ func TestMulticoreConfigValidation(t *testing.T) {
 	}
 	if _, err := NewMulticore(MulticoreConfig{Cores: 2, Core: DefaultConfig()}, []trace.Generator{gen()}); err == nil {
 		t.Error("trace/core count mismatch must be rejected")
+	}
+	// L2 geometries mem.NewSystem cannot build fail Validate itself, with
+	// the bound named.
+	for _, tc := range []struct {
+		name string
+		edit func(*mem.L2Config)
+		want string
+	}{
+		{"1000-byte L2", func(l2 *mem.L2Config) { l2.SizeBytes = 1000 }, "not a positive multiple of 4 banks × 32B lines"},
+		{"miss below hit", func(l2 *mem.L2Config) { l2.MissPenalty = l2.HitPenalty - 1 }, "miss penalty 19 below hit penalty 20"},
+	} {
+		cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
+		tc.edit(&cfg.L2)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

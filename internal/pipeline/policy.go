@@ -3,28 +3,23 @@ package pipeline
 import "fmt"
 
 // This file is the pluggable stage-policy and probe surface of the
-// pipeline: the machine's behaviour at the fetch and issue stages is
-// composed from small interfaces instead of hard-coded stage logic, and a
-// Probe can observe the kernel's events cycle by cycle. The zero value of
-// Policies reproduces the paper's machine exactly; the built-in
-// alternatives (ICOUNT fetch for SMT, load-first and longest-latency-first
-// issue selection) are registered by name so configurations, experiment
-// options and CLI flags can refer to them without importing concrete
-// types.
+// pipeline: the SMT front end's choice of thread is a small interface
+// instead of hard-coded stage logic, and a Probe can observe the kernel's
+// events cycle by cycle. The zero value of Policies reproduces the
+// paper's machine exactly; the built-in fetch policies (round-robin and
+// ICOUNT) are registered by name so configurations, experiment options
+// and CLI flags can refer to them without importing concrete types.
 
 // Policies composes the pluggable per-stage behaviours of a Config. The
-// zero value selects the paper's §4.1 machine everywhere: round-robin
-// fetch (with one thread, the paper's front end), oldest-first issue
-// selection, and no observation.
+// zero value selects the paper's §4.1 machine: round-robin fetch (with
+// one thread, the paper's front end) and no observation. Issue selection
+// is always oldest-first.
 //
 //vpr:cachekey
 type Policies struct {
 	// Fetch decides which hardware thread receives the front end's
 	// bandwidth each cycle. nil selects round-robin.
 	Fetch FetchPolicy
-	// Issue ranks ready instructions for the issue stage's selection.
-	// nil selects oldest-first.
-	Issue IssueSelect
 	// Probe, when non-nil, observes kernel events (see Probe). Probes
 	// never change simulation results, so GoString excludes them from
 	// the result-cache key (the engine bypasses cache reads for probed
@@ -42,22 +37,11 @@ type Policies struct {
 // instead bypasses cache reads for probed runs, so probes always see a
 // real simulation).
 func (p Policies) GoString() string {
-	return fmt.Sprintf("pipeline.Policies{Fetch:%q, Issue:%q}",
-		fetchPolicyName(p.Fetch), issueSelectName(p.Issue))
-}
-
-func fetchPolicyName(p FetchPolicy) string {
-	if p == nil {
-		return FetchRoundRobin
+	name := FetchRoundRobin
+	if p.Fetch != nil {
+		name = p.Fetch.Name()
 	}
-	return p.Name()
-}
-
-func issueSelectName(p IssueSelect) string {
-	if p == nil {
-		return IssueOldestFirst
-	}
-	return p.Name()
+	return fmt.Sprintf("pipeline.Policies{Fetch:%q}", name)
 }
 
 // --- fetch policies ----------------------------------------------------------
@@ -115,79 +99,6 @@ func (icountFetch) Pick(_ int64, cands []FetchCandidate) int {
 		}
 	}
 	return best
-}
-
-// --- issue-select heuristics -------------------------------------------------
-
-// IssueCandidate describes one ready instruction eligible for issue this
-// cycle.
-type IssueCandidate struct {
-	Inum    int64 // instruction number; smaller = older
-	Latency int   // execution latency (Table 1)
-	IsLoad  bool
-	IsStore bool
-}
-
-// IssueSelect ranks a thread's ready instructions for the issue stage:
-// the kernel attempts candidates in the order Rank leaves them, under its
-// usual width, register-file-port and functional-unit budgets, so a
-// heuristic reorders who gets scarce resources but cannot violate
-// structural limits.
-type IssueSelect interface {
-	// Name identifies the heuristic; the same cache-key contract as
-	// FetchPolicy.Name applies.
-	Name() string
-	// Rank reorders cands in place. cands arrives oldest-first
-	// (ascending Inum), is reused across cycles and must not be
-	// retained or resized.
-	Rank(cycle int64, cands []IssueCandidate)
-}
-
-// Registered issue-select names.
-const (
-	// IssueOldestFirst attempts ready instructions in program order —
-	// the default, the paper's machine.
-	IssueOldestFirst = "oldest-first"
-	// IssueLoadFirst attempts ready loads before everything else
-	// (program order within each group), modelling memory-level
-	// parallelism greed: get misses into the cache early.
-	IssueLoadFirst = "load-first"
-	// IssueLongLatencyFirst attempts the longest-latency ready
-	// instructions first (program order among equals), starting long
-	// dependence chains as early as possible.
-	IssueLongLatencyFirst = "long-latency-first"
-)
-
-type oldestFirstIssue struct{}
-
-func (oldestFirstIssue) Name() string                     { return IssueOldestFirst }
-func (oldestFirstIssue) Rank(_ int64, _ []IssueCandidate) {}
-
-type loadFirstIssue struct{}
-
-func (loadFirstIssue) Name() string { return IssueLoadFirst }
-
-func (loadFirstIssue) Rank(_ int64, cands []IssueCandidate) {
-	stableRank(cands, func(a, b IssueCandidate) bool { return a.IsLoad && !b.IsLoad })
-}
-
-type longLatencyFirstIssue struct{}
-
-func (longLatencyFirstIssue) Name() string { return IssueLongLatencyFirst }
-
-func (longLatencyFirstIssue) Rank(_ int64, cands []IssueCandidate) {
-	stableRank(cands, func(a, b IssueCandidate) bool { return a.Latency > b.Latency })
-}
-
-// stableRank is an in-place stable insertion sort: candidate lists are
-// short (bounded by the ready instructions of one thread in one cycle),
-// and avoiding sort.SliceStable keeps the ranked issue path allocation-free.
-func stableRank(cands []IssueCandidate, less func(a, b IssueCandidate) bool) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && less(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
 }
 
 // --- probes ------------------------------------------------------------------
@@ -268,16 +179,6 @@ var fetchRegistry = []struct {
 	{PolicyInfo{FetchICount, "fewest in-flight instructions first (Tullsen-style SMT fetch gating)"}, icountFetch{}},
 }
 
-//vpr:registry issue-policies
-var issueRegistry = []struct {
-	info PolicyInfo
-	sel  IssueSelect
-}{
-	{PolicyInfo{IssueOldestFirst, "ready instructions in program order (default; the paper's machine)"}, oldestFirstIssue{}},
-	{PolicyInfo{IssueLoadFirst, "ready loads before everything else (memory-level parallelism greed)"}, loadFirstIssue{}},
-	{PolicyInfo{IssueLongLatencyFirst, "longest execution latency first (start long chains early)"}, longLatencyFirstIssue{}},
-}
-
 // FetchPolicies lists the registered fetch policies, default first.
 //
 //vpr:lookup fetch-policies
@@ -296,29 +197,6 @@ func FetchPolicyByName(name string) (FetchPolicy, bool) {
 	for _, e := range fetchRegistry {
 		if e.info.Name == name {
 			return e.pol, true
-		}
-	}
-	return nil, false
-}
-
-// IssueSelects lists the registered issue-select heuristics, default first.
-//
-//vpr:lookup issue-policies
-func IssueSelects() []PolicyInfo {
-	out := make([]PolicyInfo, len(issueRegistry))
-	for i, e := range issueRegistry {
-		out[i] = e.info
-	}
-	return out
-}
-
-// IssueSelectByName returns the registered issue-select heuristic.
-//
-//vpr:lookup issue-policies
-func IssueSelectByName(name string) (IssueSelect, bool) {
-	for _, e := range issueRegistry {
-		if e.info.Name == name {
-			return e.sel, true
 		}
 	}
 	return nil, false

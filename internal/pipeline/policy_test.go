@@ -44,18 +44,14 @@ func smtPolicyConfig(threads int) Config {
 	return cfg
 }
 
-// TestExplicitDefaultPoliciesByteIdentical: selecting the default policies
-// explicitly (which routes fetch and issue through the generic
-// policy-driven paths) must be cycle-identical to the nil fast paths —
+// TestExplicitDefaultPoliciesByteIdentical: selecting the default fetch
+// policy explicitly (which routes fetch through the generic
+// policy-driven path) must be cycle-identical to the nil fast path —
 // statistics and commit streams byte for byte, single-threaded and SMT.
 func TestExplicitDefaultPoliciesByteIdentical(t *testing.T) {
 	rr, ok := FetchPolicyByName(FetchRoundRobin)
 	if !ok {
 		t.Fatal("round-robin not registered")
-	}
-	oldest, ok := IssueSelectByName(IssueOldestFirst)
-	if !ok {
-		t.Fatal("oldest-first not registered")
 	}
 	for _, tc := range []struct {
 		name  string
@@ -70,10 +66,9 @@ func TestExplicitDefaultPoliciesByteIdentical(t *testing.T) {
 			cfg.Scheme = scheme
 			defSt, defStream := policyRun(t, cfg, tc.seeds, 8000)
 			cfg.Policies.Fetch = rr
-			cfg.Policies.Issue = oldest
 			polSt, polStream := policyRun(t, cfg, tc.seeds, 8000)
 			if defSt != polSt {
-				t.Errorf("%s/%s: explicit default policies diverge:\ndefault:  %+v\nexplicit: %+v", tc.name, scheme, defSt, polSt)
+				t.Errorf("%s/%s: explicit default fetch policy diverges:\ndefault:  %+v\nexplicit: %+v", tc.name, scheme, defSt, polSt)
 			}
 			if len(defStream) != len(polStream) {
 				t.Fatalf("%s/%s: commit streams diverge in length", tc.name, scheme)
@@ -102,30 +97,6 @@ func TestICountFetchChangesSchedule(t *testing.T) {
 	}
 	if base.Cycles == ic.Cycles {
 		t.Errorf("icount produced the round-robin schedule (%d cycles); policy not wired?", base.Cycles)
-	}
-}
-
-// TestIssueSelectHeuristics: every registered heuristic must drive a run
-// to completion with the same committed count; the non-default ones go
-// through the ranked issue path.
-func TestIssueSelectHeuristics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scheme = core.SchemeVPIssue
-	cfg.Rename.PhysRegs = 48
-	cfg.Rename.NRRInt, cfg.Rename.NRRFP = 8, 8
-	cfg.Debug = true
-	base, _ := policyRun(t, cfg, []int64{11}, 6000)
-	for _, info := range IssueSelects() {
-		sel, ok := IssueSelectByName(info.Name)
-		if !ok {
-			t.Fatalf("listed heuristic %q not resolvable", info.Name)
-		}
-		c := cfg
-		c.Policies.Issue = sel
-		st, _ := policyRun(t, c, []int64{11}, 6000)
-		if st.Committed != base.Committed {
-			t.Errorf("%s: committed %d, want %d", info.Name, st.Committed, base.Committed)
-		}
 	}
 }
 
@@ -220,37 +191,25 @@ func TestProbeAttachedIsStatsNeutral(t *testing.T) {
 	}
 }
 
-// TestPolicyRegistry: names resolve, defaults lead the listings, unknowns
+// TestPolicyRegistry: names resolve, the default leads the listing, unknowns
 // are rejected, and the Policies cache-key rendering names policies
 // canonically while ignoring probes.
 func TestPolicyRegistry(t *testing.T) {
 	if fp := FetchPolicies(); len(fp) < 2 || fp[0].Name != FetchRoundRobin {
 		t.Errorf("fetch policy listing wrong: %+v", fp)
 	}
-	if is := IssueSelects(); len(is) < 3 || is[0].Name != IssueOldestFirst {
-		t.Errorf("issue-select listing wrong: %+v", is)
-	}
 	if _, ok := FetchPolicyByName("nonesuch"); ok {
 		t.Error("unknown fetch policy resolved")
-	}
-	if _, ok := IssueSelectByName("nonesuch"); ok {
-		t.Error("unknown issue-select resolved")
 	}
 	for _, info := range FetchPolicies() {
 		if p, ok := FetchPolicyByName(info.Name); !ok || p.Name() != info.Name {
 			t.Errorf("fetch policy %q: lookup/name mismatch", info.Name)
 		}
 	}
-	for _, info := range IssueSelects() {
-		if p, ok := IssueSelectByName(info.Name); !ok || p.Name() != info.Name {
-			t.Errorf("issue-select %q: lookup/name mismatch", info.Name)
-		}
-	}
 	zero := Policies{}.GoString()
 	rr, _ := FetchPolicyByName(FetchRoundRobin)
-	oldest, _ := IssueSelectByName(IssueOldestFirst)
-	if got := (Policies{Fetch: rr, Issue: oldest, Probe: &statsProbe{}}).GoString(); got != zero {
-		t.Errorf("explicit defaults + probe render %q, zero value %q; cache keys would diverge", got, zero)
+	if got := (Policies{Fetch: rr, Probe: &statsProbe{}}).GoString(); got != zero {
+		t.Errorf("explicit default + probe render %q, zero value %q; cache keys would diverge", got, zero)
 	}
 	ic, _ := FetchPolicyByName(FetchICount)
 	if got := (Policies{Fetch: ic}).GoString(); got == zero {

@@ -45,10 +45,10 @@
 // traffic surfaces in Stats as L2Invalidations / L2Upgrades /
 // L2WritebackForwards. Cores run in index order within each cycle, which
 // makes every shared-state statistic deterministic and independent of
-// host parallelism. policy.go defines the pluggable stage policies
-// (FetchPolicy, IssueSelect) and the zero-allocation Probe interface,
-// each looked up by name in a registry so engine cache keys stay
-// canonical.
+// host parallelism. policy.go defines the pluggable SMT fetch policy
+// (FetchPolicy, looked up by name in a registry so engine cache keys stay
+// canonical) and the zero-allocation Probe interface. The issue stage
+// has one selection rule, oldest-first.
 //
 // The package is determinism-checked: vplint's detsource analyzer bans
 // wall-clock reads, randomness, goroutine launches, and map-order leaks
@@ -338,17 +338,15 @@ type Sim struct {
 	cfg  Config
 	scan bool // use the scan reference kernel instead of the event kernel
 
-	// Stage policies and the probe, copied out of cfg.Policies (nil =
+	// The fetch policy and the probe, copied out of cfg.Policies (nil =
 	// built-in default behaviour; the nil fast paths are branch-free
 	// beyond one comparison per event site).
 	fetchPol FetchPolicy
-	issueSel IssueSelect
 	probe    Probe
 
-	// Reused policy scratch (allocated only when a policy is attached).
+	// Reused fetch-policy scratch (allocated only when one is attached).
 	fetchCands  []FetchCandidate
 	fetchCandTh []*thread
-	issueCands  []IssueCandidate
 
 	threads []*thread
 	pool    *core.SharedPool
@@ -438,9 +436,8 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("pipeline: need at least one trace")
 	}
-	if need := len(gens) * cfg.Rename.LogicalRegs; cfg.Rename.PhysRegs <= need {
-		return nil, fmt.Errorf("pipeline: %d physical registers cannot back %d threads × %d logical",
-			cfg.Rename.PhysRegs, len(gens), cfg.Rename.LogicalRegs)
+	if err := cfg.checkRegBudget(len(gens)); err != nil {
+		return nil, err
 	}
 	if port == nil {
 		var err error
@@ -452,7 +449,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		cfg:      cfg,
 		scan:     scan,
 		fetchPol: cfg.Policies.Fetch,
-		issueSel: cfg.Policies.Issue,
 		probe:    cfg.Policies.Probe,
 		pool:     core.NewSharedPool(cfg.Rename.PhysRegs),
 		bht:      bpred.New(cfg.BHTEntries),
@@ -462,9 +458,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 	if s.fetchPol != nil {
 		s.fetchCands = make([]FetchCandidate, 0, len(gens))
 		s.fetchCandTh = make([]*thread, 0, len(gens))
-	}
-	if s.issueSel != nil {
-		s.issueCands = make([]IssueCandidate, 0, 64)
 	}
 	s.lastRegFree[0], s.lastRegFree[1] = timeUnset, timeUnset
 	s.pool.SetFreeListener(func(f int) { s.lastRegFree[f] = s.cycle })

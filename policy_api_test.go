@@ -155,47 +155,43 @@ func TestProbedRunsBypassCacheReads(t *testing.T) {
 }
 
 // TestPolicySelectionKeysCache: policies key the result cache by name —
-// two instances of the same named policy share an entry; a different
-// policy is a different point.
+// two instances of the same named policy share an entry, a different
+// policy is a different point, and the explicit default shares the zero
+// value's entry.
 func TestPolicySelectionKeysCache(t *testing.T) {
 	var sims atomic.Int64
 	eng := vpr.New(vpr.WithRunHook(func(vpr.RunSpec) { sims.Add(1) }))
 	ctx := context.Background()
-	mkSpec := func(issue string) vpr.RunSpec {
+	mkSpec := func(fetch string) vpr.RunSpec {
 		cfg := vpr.DefaultConfig()
-		if issue != "" {
-			sel, ok := vpr.IssueSelectByName(issue)
+		if fetch != "" {
+			pol, ok := vpr.FetchPolicyByName(fetch)
 			if !ok {
-				t.Fatalf("unknown issue-select %q", issue)
+				t.Fatalf("unknown fetch policy %q", fetch)
 			}
-			cfg.Policies.Issue = sel
+			cfg.Policies.Fetch = pol
 		}
 		return vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 4000}
 	}
-	if _, err := eng.Run(ctx, mkSpec(vpr.IssueLoadFirst)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(ctx, mkSpec(vpr.IssueLoadFirst)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Run(ctx, mkSpec(vpr.FetchICount)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := sims.Load(); n != 1 {
 		t.Errorf("same named policy simulated %d times, want 1 (cache by name)", n)
 	}
-	if _, err := eng.Run(ctx, mkSpec(vpr.IssueLongLatencyFirst)); err != nil {
+	if _, err := eng.Run(ctx, mkSpec("")); err != nil {
 		t.Fatal(err)
 	}
 	if n := sims.Load(); n != 2 {
 		t.Errorf("different policy hit the cache (%d sims, want 2)", n)
 	}
-	// The explicit default must share the zero value's entry.
-	if _, err := eng.Run(ctx, mkSpec("")); err != nil {
+	if _, err := eng.Run(ctx, mkSpec(vpr.FetchRoundRobin)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(ctx, mkSpec(vpr.IssueOldestFirst)); err != nil {
-		t.Fatal(err)
-	}
-	if n := sims.Load(); n != 3 {
-		t.Errorf("explicit oldest-first did not share the default's entry (%d sims, want 3)", n)
+	if n := sims.Load(); n != 2 {
+		t.Errorf("explicit round-robin did not share the default's entry (%d sims, want 2)", n)
 	}
 }
 
@@ -204,14 +200,11 @@ func TestFacadePolicyRegistry(t *testing.T) {
 	if fp := vpr.FetchPolicies(); len(fp) < 2 || fp[0].Name != vpr.FetchRoundRobin {
 		t.Errorf("FetchPolicies = %+v", fp)
 	}
-	if is := vpr.IssueSelects(); len(is) < 3 || is[0].Name != vpr.IssueOldestFirst {
-		t.Errorf("IssueSelects = %+v", is)
-	}
 	if _, ok := vpr.FetchPolicyByName(vpr.FetchICount); !ok {
 		t.Error("icount not resolvable through the facade")
 	}
-	if _, ok := vpr.IssueSelectByName("nonesuch"); ok {
-		t.Error("unknown heuristic resolved")
+	if _, ok := vpr.FetchPolicyByName("nonesuch"); ok {
+		t.Error("unknown fetch policy resolved")
 	}
 }
 
@@ -261,16 +254,7 @@ func TestExperimentPolicyOptions(t *testing.T) {
 			vpr.FetchICount, def.Text)
 	}
 
-	opts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"compress"}, IssueSelect: vpr.IssueLoadFirst}
-	if _, err := eng.RunExperiment(context.Background(), "fig6", opts); err != nil {
-		t.Fatalf("fig6 with load-first: %v", err)
-	}
-	opts.IssueSelect = "nonesuch"
-	if _, err := eng.RunExperiment(context.Background(), "fig6", opts); err == nil {
-		t.Fatal("unknown issue-select accepted")
-	}
-	opts.IssueSelect = ""
-	opts.FetchPolicy = "nonesuch"
+	opts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"compress"}, FetchPolicy: "nonesuch"}
 	if _, err := eng.RunExperiment(context.Background(), "fig6", opts); err == nil {
 		t.Fatal("unknown fetch policy accepted")
 	}

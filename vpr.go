@@ -19,11 +19,10 @@
 //     future-work study and the register-lifetime study, each a named,
 //     data-driven experiment that builds a spec list and reduces results,
 //   - pluggable stage policies and probes (Policies, WithProbe): the SMT
-//     fetch policy and the issue-select heuristic are small interfaces
-//     looked up by name in a policy registry (FetchPolicies,
-//     IssueSelects), and a Probe observes kernel events — dispatch,
-//     issue, completion, commit, squash, allocation refusal — cycle by
-//     cycle without allocating on the hot path,
+//     fetch policy is a small interface looked up by name in a policy
+//     registry (FetchPolicies), and a Probe observes kernel events —
+//     dispatch, issue, completion, commit, squash, allocation refusal —
+//     cycle by cycle without allocating on the hot path,
 //   - the workload catalog named after the paper's SPEC95 benchmarks,
 //   - the §3.1 analytic register-pressure model (ChainPressure),
 //   - an assembler for the mini-ISA, so custom workloads can be written
@@ -342,8 +341,8 @@ func (e *Engine) RunExperiment(ctx context.Context, name string, opts Experiment
 // --- Stage policies and probes ------------------------------------------------
 
 // Policies composes the pluggable per-stage behaviours of a Config: the
-// SMT fetch policy, the issue-select heuristic and an optional probe. The
-// zero value is the paper's §4.1 machine everywhere.
+// SMT fetch policy and an optional probe. The zero value is the paper's
+// §4.1 machine.
 type Policies = pipeline.Policies
 
 // FetchPolicy decides which hardware thread receives the front end's
@@ -351,13 +350,6 @@ type Policies = pipeline.Policies
 type (
 	FetchPolicy    = pipeline.FetchPolicy
 	FetchCandidate = pipeline.FetchCandidate
-)
-
-// IssueSelect ranks a thread's ready instructions for the issue stage;
-// IssueCandidate is one ready instruction.
-type (
-	IssueSelect    = pipeline.IssueSelect
-	IssueCandidate = pipeline.IssueCandidate
 )
 
 // Probe observes kernel events (dispatch, issue, completion, commit,
@@ -372,14 +364,11 @@ type (
 // PolicyInfo describes one registered policy for listings and CLI help.
 type PolicyInfo = pipeline.PolicyInfo
 
-// The registered policy names, usable with FetchPolicyByName and
-// IssueSelectByName (and the CLI -fetch/-issue flags).
+// The registered fetch-policy names, usable with FetchPolicyByName (and
+// the CLI -fetch flags).
 const (
-	FetchRoundRobin       = pipeline.FetchRoundRobin       // default: first fetchable thread in rotation order
-	FetchICount           = pipeline.FetchICount           // Tullsen-style least-loaded-thread fetch gating
-	IssueOldestFirst      = pipeline.IssueOldestFirst      // default: program order
-	IssueLoadFirst        = pipeline.IssueLoadFirst        // ready loads before everything else
-	IssueLongLatencyFirst = pipeline.IssueLongLatencyFirst // longest execution latency first
+	FetchRoundRobin = pipeline.FetchRoundRobin // default: first fetchable thread in rotation order
+	FetchICount     = pipeline.FetchICount     // Tullsen-style least-loaded-thread fetch gating
 )
 
 // FetchPolicies lists the registered fetch policies, default first.
@@ -387,12 +376,6 @@ func FetchPolicies() []PolicyInfo { return pipeline.FetchPolicies() }
 
 // FetchPolicyByName returns the registered fetch policy.
 func FetchPolicyByName(name string) (FetchPolicy, bool) { return pipeline.FetchPolicyByName(name) }
-
-// IssueSelects lists the registered issue-select heuristics, default first.
-func IssueSelects() []PolicyInfo { return pipeline.IssueSelects() }
-
-// IssueSelectByName returns the registered issue-select heuristic.
-func IssueSelectByName(name string) (IssueSelect, bool) { return pipeline.IssueSelectByName(name) }
 
 // --- Experiment registry ------------------------------------------------------
 
