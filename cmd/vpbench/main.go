@@ -170,7 +170,6 @@ func main() {
 		instr      = flag.Int64("instr", 100_000, "instructions per scheme point")
 		gridInstr  = flag.Int64("grid-instr", 20_000, "instructions per harness grid point")
 		wls        = flag.String("workloads", "compress,swim,hydro2d", "workloads for the scheme points")
-		fetchPol   = flag.String("fetch", "", "fetch policy for every run (default round-robin)")
 		cores      = flag.Int("cores", 2, "core count for the recorded multicore and coherence points")
 		l2Geom     = flag.String("l2", "", "shared L2 geometry for the multicore/coherence points: SIZE[:BANKS], e.g. 256K:4 (default DefaultL2Config)")
 		coh        = flag.Bool("coherence", false, "run the generic multicore point with one shared address space and the coherence directory on (the dedicated coherence points always do)")
@@ -215,15 +214,6 @@ func main() {
 			l2.Banks = banks
 		}
 	}
-	var policies vpr.Policies
-	if *fetchPol != "" {
-		p, ok := vpr.FetchPolicyByName(*fetchPol)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "vpbench: unknown fetch policy %q\n", *fetchPol)
-			os.Exit(1)
-		}
-		policies.Fetch = p
-	}
 	var cpuFile *os.File
 	if *cpuprofile != "" {
 		cpuFile, err = os.Create(*cpuprofile)
@@ -236,7 +226,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	runErr := run(*out, *instr, *gridInstr, strings.Split(*wls, ","), policies, *cores, l2, *coh, *protoFlag, *dirFlag, step, *repeat)
+	runErr := run(*out, *instr, *gridInstr, strings.Split(*wls, ","), *cores, l2, *coh, *protoFlag, *dirFlag, step, *repeat)
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
@@ -300,10 +290,9 @@ func bestOf(n int, once func() (vpr.Stats, float64, error)) (vpr.Stats, float64,
 // measurement protocol, and each runs on a fresh one-worker engine with
 // the cache off, so a lockstep point and its parallel twin are both
 // honestly recomputed in-process.
-func measureMulticore(ctx context.Context, wl string, policies vpr.Policies, cores int, l2 vpr.L2Config,
+func measureMulticore(ctx context.Context, wl string, cores int, l2 vpr.L2Config,
 	coherent bool, proto, dir string, instr int64, step vpr.StepMode) (vpr.Stats, float64, error) {
 	cfg := vpr.DefaultConfig()
-	cfg.Policies = policies
 	names := make([]string, cores)
 	for i := range names {
 		names[i] = wl
@@ -332,8 +321,8 @@ func measureMulticore(ctx context.Context, wl string, policies vpr.Policies, cor
 	return res.Stats, allocs, nil
 }
 
-func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Policies,
-	cores int, l2 vpr.L2Config, coherentMC bool, proto, dir string, step vpr.StepMode, repeat int) error {
+func run(out string, instr, gridInstr int64, workloads []string, cores int, l2 vpr.L2Config,
+	coherentMC bool, proto, dir string, step vpr.StepMode, repeat int) error {
 	rep := report{
 		Schema:     "vpr-bench/v2",
 		Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -352,7 +341,6 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 		for _, scheme := range schemes {
 			cfg := vpr.DefaultConfig()
 			cfg.Scheme = scheme
-			cfg.Policies = policies
 			st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
@@ -386,7 +374,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 	mcPoint := func(mode vpr.StepMode) (multicorePoint, error) {
 		wl := workloads[0]
 		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(ctx, wl, policies, cores, l2, coherentMC, proto, dir, instr, mode)
+			return measureMulticore(ctx, wl, cores, l2, coherentMC, proto, dir, instr, mode)
 		})
 		if err != nil {
 			return multicorePoint{}, err
@@ -436,7 +424,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			return coherencePoint{}, err
 		}
 		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(ctx, wl, policies, cohCores, l2, true, protoSel, dir, instr, mode)
+			return measureMulticore(ctx, wl, cohCores, l2, true, protoSel, dir, instr, mode)
 		})
 		if err != nil {
 			return coherencePoint{}, err
@@ -504,7 +492,6 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 		for _, scheme := range schemes {
 			cfg := vpr.DefaultConfig()
 			cfg.Scheme = scheme
-			cfg.Policies = policies
 			specs = append(specs, vpr.RunSpec{Workload: w.Name, Config: cfg, MaxInstr: gridInstr})
 		}
 	}

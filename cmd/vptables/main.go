@@ -59,7 +59,6 @@ func main() {
 		md       = flag.Bool("md", false, "emit Markdown (for EXPERIMENTS.md)")
 		progress = flag.Bool("progress", false, "print per-run progress to stderr")
 		par      = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS); results are identical at any level")
-		fetchPol = flag.String("fetch", "", "fetch policy for every run (see the policy list; default round-robin)")
 		cores    = flag.String("cores", "", "core counts for the multicore/coherence experiments (comma-separated; defaults 1,2,4 and 2,4)")
 		l2       = flag.String("l2", "", "shared L2 geometry for the multicore/coherence experiments: SIZE[:BANKS], e.g. 256K:4 or 1M:8")
 		coh      = flag.Bool("coherence", false, "run the multicore experiment with one shared address space and the coherence directory on")
@@ -73,7 +72,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := vpr.ExperimentOptions{Instr: *instr, FetchPolicy: *fetchPol, Coherence: *coh}
+	opts := vpr.ExperimentOptions{Instr: *instr, Coherence: *coh}
 	if _, err := vpr.ParseStepMode(*step); err != nil {
 		fmt.Fprintf(os.Stderr, "vptables: -step: %v\n", err)
 		os.Exit(1)
@@ -106,12 +105,6 @@ func main() {
 			os.Exit(1)
 		}
 		opts.L2SizeBytes, opts.L2Banks = size, banks
-	}
-	if *fetchPol != "" {
-		if _, ok := vpr.FetchPolicyByName(*fetchPol); !ok {
-			fmt.Fprintf(os.Stderr, "vptables: unknown fetch policy %q (want %s)\n", *fetchPol, policyNames(vpr.FetchPolicies()))
-			os.Exit(1)
-		}
 	}
 	engineOpts := []vpr.EngineOption{vpr.WithParallelism(*par)}
 	if *progress {
@@ -179,14 +172,6 @@ func parseCores(s string) ([]int, error) {
 	return out, nil
 }
 
-func policyNames(infos []vpr.PolicyInfo) string {
-	var ns []string
-	for _, p := range infos {
-		ns = append(ns, p.Name)
-	}
-	return strings.Join(ns, ", ")
-}
-
 // usage augments the flag listing with the registry-generated experiment
 // reference so `vptables -h` documents what each name reproduces.
 func usage() {
@@ -200,10 +185,6 @@ func usage() {
 		if e.Name == "fig7" {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", "pressure", "§3.1 worked example, analytic (local printout)")
 		}
-	}
-	fmt.Fprintf(flag.CommandLine.Output(), "\nfetch policies (-fetch, from the policy registry):\n")
-	for _, p := range vpr.FetchPolicies() {
-		fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", p.Name, p.Description)
 	}
 	fmt.Fprintf(flag.CommandLine.Output(), "\ncoherence protocols (-protocol, from the protocol registry):\n")
 	for _, p := range vpr.CoherenceProtocols() {

@@ -24,11 +24,11 @@ func (p *commitCounter) Squashed(cycle int64, tid int, from int64, flushed int) 
 	p.squashes.Add(1)
 }
 
-// Example_policiesAndProbes selects the ICOUNT fetch policy from the
-// policy registry for a two-thread SMT machine and attaches a cycle-level
-// probe to the engine: the probe observes every commit of a real
-// simulation (probed runs bypass cache reads), and the policy
-// participates in the result-cache key by name.
+// Example_policiesAndProbes selects the ICOUNT fetch policy for a
+// two-thread SMT machine and attaches a cycle-level probe to the engine:
+// the probe observes every commit of a real simulation (probed runs
+// bypass cache reads), and the policy participates in the result-cache
+// key by name.
 func Example_policiesAndProbes() {
 	probe := &commitCounter{}
 	eng := vpr.New(vpr.WithProbe(probe))
@@ -37,9 +37,7 @@ func Example_policiesAndProbes() {
 	cfg.Scheme = vpr.SchemeVPWriteback
 	cfg.Rename.PhysRegs = 96 // two threads' logical registers plus 32 to rename into
 	cfg.Rename.NRRInt, cfg.Rename.NRRFP = 16, 16
-	if pol, ok := vpr.FetchPolicyByName(vpr.FetchICount); ok {
-		cfg.Policies.Fetch = pol // the thread with fewer instructions in flight fetches
-	}
+	cfg.Policies.Fetch = vpr.FetchICount // the thread with fewer instructions in flight fetches
 
 	res, err := eng.RunSMT(context.Background(), vpr.SMTSpec{
 		Workloads:         []string{"compress", "swim"},

@@ -1,9 +1,7 @@
-// Policies demonstrates the pluggable stage-policy and probe surface: it
-// attaches a cycle-level probe to a miss-heavy VP-issue run to measure
-// how long issued instructions stay in flight, then compares the two SMT
-// fetch policies on an asymmetric two-thread machine. Fetch policies come
-// out of the registry by name — the same names the -fetch flags of
-// cmd/vptables and cmd/vpbench accept.
+// Policies demonstrates the stage-policy and probe surface: it attaches a
+// cycle-level probe to a miss-heavy VP-issue run to measure how long
+// issued instructions stay in flight, then compares the two SMT fetch
+// policies, round-robin and ICOUNT, on an asymmetric two-thread machine.
 package main
 
 import (
@@ -68,8 +66,7 @@ func main() {
 		res.Stats.IPC(), res.Stats.IssueBlocks, probe.mean())
 
 	fmt.Println("\nSMT fetch policies, compress+swim sharing the machine (vp-wb, 2 threads):")
-	for _, info := range vpr.FetchPolicies() {
-		pol, _ := vpr.FetchPolicyByName(info.Name)
+	for _, pol := range []vpr.FetchPolicy{vpr.FetchRoundRobin, vpr.FetchICount} {
 		cfg := vpr.DefaultConfig()
 		cfg.Scheme = vpr.SchemeVPWriteback
 		cfg.Rename.PhysRegs = 96
@@ -85,6 +82,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-20s aggregate IPC %.3f  per-thread %v\n",
-			info.Name, res.Stats.IPC(), res.PerThreadCommitted)
+			pol, res.Stats.IPC(), res.PerThreadCommitted)
 	}
 }

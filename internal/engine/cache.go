@@ -19,10 +19,10 @@ type cacheKey [sha256.Size]byte
 // specKey canonically hashes a spec's workload/generator identity, machine
 // configuration (scheme, renaming parameters, cache geometry, ... — every
 // field of pipeline.Config is a value type, so %#v is a canonical
-// rendering; the Policies field renders as its fetch/issue policy *names*
-// via pipeline.Policies.GoString, so two configs selecting the same named
-// policies share an entry while non-default policies key distinctly, and
-// probes — pure observers — never perturb the key) and instruction budget.
+// rendering; the Policies field renders as its fetch policy's *name* via
+// pipeline.Policies.GoString, so ICOUNT and round-robin key distinctly,
+// and probes — pure observers — never perturb the key) and instruction
+// budget.
 // Specs driven by an anonymous custom generator have no stable identity
 // and are reported as not cacheable.
 //

@@ -401,6 +401,11 @@ func TestBadMachineRejected(t *testing.T) {
 		{"NRR 0", vp(func(c *pipeline.Config) { c.Rename.NRRInt = 0 }), "NRR 0 out of range [1,32]"},
 		{"NRR 40", vp(func(c *pipeline.Config) { c.Rename.NRRFP = 40 }), "NRR 40 out of range [1,32]"},
 		{"NRR 32 of 48 registers", vp(func(c *pipeline.Config) { c.Rename.PhysRegs = 48 }), "NRR 32 out of range [1,16]"},
+		{"negative recovery penalty", func(c *pipeline.Config) { c.RecoveryPenalty = -7 }, "recovery penalty -7 is negative"},
+		{"no BHT", func(c *pipeline.Config) { c.BHTEntries = 0 }, "BHT entries 0 must be a positive power of two"},
+		{"negative BHT", func(c *pipeline.Config) { c.BHTEntries = -5 }, "BHT entries -5 must be a positive power of two"},
+		{"1000-entry BHT", func(c *pipeline.Config) { c.BHTEntries = 1000 }, "BHT entries 1000 must be a positive power of two"},
+		{"unknown fetch policy", func(c *pipeline.Config) { c.Policies.Fetch = 2 }, "unknown fetch policy 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := spec("compress", 32)

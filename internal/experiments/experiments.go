@@ -29,11 +29,6 @@ type Options struct {
 	// Progress, when non-nil, receives a line per completed run.
 	Progress func(format string, args ...any)
 
-	// FetchPolicy names the SMT fetch policy (pipeline.FetchPolicyByName)
-	// applied to every simulation point whose plan did not already
-	// choose one. Empty selects round-robin, the paper's front end.
-	FetchPolicy string
-
 	// Cores is the core-count sweep of the multicore and coherence
 	// experiments (defaults 1,2,4 and 2,4 respectively; the CLI -cores
 	// flag).
@@ -109,37 +104,6 @@ func (o Options) checkWorkloads() error {
 		if _, ok := workloads.ByName(name); !ok {
 			return fmt.Errorf("experiments: unknown workload %q", name)
 		}
-	}
-	return nil
-}
-
-// applyPolicies resolves the option's named fetch policy and applies it
-// to every point of the plan that has not already chosen its own —
-// plan-level selections (e.g. the smt-fetch study's per-point fetch
-// policies) win over the experiment-wide override.
-func (o Options) applyPolicies(plan *Plan) error {
-	if o.FetchPolicy == "" {
-		return nil
-	}
-	fetch, ok := pipeline.FetchPolicyByName(o.FetchPolicy)
-	if !ok {
-		// Unprefixed: Experiment.Run wraps it with the
-		// "experiments: <name>:" context.
-		return fmt.Errorf("unknown fetch policy %q", o.FetchPolicy)
-	}
-	apply := func(p *pipeline.Policies) {
-		if p.Fetch == nil {
-			p.Fetch = fetch
-		}
-	}
-	for i := range plan.Specs {
-		apply(&plan.Specs[i].Config.Policies)
-	}
-	for i := range plan.SMT {
-		apply(&plan.SMT[i].Config.Policies)
-	}
-	for i := range plan.Multicore {
-		apply(&plan.Multicore[i].Config.Policies)
 	}
 	return nil
 }

@@ -30,8 +30,7 @@ type FetchPolicyRow struct {
 // workload pair (threads alternate between the two kernels) — fetch
 // gating only matters when threads load the window asymmetrically, which
 // identical copies never do. With a single thread the two policies
-// coincide, so the sweep starts at two; the study is the first registry
-// consumer of the pluggable stage-policy surface.
+// coincide, so the sweep starts at two.
 func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err
@@ -43,14 +42,6 @@ func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 		if n < 2 {
 			return Plan{}, fmt.Errorf("experiments: fetch-policy study needs >= 2 threads, got %d", n)
 		}
-	}
-	rr, ok := pipeline.FetchPolicyByName(pipeline.FetchRoundRobin)
-	if !ok {
-		return Plan{}, fmt.Errorf("experiments: fetch policy %q not registered", pipeline.FetchRoundRobin)
-	}
-	icount, ok := pipeline.FetchPolicyByName(pipeline.FetchICount)
-	if !ok {
-		return Plan{}, fmt.Errorf("experiments: fetch policy %q not registered", pipeline.FetchICount)
 	}
 	names := opts.workloads()
 	type mix struct {
@@ -80,11 +71,9 @@ func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 					base.Workloads[i] = m.b
 				}
 			}
-			rrSpec := base
-			rrSpec.Config.Policies.Fetch = rr
-			icSpec := base
-			icSpec.Config.Policies.Fetch = icount
-			specs = append(specs, rrSpec, icSpec)
+			icSpec := base // base fetches round-robin, the zero value
+			icSpec.Config.Policies.Fetch = pipeline.FetchICount
+			specs = append(specs, base, icSpec)
 		}
 	}
 	reduce := func(_ []sim.Result, smt []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {

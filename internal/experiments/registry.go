@@ -45,17 +45,12 @@ type Experiment struct {
 	Render func(v any) string
 }
 
-// Run builds the experiment's plan, applies the option's named stage
-// policies to every point the plan left at defaults, executes it on eng,
-// and reduces the results. The value's dynamic type is the experiment's
-// result type.
+// Run builds the experiment's plan, executes it on eng, and reduces the
+// results. The value's dynamic type is the experiment's result type.
 func (e Experiment) Run(ctx context.Context, eng *engine.Engine, opts Options) (any, error) {
 	plan, err := e.Build(opts)
 	if err != nil {
 		return nil, err
-	}
-	if err := opts.applyPolicies(&plan); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 	}
 	runs, err := eng.RunBatch(ctx, plan.Specs)
 	if err != nil {
@@ -163,7 +158,7 @@ var registry = []Experiment{
 	{
 		Name:       "smt-fetch",
 		Title:      "SMT fetch policy: ICOUNT vs round-robin",
-		Reproduces: "repository study: Tullsen-style ICOUNT fetch gating on the §5 SMT machine, via the pluggable stage-policy surface",
+		Reproduces: "repository study: Tullsen-style ICOUNT fetch gating on the §5 SMT machine",
 		Build:      func(opts Options) (Plan, error) { return fetchPolicyPlan(nil, withSMTDefaultWorkloads(opts)) },
 		Render:     func(v any) string { return RenderFetchPolicy(v.([]FetchPolicyRow)) },
 	},

@@ -202,9 +202,7 @@ func entryName(info *types.Info, elt ast.Expr) (string, bool) {
 		if kv, ok := field.(*ast.KeyValueExpr); ok {
 			expr = kv.Value
 		}
-		// Recurses into nested literals: pipeline's registry rows hold the
-		// name inside an embedded PolicyInfo literal.
-		if name, ok := entryName(info, expr); ok {
+		if name, ok := constString(info, expr); ok {
 			return name, true
 		}
 	}

@@ -50,9 +50,9 @@ type Config struct {
 	Scheme core.Scheme
 	Rename core.Params
 
-	// Policies composes the pluggable stage behaviours: the fetch
-	// policy and an optional probe. The zero value is the paper's
-	// machine (see Policies).
+	// Policies composes the stage behaviours: the fetch policy and an
+	// optional probe. The zero value is the paper's machine (see
+	// Policies).
 	Policies Policies
 
 	// Functional-unit counts (paper Table 1). Complex-integer units are
@@ -71,7 +71,7 @@ type Config struct {
 	CachePorts int
 	Cache      cache.Config
 
-	BHTEntries int
+	BHTEntries int // branch history table size, a power of two
 
 	Disambiguation  Disambiguation
 	ForwardLatency  int // store-queue to load forwarding latency
@@ -79,7 +79,8 @@ type Config struct {
 
 	// RecoveryPenalty adds cycles before fetch resumes after a
 	// misprediction or memory-order violation (0 models R10000-style
-	// checkpoint recovery; larger values approximate a serial ROB walk).
+	// checkpoint recovery; larger values approximate a serial ROB walk;
+	// negative values are rejected).
 	RecoveryPenalty int
 
 	// ValueCheck verifies, at every operand read, that the physical
@@ -161,6 +162,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: ROB size %d exceeds the maximum of %d", c.ROBSize, maxROBSize)
 	case c.Scheme < core.SchemeConventional || c.Scheme > core.SchemeVPIssue:
 		return fmt.Errorf("pipeline: unknown scheme %d", int(c.Scheme))
+	case c.Policies.Fetch > FetchICount:
+		return fmt.Errorf("pipeline: unknown fetch policy %d (want %s or %s)",
+			uint8(c.Policies.Fetch), FetchRoundRobin, FetchICount)
 	case c.Rename.VPRegs < isa.NumLogical+c.ROBSize && c.Scheme != core.SchemeConventional:
 		return fmt.Errorf("pipeline: VP registers (%d) must cover logical+window (%d) to never stall decode",
 			c.Rename.VPRegs, isa.NumLogical+c.ROBSize)
@@ -176,6 +180,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: store buffer must have at least one entry")
 	case c.ForwardLatency <= 0:
 		return fmt.Errorf("pipeline: forward latency must be positive")
+	case c.RecoveryPenalty < 0:
+		return fmt.Errorf("pipeline: recovery penalty %d is negative; it must be at least 0", c.RecoveryPenalty)
+	case c.BHTEntries <= 0 || c.BHTEntries&(c.BHTEntries-1) != 0:
+		return fmt.Errorf("pipeline: BHT entries %d must be a positive power of two", c.BHTEntries)
 	case c.DeadlockCycles <= 0:
 		return fmt.Errorf("pipeline: deadlock threshold must be positive")
 	}

@@ -1,39 +1,28 @@
 package pipeline
 
-// fetchStage gives the whole fetch bandwidth to one thread per cycle. The
-// default (nil FetchPolicy) takes the first fetchable thread in rotation
-// order — round-robin, the classic simple SMT fetch policy, and with one
-// thread the paper's front end. A configured FetchPolicy instead chooses
-// among every fetchable thread (ICOUNT favours the least-loaded one).
-// Identical under both kernels.
+// fetchStage gives the whole fetch bandwidth to one thread per cycle,
+// chosen among the fetchable threads in rotation order. Round-robin (the
+// zero Policies.Fetch) takes the first of them — with one thread the
+// paper's front end. ICOUNT takes the one with the fewest instructions in
+// flight (reorder buffer plus fetch buffer), the first in rotation order
+// on a tie. Identical under both kernels.
 func (s *Sim) fetchStage(now int64) {
-	if s.fetchPol == nil {
-		for _, th := range s.threadOrder() {
-			if !s.canFetch(th, now) {
-				continue
-			}
-			s.fetchThread(th, now)
-			return
-		}
-		return
-	}
-	cands := s.fetchCands[:0]
-	ths := s.fetchCandTh[:0]
+	icount := s.cfg.Policies.Fetch == FetchICount
+	var pick *thread
 	for _, th := range s.threadOrder() {
 		if !s.canFetch(th, now) {
 			continue
 		}
-		//vpr:allowalloc amortized: stage buffers retain capacity across cycles
-		cands = append(cands, FetchCandidate{TID: th.id, InFlight: th.robCount, Buffered: th.fbN})
-		//vpr:allowalloc amortized: stage buffers retain capacity across cycles
-		ths = append(ths, th)
+		if !icount {
+			pick = th
+			break
+		}
+		if pick == nil || th.robCount+th.fbN < pick.robCount+pick.fbN {
+			pick = th
+		}
 	}
-	s.fetchCands, s.fetchCandTh = cands, ths
-	if len(cands) == 0 {
-		return
-	}
-	if i := s.fetchPol.Pick(now, cands); i >= 0 && i < len(ths) {
-		s.fetchThread(ths[i], now)
+	if pick != nil {
+		s.fetchThread(pick, now)
 	}
 }
 

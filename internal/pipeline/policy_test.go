@@ -44,53 +44,14 @@ func smtPolicyConfig(threads int) Config {
 	return cfg
 }
 
-// TestExplicitDefaultPoliciesByteIdentical: selecting the default fetch
-// policy explicitly (which routes fetch through the generic
-// policy-driven path) must be cycle-identical to the nil fast path —
-// statistics and commit streams byte for byte, single-threaded and SMT.
-func TestExplicitDefaultPoliciesByteIdentical(t *testing.T) {
-	rr, ok := FetchPolicyByName(FetchRoundRobin)
-	if !ok {
-		t.Fatal("round-robin not registered")
-	}
-	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		seeds []int64
-	}{
-		{"1T-conv", DefaultConfig(), []int64{7}},
-		{"2T-vpwb", smtPolicyConfig(2), []int64{7, 8}},
-	} {
-		for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
-			cfg := tc.cfg
-			cfg.Scheme = scheme
-			defSt, defStream := policyRun(t, cfg, tc.seeds, 8000)
-			cfg.Policies.Fetch = rr
-			polSt, polStream := policyRun(t, cfg, tc.seeds, 8000)
-			if defSt != polSt {
-				t.Errorf("%s/%s: explicit default fetch policy diverges:\ndefault:  %+v\nexplicit: %+v", tc.name, scheme, defSt, polSt)
-			}
-			if len(defStream) != len(polStream) {
-				t.Fatalf("%s/%s: commit streams diverge in length", tc.name, scheme)
-			}
-			for i := range defStream {
-				if defStream[i] != polStream[i] {
-					t.Fatalf("%s/%s: commit streams diverge at %d", tc.name, scheme, i)
-				}
-			}
-		}
-	}
-}
-
 // TestICountFetchChangesSchedule: under asymmetric SMT load, ICOUNT must
 // actually steer the front end (different cycle count from round-robin)
 // while committing the same instructions.
 func TestICountFetchChangesSchedule(t *testing.T) {
-	icount, _ := FetchPolicyByName(FetchICount)
 	cfg := smtPolicyConfig(2)
 	cfg.Scheme = core.SchemeVPWriteback
 	base, _ := policyRun(t, cfg, []int64{7, 8}, 8000)
-	cfg.Policies.Fetch = icount
+	cfg.Policies.Fetch = FetchICount
 	ic, _ := policyRun(t, cfg, []int64{7, 8}, 8000)
 	if base.Committed != ic.Committed {
 		t.Fatalf("committed diverge: %d vs %d", base.Committed, ic.Committed)
@@ -191,28 +152,17 @@ func TestProbeAttachedIsStatsNeutral(t *testing.T) {
 	}
 }
 
-// TestPolicyRegistry: names resolve, the default leads the listing, unknowns
-// are rejected, and the Policies cache-key rendering names policies
-// canonically while ignoring probes.
-func TestPolicyRegistry(t *testing.T) {
-	if fp := FetchPolicies(); len(fp) < 2 || fp[0].Name != FetchRoundRobin {
-		t.Errorf("fetch policy listing wrong: %+v", fp)
-	}
-	if _, ok := FetchPolicyByName("nonesuch"); ok {
-		t.Error("unknown fetch policy resolved")
-	}
-	for _, info := range FetchPolicies() {
-		if p, ok := FetchPolicyByName(info.Name); !ok || p.Name() != info.Name {
-			t.Errorf("fetch policy %q: lookup/name mismatch", info.Name)
-		}
-	}
+// TestPoliciesGoString: the cache-key rendering names the fetch policy
+// and ignores probes.
+func TestPoliciesGoString(t *testing.T) {
 	zero := Policies{}.GoString()
-	rr, _ := FetchPolicyByName(FetchRoundRobin)
-	if got := (Policies{Fetch: rr, Probe: &statsProbe{}}).GoString(); got != zero {
-		t.Errorf("explicit default + probe render %q, zero value %q; cache keys would diverge", got, zero)
+	if want := `pipeline.Policies{Fetch:"round-robin"}`; zero != want {
+		t.Errorf("zero value renders %q, want %q", zero, want)
 	}
-	ic, _ := FetchPolicyByName(FetchICount)
-	if got := (Policies{Fetch: ic}).GoString(); got == zero {
+	if got := (Policies{Probe: &statsProbe{}}).GoString(); got != zero {
+		t.Errorf("a probe renders %q, zero value %q; cache keys would diverge", got, zero)
+	}
+	if got := (Policies{Fetch: FetchICount}).GoString(); got == zero {
 		t.Errorf("icount renders like the default: %q", got)
 	}
 }

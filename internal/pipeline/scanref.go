@@ -24,9 +24,9 @@ import (
 // The oracle is compiled only under the scanoracle build tag (ROADMAP
 // "Retire the scan oracle once stable"); CI runs the differential tests
 // with the tag enabled. It models the whole of the event kernel's issue
-// stage, whose one loop selects oldest-first; fetch policies and probes,
-// which live outside the scheduling kernel, behave identically under
-// both.
+// stage, whose one loop selects oldest-first; the fetch stage (either
+// fetch policy) and probes, which live outside the scheduling kernel,
+// behave identically under both.
 
 // newScanSMT builds a simulator running the scan reference kernel.
 func newScanSMT(cfg Config, gens []trace.Generator) (*Sim, error) {

@@ -45,10 +45,9 @@
 // traffic surfaces in Stats as L2Invalidations / L2Upgrades /
 // L2WritebackForwards. Cores run in index order within each cycle, which
 // makes every shared-state statistic deterministic and independent of
-// host parallelism. policy.go defines the pluggable SMT fetch policy
-// (FetchPolicy, looked up by name in a registry so engine cache keys stay
-// canonical) and the zero-allocation Probe interface. The issue stage
-// has one selection rule, oldest-first.
+// host parallelism. policy.go defines the SMT fetch policy (FetchPolicy:
+// round-robin or ICOUNT) and the zero-allocation Probe interface. The
+// issue stage has one selection rule, oldest-first.
 //
 // The package is determinism-checked: vplint's detsource analyzer bans
 // wall-clock reads, randomness, goroutine launches, and map-order leaks
@@ -338,15 +337,9 @@ type Sim struct {
 	cfg  Config
 	scan bool // use the scan reference kernel instead of the event kernel
 
-	// The fetch policy and the probe, copied out of cfg.Policies (nil =
-	// built-in default behaviour; the nil fast paths are branch-free
-	// beyond one comparison per event site).
-	fetchPol FetchPolicy
-	probe    Probe
-
-	// Reused fetch-policy scratch (allocated only when one is attached).
-	fetchCands  []FetchCandidate
-	fetchCandTh []*thread
+	// The probe, copied out of cfg.Policies (nil = no observer; the nil
+	// fast path costs one comparison per event site).
+	probe Probe
 
 	threads []*thread
 	pool    *core.SharedPool
@@ -446,18 +439,13 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		}
 	}
 	s := &Sim{
-		cfg:      cfg,
-		scan:     scan,
-		fetchPol: cfg.Policies.Fetch,
-		probe:    cfg.Policies.Probe,
-		pool:     core.NewSharedPool(cfg.Rename.PhysRegs),
-		bht:      bpred.New(cfg.BHTEntries),
-		dmem:     port,
-		sbBuf:    make([]uint64, ringLen(cfg.StoreBufferSize)),
-	}
-	if s.fetchPol != nil {
-		s.fetchCands = make([]FetchCandidate, 0, len(gens))
-		s.fetchCandTh = make([]*thread, 0, len(gens))
+		cfg:   cfg,
+		scan:  scan,
+		probe: cfg.Policies.Probe,
+		pool:  core.NewSharedPool(cfg.Rename.PhysRegs),
+		bht:   bpred.New(cfg.BHTEntries),
+		dmem:  port,
+		sbBuf: make([]uint64, ringLen(cfg.StoreBufferSize)),
 	}
 	s.lastRegFree[0], s.lastRegFree[1] = timeUnset, timeUnset
 	s.pool.SetFreeListener(func(f int) { s.lastRegFree[f] = s.cycle })

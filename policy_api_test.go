@@ -1,9 +1,9 @@
 package vpr_test
 
-// Tests for the pluggable stage-policy and probe surface of the facade:
+// Tests for the stage-policy and probe surface of the facade:
 // probe determinism across engine parallelism levels, the no-callbacks-
 // after-return cancellation guarantee, cache interaction (probed runs
-// bypass cache reads; policy selections key the cache by name), and the
+// bypass cache reads; the fetch policy keys the cache), and the
 // registry-driven SMT fetch-policy experiment.
 
 import (
@@ -154,23 +154,16 @@ func TestProbedRunsBypassCacheReads(t *testing.T) {
 	}
 }
 
-// TestPolicySelectionKeysCache: policies key the result cache by name —
-// two instances of the same named policy share an entry, a different
-// policy is a different point, and the explicit default shares the zero
-// value's entry.
+// TestPolicySelectionKeysCache: the fetch policy keys the result cache —
+// the same policy twice is one simulation, and a different policy is a
+// second point.
 func TestPolicySelectionKeysCache(t *testing.T) {
 	var sims atomic.Int64
 	eng := vpr.New(vpr.WithRunHook(func(vpr.RunSpec) { sims.Add(1) }))
 	ctx := context.Background()
-	mkSpec := func(fetch string) vpr.RunSpec {
+	mkSpec := func(fetch vpr.FetchPolicy) vpr.RunSpec {
 		cfg := vpr.DefaultConfig()
-		if fetch != "" {
-			pol, ok := vpr.FetchPolicyByName(fetch)
-			if !ok {
-				t.Fatalf("unknown fetch policy %q", fetch)
-			}
-			cfg.Policies.Fetch = pol
-		}
+		cfg.Policies.Fetch = fetch
 		return vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 4000}
 	}
 	for i := 0; i < 2; i++ {
@@ -179,32 +172,13 @@ func TestPolicySelectionKeysCache(t *testing.T) {
 		}
 	}
 	if n := sims.Load(); n != 1 {
-		t.Errorf("same named policy simulated %d times, want 1 (cache by name)", n)
-	}
-	if _, err := eng.Run(ctx, mkSpec("")); err != nil {
-		t.Fatal(err)
-	}
-	if n := sims.Load(); n != 2 {
-		t.Errorf("different policy hit the cache (%d sims, want 2)", n)
+		t.Errorf("same policy simulated %d times, want 1", n)
 	}
 	if _, err := eng.Run(ctx, mkSpec(vpr.FetchRoundRobin)); err != nil {
 		t.Fatal(err)
 	}
 	if n := sims.Load(); n != 2 {
-		t.Errorf("explicit round-robin did not share the default's entry (%d sims, want 2)", n)
-	}
-}
-
-// TestFacadePolicyRegistry: the facade exposes the policy registry.
-func TestFacadePolicyRegistry(t *testing.T) {
-	if fp := vpr.FetchPolicies(); len(fp) < 2 || fp[0].Name != vpr.FetchRoundRobin {
-		t.Errorf("FetchPolicies = %+v", fp)
-	}
-	if _, ok := vpr.FetchPolicyByName(vpr.FetchICount); !ok {
-		t.Error("icount not resolvable through the facade")
-	}
-	if _, ok := vpr.FetchPolicyByName("nonesuch"); ok {
-		t.Error("unknown fetch policy resolved")
+		t.Errorf("different policy hit the cache (%d sims, want 2)", n)
 	}
 }
 
@@ -232,30 +206,5 @@ func TestSMTFetchExperiment(t *testing.T) {
 		if !strings.Contains(res.Text, want) {
 			t.Errorf("rendering missing %q:\n%s", want, res.Text)
 		}
-	}
-}
-
-// TestExperimentPolicyOptions: the experiment-wide policy override applies
-// to every point and rejects unknown names.
-func TestExperimentPolicyOptions(t *testing.T) {
-	eng := vpr.New(vpr.WithCache(0))
-	smtOpts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"hydro2d"}}
-	def, err := eng.RunExperiment(context.Background(), "smt", smtOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smtOpts.FetchPolicy = vpr.FetchICount
-	icount, err := eng.RunExperiment(context.Background(), "smt", smtOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if icount.Text == def.Text {
-		t.Errorf("smt renders the same with FetchPolicy %q as with the default; the override never reached the points:\n%s",
-			vpr.FetchICount, def.Text)
-	}
-
-	opts := vpr.ExperimentOptions{Instr: 3000, Workloads: []string{"compress"}, FetchPolicy: "nonesuch"}
-	if _, err := eng.RunExperiment(context.Background(), "fig6", opts); err == nil {
-		t.Fatal("unknown fetch policy accepted")
 	}
 }

@@ -18,11 +18,11 @@
 //     paper's evaluation (Table 2, Figures 4–7), four ablations, the SMT
 //     future-work study and the register-lifetime study, each a named,
 //     data-driven experiment that builds a spec list and reduces results,
-//   - pluggable stage policies and probes (Policies, WithProbe): the SMT
-//     fetch policy is a small interface looked up by name in a policy
-//     registry (FetchPolicies), and a Probe observes kernel events —
-//     dispatch, issue, completion, commit, squash, allocation refusal —
-//     cycle by cycle without allocating on the hot path,
+//   - stage policies and probes (Policies, WithProbe): the SMT fetch
+//     policy is round-robin or ICOUNT (FetchPolicy), and a Probe observes
+//     kernel events — dispatch, issue, completion, commit, squash,
+//     allocation refusal — cycle by cycle without allocating on the hot
+//     path,
 //   - the workload catalog named after the paper's SPEC95 benchmarks,
 //   - the §3.1 analytic register-pressure model (ChainPressure),
 //   - an assembler for the mini-ISA, so custom workloads can be written
@@ -340,16 +340,20 @@ func (e *Engine) RunExperiment(ctx context.Context, name string, opts Experiment
 
 // --- Stage policies and probes ------------------------------------------------
 
-// Policies composes the pluggable per-stage behaviours of a Config: the
-// SMT fetch policy and an optional probe. The zero value is the paper's
-// §4.1 machine.
+// Policies composes the per-stage behaviours of a Config: the SMT fetch
+// policy and an optional probe. The zero value is the paper's §4.1
+// machine.
 type Policies = pipeline.Policies
 
 // FetchPolicy decides which hardware thread receives the front end's
-// fetch bandwidth each cycle; FetchCandidate is what it chooses among.
-type (
-	FetchPolicy    = pipeline.FetchPolicy
-	FetchCandidate = pipeline.FetchCandidate
+// fetch bandwidth each cycle: FetchRoundRobin (the zero value) or
+// FetchICount.
+type FetchPolicy = pipeline.FetchPolicy
+
+// The two fetch policies; String names them "round-robin" and "icount".
+const (
+	FetchRoundRobin = pipeline.FetchRoundRobin // default: first fetchable thread in rotation order
+	FetchICount     = pipeline.FetchICount     // Tullsen-style least-loaded-thread fetch gating
 )
 
 // Probe observes kernel events (dispatch, issue, completion, commit,
@@ -360,22 +364,6 @@ type (
 	Probe     = pipeline.Probe
 	BaseProbe = pipeline.BaseProbe
 )
-
-// PolicyInfo describes one registered policy for listings and CLI help.
-type PolicyInfo = pipeline.PolicyInfo
-
-// The registered fetch-policy names, usable with FetchPolicyByName (and
-// the CLI -fetch flags).
-const (
-	FetchRoundRobin = pipeline.FetchRoundRobin // default: first fetchable thread in rotation order
-	FetchICount     = pipeline.FetchICount     // Tullsen-style least-loaded-thread fetch gating
-)
-
-// FetchPolicies lists the registered fetch policies, default first.
-func FetchPolicies() []PolicyInfo { return pipeline.FetchPolicies() }
-
-// FetchPolicyByName returns the registered fetch policy.
-func FetchPolicyByName(name string) (FetchPolicy, bool) { return pipeline.FetchPolicyByName(name) }
 
 // --- Experiment registry ------------------------------------------------------
 
