@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -33,8 +34,8 @@ type Conventional struct {
 	ready    [2][]bool // physical register holds a valid value
 	// entries holds the in-flight instructions in program order: renamed
 	// at the back, committed from the front, squashed from the back.
-	// Instruction numbers in the window are consecutive, so lookup by
-	// inum is an offset from the front.
+	// Instruction numbers in the window are consecutive, so an
+	// instruction sits at its offset from the front.
 	entries ring[convEntry]
 
 	safeBound    int64   // instructions <= safeBound cannot be squashed
@@ -93,19 +94,22 @@ func NewConventionalShared(p Params, pool *SharedPool) *Conventional {
 //
 //vpr:hotpath
 func (c *Conventional) Rename(inum int64, in isa.Inst) (Renamed, bool) {
-	if n := c.entries.len(); n > 0 && inum <= c.entries.at(n-1).inum {
+	if n := c.entries.len(); n > 0 && inum != c.entries.at(n-1).inum+1 {
 		//vpr:allowalloc panic message: an invariant violation aborts the run
-		panic(fmt.Sprintf("core: rename out of order (%d after %d)", inum, c.entries.at(n-1).inum))
+		panic(fmt.Sprintf("core: rename of %d does not follow %d", inum, c.entries.at(n-1).inum))
 	}
 	if in.HasDst() && c.pool.free[classIdx(in.Dst.Class)].empty() {
 		c.RenameStalls++
 		return Renamed{}, false
 	}
-	e := c.entries.pushBack(convEntry{inum: inum, newP: -1, prevP: -1, srcP: [2]int{-1, -1}})
+	e := c.entries.push()
+	e.inum = inum
+	e.newP, e.prevP = -1, -1
+	e.srcP = [2]int{-1, -1}
 
 	var out Renamed
-	out.Src1 = c.renameSrc(in.Src1, e, 0)
-	out.Src2 = c.renameSrc(in.Src2, e, 1)
+	c.renameSrc(&out.Src1, in.Src1, e, 0)
+	c.renameSrc(&out.Src2, in.Src2, e, 1)
 
 	if in.HasDst() {
 		f := classIdx(in.Dst.Class)
@@ -118,23 +122,26 @@ func (c *Conventional) Rename(inum int64, in isa.Inst) (Renamed, bool) {
 		e.prevP = c.mapTable[f][in.Dst.Index]
 		c.mapTable[f][in.Dst.Index] = p
 		c.ready[f][p] = false
-		out.Dst = DstOp{Present: true, Class: in.Dst.Class, Tag: p}
+		out.Dst = DstOp{Present: true, Class: in.Dst.Class, Tag: int32(p)}
 	}
 	return out, true
 }
 
-func (c *Conventional) renameSrc(r isa.Reg, e *convEntry, slot int) SrcOp {
+// renameSrc fills op, zero on entry, from the current mapping of r.
+func (c *Conventional) renameSrc(op *SrcOp, r isa.Reg, e *convEntry, slot int) {
 	if r.Class == isa.RegNone {
-		return SrcOp{}
+		return
 	}
+	op.Present, op.Class = true, r.Class
 	if r.IsZero() {
-		return SrcOp{Present: true, Zero: true, Class: r.Class, Ready: true}
+		op.Zero, op.Ready = true, true
+		return
 	}
 	f := classIdx(r.Class)
 	p := c.mapTable[f][r.Index]
 	e.srcP[slot] = p
 	e.srcClass[slot] = f
-	return SrcOp{Present: true, Class: r.Class, Tag: p, Ready: c.ready[f][p]}
+	op.Tag, op.Ready = int32(p), c.ready[f][p]
 }
 
 // AllocateAtIssue implements Renamer; the conventional scheme allocated at
@@ -142,6 +149,16 @@ func (c *Conventional) renameSrc(r isa.Reg, e *convEntry, slot int) SrcOp {
 //
 //vpr:hotpath
 func (c *Conventional) AllocateAtIssue(int64) bool { return true }
+
+// NewestProtected implements Renamer: the conventional scheme never
+// refuses an allocation after rename.
+func (c *Conventional) NewestProtected() [2]int64 {
+	return [2]int64{math.MaxInt64, math.MaxInt64}
+}
+
+// CanAllocate implements Renamer: every destination got its register at
+// rename.
+func (c *Conventional) CanAllocate(int64) (needs, may bool) { return false, true }
 
 // Complete implements Renamer: mark the destination value available.
 //
@@ -322,49 +339,32 @@ func (c *Conventional) FreeCount(class isa.RegClass) int {
 	return c.pool.free[classIdx(class)].len()
 }
 
-// HeldRegisters reports every physical register this context references:
-// current mappings plus displaced-but-recoverable previous mappings.
-func (c *Conventional) HeldRegisters(f int) []int {
-	held := append([]int(nil), c.mapTable[f]...)
+// AppendHeld implements PoolMember: every physical register this context
+// references, current mappings plus displaced-but-recoverable previous
+// mappings.
+func (c *Conventional) AppendHeld(dst []int, f int) []int {
+	dst = append(dst, c.mapTable[f]...)
 	for i := 0; i < c.entries.len(); i++ {
 		e := c.entries.at(i)
 		if e.hasDst && e.class == f && e.prevP >= 0 && !e.prevFreed {
-			held = append(held, e.prevP)
+			dst = append(dst, e.prevP)
 		}
 	}
-	return held
+	return dst
 }
 
-// CheckInvariants implements Renamer. For a private pool the held
-// registers plus the free list must exactly partition each file; in a
-// shared pool only this context's self-consistency is checkable here (the
-// pipeline validates the full partition across all contexts).
-func (c *Conventional) CheckInvariants() error {
-	if c.pool.members == 1 {
-		return c.pool.CheckInvariants(c)
-	}
-	for f := 0; f < 2; f++ {
-		seen := make(map[int]int)
-		for _, r := range c.HeldRegisters(f) {
-			if r < 0 || r >= c.pool.PhysRegs() {
-				return fmt.Errorf("conv: file %d holds out-of-range register %d", f, r)
-			}
-			seen[r]++
-			if seen[r] > 1 {
-				return fmt.Errorf("conv: file %d register %d held twice by one context", f, r)
-			}
-		}
-	}
-	return nil
-}
-
-// key implements the ring lookup constraint.
-func (e *convEntry) key() int64 { return e.inum }
+// CheckInvariants implements Renamer. The conventional scheme's only
+// cross-checkable bookkeeping is which registers it holds, and that is
+// the pool's partition check (SharedPool.CheckInvariants).
+func (c *Conventional) CheckInvariants() error { return nil }
 
 // entry returns the in-flight entry for inum, or nil if it is not in the
 // window.
 func (c *Conventional) entry(inum int64) *convEntry {
-	return lookup[convEntry](&c.entries, inum)
+	if c.entries.len() == 0 {
+		return nil
+	}
+	return c.entries.atOffset(inum - c.entries.at(0).inum)
 }
 
 func (c *Conventional) mustEntry(inum int64, op string) *convEntry {

@@ -18,10 +18,12 @@
 //     issue. No re-execution is needed.
 //
 // The pipeline drives a Renamer through a strict protocol: Rename in
-// program order with strictly increasing instruction numbers, Complete when
+// program order with consecutive instruction numbers, Complete when
 // execution finishes (any order), Commit oldest-first, and Squash
 // newest-first when recovering from a misprediction. Violations panic: they
-// are simulator bugs, not recoverable conditions.
+// are simulator bugs, not recoverable conditions. Because the numbers in
+// flight are consecutive, each renamer finds an instruction's bookkeeping
+// by its offset from the oldest one.
 //
 // Renamer state is replayed bit-for-bit by the run cache and the parallel
 // stepper, so the package is determinism-checked: vplint's detsource
@@ -91,23 +93,24 @@ func DefaultParams() Params {
 // (physical registers minus logical registers).
 func (p Params) MaxNRR() int { return p.PhysRegs - isa.NumLogical }
 
-// SrcOp is a renamed source operand.
+// SrcOp is a renamed source operand. It packs into 8 bytes.
 type SrcOp struct {
 	Present bool
 	Zero    bool // hardwired zero register: no tag, always ready
 	Class   isa.RegClass
-	Tag     int  // wakeup tag: physical register (conventional) or VP register
-	Ready   bool // value already available at rename time
+	Ready   bool  // value already available at rename time
+	Tag     int32 // wakeup tag: physical register (conventional) or VP register
 }
 
-// DstOp is a renamed destination.
+// DstOp is a renamed destination. It packs into 8 bytes.
 type DstOp struct {
 	Present bool
 	Class   isa.RegClass
-	Tag     int // tag consumers wake up on
+	Tag     int32 // tag consumers wake up on
 }
 
-// Renamed is the rename-stage output for one instruction.
+// Renamed is the rename-stage output for one instruction: 24 bytes, so
+// returning it by value is a short copy.
 type Renamed struct {
 	Src1, Src2 SrcOp
 	Dst        DstOp
@@ -115,8 +118,11 @@ type Renamed struct {
 
 // Renamer is the scheme-independent contract the pipeline drives.
 type Renamer interface {
-	// Rename maps the instruction's operands in program order. ok=false
-	// means a structural stall (conventional scheme out of physical
+	// Rename maps the instruction's operands in program order. Its
+	// number must be one past the newest instruction in flight (any
+	// number when none is): the numbers in flight are consecutive, and a
+	// squash rewinds the next number to the squashed one. ok=false means
+	// a structural stall (conventional scheme out of physical
 	// registers): the pipeline must retry the same instruction later and
 	// must not call Rename for younger instructions meanwhile.
 	Rename(inum int64, in isa.Inst) (Renamed, bool)
@@ -133,6 +139,23 @@ type Renamer interface {
 	// instruction queue and re-execute it later (§3.3 of the paper).
 	// Instructions without a destination always succeed with preg < 0.
 	Complete(inum int64) (preg int, ok bool)
+
+	// NewestProtected returns, per register file (0 integer, 1 FP), the
+	// number of the newest in-flight instruction the §3.3 reservation
+	// protects. AllocateAtIssue and Complete refuse an instruction whose
+	// destination still lacks a register exactly when its number is
+	// above its file's bound and the shared pool has no more free
+	// registers than its reservation (SharedPool.MayAllocateUnprotected).
+	// The bounds move only at Rename, Commit and Squash. A renamer that
+	// never refuses returns math.MaxInt64 for both files.
+	NewestProtected() [2]int64
+
+	// CanAllocate reports, without changing any state, whether the
+	// instruction's destination still lacks a physical register (needs)
+	// and whether the §3.3 rule would give it one now (may). An
+	// instruction without a destination, or one that holds its register,
+	// reports needs=false.
+	CanAllocate(inum int64) (needs, may bool)
 
 	// ReadPhys resolves an operand's wakeup tag to the physical register
 	// holding its value. Valid only once the producer has completed (or,
@@ -185,9 +208,11 @@ type Renamer interface {
 	// FreeCount returns the number of free physical registers.
 	FreeCount(class isa.RegClass) int
 
-	// CheckInvariants recomputes internal bookkeeping from first
-	// principles and reports any inconsistency. Used by tests and the
-	// pipeline's debug mode.
+	// CheckInvariants recomputes the renamer's own bookkeeping from first
+	// principles and reports any inconsistency. Whether the physical
+	// files partition between the free pool and every context's holdings
+	// is the pool's check (SharedPool.CheckInvariants). Used by tests and
+	// the pipeline's debug mode.
 	CheckInvariants() error
 }
 
@@ -195,8 +220,7 @@ type Renamer interface {
 // event-indexed scheduler needs to keep its wakeup index consistent:
 // recovery reclaims wakeup tags (squash undoes renames newest-first) and
 // the tag numbers are recycled by later renames, so any waiters still
-// filed under a reclaimed tag must be invalidated before the reuse. The
-// complementary pool-side notification is SharedPool.SetFreeListener.
+// filed under a reclaimed tag must be invalidated before the reuse.
 type WakeupSink interface {
 	// TagSquashed reports that the destination tag of a squashed
 	// instruction returned to the renamer's free pool.

@@ -26,11 +26,9 @@ type SharedPool struct {
 	reserve  [2]int // Σ over VP members of (NRR − Used)
 	members  int
 
-	// onFree, when set, observes every register returned to the pool.
-	// The pipeline's scheduler uses it for shared-file diagnostics: a
-	// free event is the moment allocation-blocked instructions of every
-	// member context (SMT contention) can make progress again.
-	onFree func(classIdx int)
+	// Scratch buffers of CheckInvariants, reused across calls so a
+	// per-cycle debug check allocates nothing once warm.
+	seen, held []int
 }
 
 // NewSharedPool builds a pool with physRegs registers per class file.
@@ -48,21 +46,18 @@ func NewSharedPool(physRegs int) *SharedPool {
 // PhysRegs returns the per-class file size.
 func (p *SharedPool) PhysRegs() int { return p.physRegs }
 
-// FreeCount returns the free registers in the class file.
+// FreeCount returns the free registers in the class file (0 integer,
+// 1 FP).
 func (p *SharedPool) FreeCount(f int) int { return p.free[f].len() }
 
-// SetFreeListener registers fn to be called every time a register returns
-// to the pool (commit, squash or early release, from any member context).
-// A nil fn disables the notification.
-func (p *SharedPool) SetFreeListener(fn func(classIdx int)) { p.onFree = fn }
+// Reserve returns the class file's aggregate outstanding reservation: the
+// registers the members' protected instructions may still claim.
+func (p *SharedPool) Reserve(f int) int { return p.reserve[f] }
 
-// release returns one register to the class's free pool and notifies the
-// listener. All renamer frees go through here.
+// release returns one register to the class's free pool. All renamer
+// frees go through here.
 func (p *SharedPool) release(f, reg int) {
 	p.free[f].push(reg)
-	if p.onFree != nil {
-		p.onFree(f)
-	}
 }
 
 // attach claims the architectural registers for one new context and, for
@@ -91,10 +86,12 @@ func (p *SharedPool) attach(nrrInt, nrrFP int, vp bool) [2][]int {
 	return arch
 }
 
-// mayAllocateUnprotected applies the generalized §3.3 guard: an
-// unprotected instruction may take a register only while more remain free
-// than every context's outstanding reservation combined.
-func (p *SharedPool) mayAllocateUnprotected(f int) bool {
+// MayAllocateUnprotected applies the generalized §3.3 guard to the class
+// file f: an unprotected instruction may take a register only while more
+// remain free than every context's outstanding reservation combined.
+// Allocations never raise free minus reserve; only frees (commit, squash,
+// early release) do.
+func (p *SharedPool) MayAllocateUnprotected(f int) bool {
 	return p.free[f].len() > p.reserve[f]
 }
 
@@ -111,21 +108,32 @@ func (p *SharedPool) adjustReserve(f, delta int) {
 // PoolMember is implemented by renamers that draw from a SharedPool; it
 // reports every physical register the member currently references.
 type PoolMember interface {
-	HeldRegisters(f int) []int
+	// AppendHeld appends the member's registers of class file f to dst.
+	AppendHeld(dst []int, f int) []int
 }
 
-// CheckInvariants verifies that the free list and every member's held
-// registers partition each class file exactly.
+// CheckInvariants verifies that the free list and the held registers of
+// members partition each class file exactly. members must be every
+// context attached to the pool: a register two contexts hold, or one no
+// context holds and the free list lacks, is an error.
 func (p *SharedPool) CheckInvariants(members ...PoolMember) error {
+	if len(members) != p.members {
+		return fmt.Errorf("core: pool check given %d of %d member contexts", len(members), p.members)
+	}
+	if p.seen == nil {
+		p.seen = make([]int, p.physRegs)
+	}
 	for f := 0; f < 2; f++ {
-		seen := make([]int, p.physRegs)
+		seen := p.seen
+		clear(seen)
 		for _, r := range p.free[f].regs {
 			seen[r]++
 		}
-		for _, m := range members {
-			for _, r := range m.HeldRegisters(f) {
+		for i, m := range members {
+			p.held = m.AppendHeld(p.held[:0], f)
+			for _, r := range p.held {
 				if r < 0 || r >= p.physRegs {
-					return fmt.Errorf("core: pool member holds out-of-range register %d", r)
+					return fmt.Errorf("core: pool member %d holds out-of-range register %d", i, r)
 				}
 				seen[r]++
 			}

@@ -24,7 +24,7 @@ func TestSharedPoolTwoVPContexts(t *testing.T) {
 	// registers than context B's.
 	ra, _ := a.Rename(0, intInst(1, 2, 3))
 	rb, _ := b.Rename(0, intInst(1, 2, 3))
-	if a.ReadPhys(isa.RegInt, ra.Src1.Tag) == b.ReadPhys(isa.RegInt, rb.Src1.Tag) {
+	if a.ReadPhys(isa.RegInt, int(ra.Src1.Tag)) == b.ReadPhys(isa.RegInt, int(rb.Src1.Tag)) {
 		t.Error("contexts must not share architectural registers")
 	}
 

@@ -2,11 +2,12 @@ package core
 
 // ring is a growable double-ended queue over a power-of-two circular
 // buffer. The renamers keep their per-instruction bookkeeping in rings
-// instead of maps: instructions are renamed in program order, retired from
-// the front (commit) and undone from the back (squash), so the live set is
-// always a contiguous window and random access by instruction number is an
-// index subtraction away. Compared to a map this removes one heap
-// allocation and one hash per instruction from the simulation hot path.
+// instead of maps: instructions are renamed in program order with
+// consecutive numbers, retired from the front (commit) and undone from
+// the back (squash), so the live set is always a contiguous window and an
+// instruction sits at its number's offset from the oldest one. Compared
+// to a map this removes one heap allocation and one hash per instruction
+// from the simulation hot path.
 type ring[T any] struct {
 	buf  []T // len(buf) is a power of two
 	head int
@@ -28,29 +29,36 @@ func (r *ring[T]) at(i int) *T {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// pushBack appends v and returns a pointer to the stored element. The
-// pointer is valid until the next grow (pushBack when full).
-func (r *ring[T]) pushBack(v T) *T {
+// atOffset returns the element off places after the oldest, or nil when
+// the window holds no such element.
+func (r *ring[T]) atOffset(off int64) *T {
+	if off < 0 || off >= int64(r.n) {
+		return nil
+	}
+	return r.at(int(off))
+}
+
+// push appends a zeroed element and returns a pointer to it, for the
+// caller to fill in place. The pointer is valid until the next grow
+// (push when full).
+func (r *ring[T]) push() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	p := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
-	*p = v
+	var zero T
+	*p = zero
 	r.n++
 	return p
 }
 
 func (r *ring[T]) popFront() {
-	var zero T
-	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 }
 
 func (r *ring[T]) popBack() {
-	var zero T
 	r.n--
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = zero
 }
 
 func (r *ring[T]) grow() {
@@ -60,46 +68,4 @@ func (r *ring[T]) grow() {
 	}
 	r.buf = next
 	r.head = 0
-}
-
-// keyed constrains ring elements addressable by a strictly increasing
-// int64 key (the renamers' instruction numbers).
-type keyed[T any] interface {
-	*T
-	key() int64
-}
-
-// lookup finds the element whose key equals k, or returns nil. Keys are
-// strictly increasing front to back, so when they are also consecutive
-// (as the pipeline's instruction numbers are) the element sits exactly
-// k-first positions from the front; otherwise that position bounds a
-// binary search.
-func lookup[T any, PT keyed[T]](r *ring[T], k int64) PT {
-	n := r.len()
-	if n == 0 {
-		return nil
-	}
-	off := k - PT(r.at(0)).key()
-	if off < 0 {
-		return nil
-	}
-	if off >= int64(n) {
-		off = int64(n) - 1
-	}
-	if e := PT(r.at(int(off))); e.key() == k {
-		return e
-	}
-	lo, hi := 0, int(off) // at(off).key() > k here: search below it
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if PT(r.at(mid)).key() < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if e := PT(r.at(lo)); e.key() == k {
-		return e
-	}
-	return nil
 }

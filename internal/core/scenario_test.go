@@ -67,7 +67,7 @@ func TestPaperSection33Narrative(t *testing.T) {
 			}
 		}
 		v.Commit(i)
-		if err := v.CheckInvariants(); err != nil {
+		if err := check(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestPaperSection33Narrative(t *testing.T) {
 	for i := int64(33); i < 64; i++ {
 		v.Commit(i)
 	}
-	if err := v.CheckInvariants(); err != nil {
+	if err := check(v); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.InUse(isa.RegInt); got != 32 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -65,8 +66,8 @@ type VP struct {
 	used    [2]int         // allocated registers among the NRR oldest (the paper's Used counters)
 	// entries holds the in-flight instructions in program order (renamed
 	// at the back, committed from the front, squashed from the back);
-	// instruction numbers in the window are consecutive, so lookup by
-	// inum is an offset from the front.
+	// instruction numbers in the window are consecutive, so an
+	// instruction sits at its offset from the front.
 	entries ring[vpEntry]
 	sink    WakeupSink
 
@@ -76,9 +77,7 @@ type VP struct {
 	lifetimeSum int64
 	freed       int64
 
-	// Statistics.
-	AllocFailures int64 // write-back allocations refused (re-executions follow)
-	IssueBlocks   int64 // issue allocations refused
+	seenVP []int // CheckInvariants' scratch, reused across calls
 }
 
 var _ Renamer = (*VP)(nil)
@@ -140,15 +139,17 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
 //
 //vpr:hotpath
 func (v *VP) Rename(inum int64, in isa.Inst) (Renamed, bool) {
-	if n := v.entries.len(); n > 0 && inum <= v.entries.at(n-1).inum {
+	if n := v.entries.len(); n > 0 && inum != v.entries.at(n-1).inum+1 {
 		//vpr:allowalloc panic message: an invariant violation aborts the run
-		panic(fmt.Sprintf("core: rename out of order (%d after %d)", inum, v.entries.at(n-1).inum))
+		panic(fmt.Sprintf("core: rename of %d does not follow %d", inum, v.entries.at(n-1).inum))
 	}
-	e := v.entries.pushBack(vpEntry{inum: inum, p: -1, prevVP: -1})
+	e := v.entries.push()
+	e.inum = inum
+	e.p, e.prevVP = -1, -1
 
 	var out Renamed
-	out.Src1 = v.renameSrc(in.Src1)
-	out.Src2 = v.renameSrc(in.Src2)
+	v.renameSrc(&out.Src1, in.Src1)
+	v.renameSrc(&out.Src2, in.Src2)
 
 	if in.HasDst() {
 		f := classIdx(in.Dst.Class)
@@ -166,50 +167,65 @@ func (v *VP) Rename(inum int64, in isa.Inst) (Renamed, bool) {
 		v.gmt[f][in.Dst.Index] = gmtEntry{vp: vp, p: -1, valid: false}
 		v.pmt[f][vp] = -1
 		v.vpReady[f][vp] = false
-		v.pending[f].pushBack(inum)
-		out.Dst = DstOp{Present: true, Class: in.Dst.Class, Tag: vp}
+		*v.pending[f].push() = inum
+		out.Dst = DstOp{Present: true, Class: in.Dst.Class, Tag: int32(vp)}
 	}
 	return out, true
 }
 
-func (v *VP) renameSrc(r isa.Reg) SrcOp {
+// renameSrc fills op, zero on entry, from the current mapping of r.
+func (v *VP) renameSrc(op *SrcOp, r isa.Reg) {
 	if r.Class == isa.RegNone {
-		return SrcOp{}
+		return
 	}
+	op.Present, op.Class = true, r.Class
 	if r.IsZero() {
-		return SrcOp{Present: true, Zero: true, Class: r.Class, Ready: true}
+		op.Zero, op.Ready = true, true
+		return
 	}
 	f := classIdx(r.Class)
-	g := v.gmt[f][r.Index]
+	vp := v.gmt[f][r.Index].vp
 	// The operand is identified by its VP tag either way; the ready bit
 	// tells the queue whether the value has already been produced.
-	return SrcOp{Present: true, Class: r.Class, Tag: g.vp, Ready: v.vpReady[f][g.vp]}
+	op.Tag, op.Ready = int32(vp), v.vpReady[f][vp]
 }
 
-// protected reports whether the instruction is among the NRR oldest
-// uncommitted instructions with a destination in its class — the set the
-// PRRint/PRRfp pointers delimit in the paper.
+// newestProtected returns the number of the newest instruction among the
+// NRR oldest uncommitted ones with a destination in class file f — the
+// set the PRRint/PRRfp pointers delimit in the paper — or MaxInt64 while
+// that set has room, so every in-flight instruction is in it.
+func (v *VP) newestProtected(f int) int64 {
+	q := &v.pending[f]
+	if nrr := v.nrr[f]; q.len() > nrr {
+		return *q.at(nrr - 1)
+	}
+	return math.MaxInt64
+}
+
+// protected reports whether the instruction is in its class's protected
+// set.
 func (v *VP) protected(e *vpEntry) bool {
-	q := &v.pending[e.class]
-	nrr := v.nrr[e.class]
-	if q.len() <= nrr {
-		return true
-	}
-	return e.inum <= *q.at(nrr - 1)
+	return e.inum <= v.newestProtected(e.class)
 }
 
-// mayAllocate applies §3.3: reserved instructions always may; others only
-// while more registers remain free than the reservation still needs.
+// allowed applies §3.3: reserved instructions always may allocate; others
+// only while more registers remain free than the reservation still needs.
+func (v *VP) allowed(e *vpEntry) bool {
+	return v.protected(e) || v.pool.MayAllocateUnprotected(e.class)
+}
+
+// mayAllocate is allowed, checking that a protected instruction finds the
+// register its reservation guarantees.
 func (v *VP) mayAllocate(e *vpEntry) bool {
-	if v.protected(e) {
-		if v.pool.free[e.class].empty() {
-			// The reservation invariant guarantees a register here;
-			// running dry is a bookkeeping bug.
-			panic("core: reserved instruction found no free register")
-		}
-		return true
+	if !v.allowed(e) {
+		return false
 	}
-	return v.pool.mayAllocateUnprotected(e.class)
+	if v.pool.free[e.class].empty() {
+		// The reservation invariant guarantees a register here;
+		// running dry is a bookkeeping bug.
+		panic("core: reserved instruction found no free register")
+	}
+	return true
 }
 
 // allocate binds a physical register to the instruction's VP register.
@@ -243,11 +259,24 @@ func (v *VP) AllocateAtIssue(inum int64) bool {
 		return true
 	}
 	if !v.mayAllocate(e) {
-		v.IssueBlocks++
 		return false
 	}
 	v.allocate(e)
 	return true
+}
+
+// NewestProtected implements Renamer.
+func (v *VP) NewestProtected() [2]int64 {
+	return [2]int64{v.newestProtected(0), v.newestProtected(1)}
+}
+
+// CanAllocate implements Renamer.
+func (v *VP) CanAllocate(inum int64) (needs, may bool) {
+	e := v.mustEntry(inum, "can-allocate")
+	if !e.hasDst || e.p >= 0 {
+		return false, true
+	}
+	return true, v.allowed(e)
 }
 
 // Complete implements Renamer. Under the write-back policy this is the
@@ -269,7 +298,6 @@ func (v *VP) Complete(inum int64) (int, bool) {
 			panic("core: issue-allocated instruction completing without a register")
 		}
 		if !v.mayAllocate(e) {
-			v.AllocFailures++
 			return -1, false
 		}
 		v.allocate(e)
@@ -426,44 +454,31 @@ func (v *VP) FreeCount(class isa.RegClass) int {
 	return v.pool.free[classIdx(class)].len()
 }
 
-// HeldRegisters reports every physical register this context references
-// through its PMT.
-func (v *VP) HeldRegisters(f int) []int {
-	var held []int
+// AppendHeld implements PoolMember: every physical register this context
+// references through its PMT.
+func (v *VP) AppendHeld(dst []int, f int) []int {
 	for _, p := range v.pmt[f] {
 		if p >= 0 {
-			held = append(held, p)
+			dst = append(dst, p)
 		}
 	}
-	return held
+	return dst
 }
 
-// CheckInvariants implements Renamer: the physical file must partition
-// exactly between free pool and PMT mappings (validated pool-wide when the
-// pool is private, per-context otherwise); the VP file must partition
-// between its free pool and live mappings; the Used counters must match a
-// recount over the NRR oldest pending instructions; the pending deques
-// must be sorted.
+// CheckInvariants implements Renamer: the VP file must partition between
+// its free pool and live mappings; the Used counters must match a recount
+// over the NRR oldest pending instructions; the pending deques must be
+// sorted. The physical files are the pool's check
+// (SharedPool.CheckInvariants).
 func (v *VP) CheckInvariants() error {
-	if v.pool.members == 1 {
-		if err := v.pool.CheckInvariants(v); err != nil {
-			return err
-		}
-	} else {
-		for f := 0; f < 2; f++ {
-			seen := make(map[int]int)
-			for _, r := range v.HeldRegisters(f) {
-				seen[r]++
-				if seen[r] > 1 {
-					return fmt.Errorf("vp: file %d register %d held twice by one context", f, r)
-				}
-			}
-		}
+	if v.seenVP == nil {
+		v.seenVP = make([]int, v.params.VPRegs)
 	}
 	for f := 0; f < 2; f++ {
 		// VP registers: free, or live (reachable as a current GMT
 		// mapping or as an in-flight prevVP/vp).
-		seenVP := make([]int, v.params.VPRegs)
+		seenVP := v.seenVP
+		clear(seenVP)
 		for _, r := range v.vpFree[f].regs {
 			seenVP[r]++
 		}
@@ -504,13 +519,13 @@ func (v *VP) CheckInvariants() error {
 	return nil
 }
 
-// key implements the ring lookup constraint.
-func (e *vpEntry) key() int64 { return e.inum }
-
 // entry returns the in-flight entry for inum, or nil if it is not in the
 // window.
 func (v *VP) entry(inum int64) *vpEntry {
-	return lookup[vpEntry](&v.entries, inum)
+	if v.entries.len() == 0 {
+		return nil
+	}
+	return v.entries.atOffset(inum - v.entries.at(0).inum)
 }
 
 func (v *VP) mustEntry(inum int64, op string) *vpEntry {

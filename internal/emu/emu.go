@@ -63,25 +63,37 @@ func (m *Machine) Memory() *Memory { return m.mem }
 // Step executes the next instruction and returns its trace record.
 // ok=false means the machine has halted (no record produced).
 func (m *Machine) Step() (rec trace.Record, ok bool, err error) {
+	if ok, err = m.step(&rec); !ok {
+		return trace.Record{}, false, err
+	}
+	return rec, true, nil
+}
+
+// step executes the next instruction and writes its trace record into
+// rec, every field of it, so a batch can step straight into a ring
+// buffer's slots. ok=false means the machine has halted; rec is then
+// garbage.
+func (m *Machine) step(rec *trace.Record) (ok bool, err error) {
 	if m.halted {
-		return trace.Record{}, false, nil
+		return false, nil
 	}
 	if m.pc < 0 || m.pc >= len(m.prog.Insts) {
 		m.halted = true
-		return trace.Record{}, false, fmt.Errorf("emu: pc %d out of range", m.pc)
+		return false, fmt.Errorf("emu: pc %d out of range", m.pc)
 	}
-	in := m.prog.Insts[m.pc]
+	in := &m.prog.Insts[m.pc]
 	if in.Op == isa.HALT {
 		m.halted = true
-		return trace.Record{}, false, nil
+		return false, nil
 	}
 
-	rec = trace.Record{
-		Seq:       m.seq,
-		PC:        m.pc,
-		Inst:      in,
-		HasValues: true,
-	}
+	rec.Seq = m.seq
+	rec.PC = m.pc
+	rec.Inst = *in
+	rec.EA = 0
+	rec.Taken = false
+	rec.HasValues = true
+	rec.DstVal = 0
 
 	readInt := func(r isa.Reg) uint64 { return m.IntReg(int(r.Index)) }
 	readFP := func(r isa.Reg) float64 { return m.FPReg(int(r.Index)) }
@@ -190,7 +202,7 @@ func (m *Machine) Step() (rec trace.Record, ok bool, err error) {
 		v, lerr := m.mem.Load(ea)
 		if lerr != nil {
 			m.halted = true
-			return trace.Record{}, false, fmt.Errorf("pc %d (%s): %w", m.pc, in, lerr)
+			return false, fmt.Errorf("pc %d (%s): %w", m.pc, in, lerr)
 		}
 		if in.Op == isa.LDQ {
 			writeInt(in.Dst, v)
@@ -209,7 +221,7 @@ func (m *Machine) Step() (rec trace.Record, ok bool, err error) {
 		rec.DstVal = v // store "result" is the stored value; used by golden checks
 		if serr := m.mem.Store(ea, v); serr != nil {
 			m.halted = true
-			return trace.Record{}, false, fmt.Errorf("pc %d (%s): %w", m.pc, in, serr)
+			return false, fmt.Errorf("pc %d (%s): %w", m.pc, in, serr)
 		}
 
 	case isa.FADD:
@@ -290,12 +302,12 @@ func (m *Machine) Step() (rec trace.Record, ok bool, err error) {
 
 	default:
 		m.halted = true
-		return trace.Record{}, false, fmt.Errorf("emu: pc %d: unimplemented opcode %s", m.pc, in.Op)
+		return false, fmt.Errorf("emu: pc %d: unimplemented opcode %s", m.pc, in.Op)
 	}
 
 	if info.IsBranch && (nextPC < 0 || nextPC > len(m.prog.Insts)) {
 		m.halted = true
-		return trace.Record{}, false, fmt.Errorf("emu: pc %d (%s): jump to %d out of range", m.pc, in, nextPC)
+		return false, fmt.Errorf("emu: pc %d (%s): jump to %d out of range", m.pc, in, nextPC)
 	}
 
 	rec.NextPC = nextPC
@@ -306,15 +318,16 @@ func (m *Machine) Step() (rec trace.Record, ok bool, err error) {
 		// not via branches — those were range-checked above).
 		m.halted = true
 	}
-	return rec, true, nil
+	return true, nil
 }
 
 // Run executes until halt or limit instructions, whichever is first,
 // discarding the trace. It returns the number of instructions executed.
 func (m *Machine) Run(limit int64) (int64, error) {
 	var n int64
+	var rec trace.Record
 	for n < limit && !m.halted {
-		if _, ok, err := m.Step(); err != nil {
+		if ok, err := m.step(&rec); err != nil {
 			return n, err
 		} else if !ok {
 			break
@@ -380,12 +393,15 @@ func (g *TraceGen) Next() (trace.Record, bool) {
 // committed instructions in one call, amortizing the per-record dispatch
 // overhead on the pipeline's refill path. A short count means the program
 // halted (or errored; see Err).
+//
+// The emulator steps straight into dst's slots: a Stream refill hands it
+// its ring window, so no record is built and then copied.
 func (g *TraceGen) NextBatch(dst []trace.Record) int {
 	if g.err != nil {
 		return 0
 	}
 	for i := range dst {
-		rec, ok, err := g.m.Step()
+		ok, err := g.m.step(&dst[i])
 		if err != nil {
 			g.err = err
 			return i
@@ -393,7 +409,6 @@ func (g *TraceGen) NextBatch(dst []trace.Record) int {
 		if !ok {
 			return i
 		}
-		dst[i] = rec
 	}
 	return len(dst)
 }

@@ -89,7 +89,10 @@ type Config struct {
 	// traces that carry values.
 	ValueCheck bool
 
-	// Debug runs internal invariant checks every cycle (slow).
+	// Debug runs internal invariant checks every cycle (slow): every
+	// renamer's bookkeeping, the shared register pool's partition over
+	// all threads, the scheduler indexes, and every allocation refusal
+	// against the renamer's rule.
 	Debug bool
 
 	// DeadlockCycles aborts the run if no instruction commits for this

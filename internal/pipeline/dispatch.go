@@ -54,7 +54,6 @@ func (s *Sim) dispatchStage(now int64) error {
 			e.sqTail = th.sqTailSlot()
 			e.completeAt = timeUnset
 			e.aguDoneAt = timeUnset
-			e.allocBlockedAt = timeUnset
 			e.valueFrom = valueNone
 			e.ren = renamed
 			e.rec = rec

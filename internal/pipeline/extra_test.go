@@ -211,6 +211,11 @@ func TestDeadlockDetectorThreshold(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected the deadlock detector to fire, got %v", err)
 	}
+	// The message names the shared pool's per-class free and reserved
+	// registers; the conventional scheme reserves none.
+	if !strings.Contains(err.Error(), "registers free int/fp ") || !strings.Contains(err.Error(), ", reserved 0/0") {
+		t.Errorf("deadlock message lacks the pool's free and reserved counts: %v", err)
+	}
 }
 
 // Conservative disambiguation must never report violations on any workload.

@@ -31,13 +31,22 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 )
 
-// evRef names one scheduled robEntry occupancy.
+// evRef names one scheduled robEntry occupancy. A ready-queue reference
+// also carries the instruction's issue constants, in what would otherwise
+// be padding, so an issue visit that leaves the instruction queued reads
+// the reference and never the entry.
 type evRef struct {
-	inum int64
-	gen  uint32
+	inum  int64
+	gen   uint32
+	pool  uint8    // functional-unit pool (robEntry.pool)
+	reads [2]uint8 // register-file read ports per class (robEntry.reads)
+	// alloc is 1 + the destination's file index when issue must allocate
+	// its register (VP issue allocation), 0 otherwise.
+	alloc uint8
 }
 
 // waiter is one registered wakeup subscription: instruction inum (under
@@ -276,10 +285,18 @@ func purgeRefsFrom(list []evRef, inum int64) []evRef {
 }
 
 // enqueueReady files a dispatched instruction whose operands are ready
-// into the issue stage's queue.
+// into the issue stage's queue, with its issue constants.
 func (s *Sim) enqueueReady(th *thread, e *robEntry) {
 	e.inReadyQ = true
-	th.readyQ = insertRef(th.readyQ, evRef{inum: e.inum, gen: e.gen})
+	th.readyQ = insertRef(th.readyQ, evRef{inum: e.inum, gen: e.gen, pool: e.pool, reads: e.reads, alloc: s.issueAlloc(e)})
+}
+
+// issueAlloc is evRef.alloc for the instruction.
+func (s *Sim) issueAlloc(e *robEntry) uint8 {
+	if s.cfg.Scheme != core.SchemeVPIssue || !e.ren.Dst.Present {
+		return 0
+	}
+	return 1 + uint8(classIdxOf(e.ren.Dst.Class))
 }
 
 // registerWaiters subscribes the entry's not-yet-ready operands to their
@@ -313,10 +330,13 @@ func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 
 // checkEvInvariants cross-checks the scheduler indexes against a full
 // reorder-buffer scan (Debug mode): every issueable instruction must be in
-// the ready queue, every completable store in the write-back pending list,
-// the queues must be inum-sorted, the store queue's known-address prefix
-// must match a fresh scan, and every store's dispatch slot and every
-// load's mark must agree with a search of the queue.
+// the ready queue, and every ready-queue reference must name a current,
+// waiting, ready instruction whose issue constants it carries (one that
+// issue must allocate for must still lack its register); every
+// completable store must be in the write-back pending list, the queues
+// must be inum-sorted, the store queue's known-address prefix must match
+// a fresh scan, and every store's dispatch slot and every load's mark
+// must agree with a search of the queue.
 //
 //vpr:coldpath
 func (s *Sim) checkEvInvariants(th *thread) error {
@@ -331,6 +351,21 @@ func (s *Sim) checkEvInvariants(th *thread) error {
 		for i := 1; i < len(q); i++ {
 			if q[i-1].inum >= q[i].inum {
 				return fmt.Errorf("scheduler queue not inum-sorted at %d", q[i].inum)
+			}
+		}
+	}
+	for _, ref := range th.readyQ {
+		e := th.entryByInum(ref.inum)
+		if e == nil || e.gen != ref.gen || e.st != stWaiting || !e.ready() || !e.inReadyQ {
+			return fmt.Errorf("ready-queue reference %d is stale or names an instruction that is not waiting and ready", ref.inum)
+		}
+		if ref.pool != e.pool || ref.reads != e.reads || ref.alloc != s.issueAlloc(e) {
+			return fmt.Errorf("ready-queue reference %d carries issue constants %d/%v/%d, its entry %d/%v/%d",
+				ref.inum, ref.pool, ref.reads, ref.alloc, e.pool, e.reads, s.issueAlloc(e))
+		}
+		if ref.alloc != 0 {
+			if needs, _ := th.ren.CanAllocate(ref.inum); !needs {
+				return fmt.Errorf("ready-queue reference %d awaits issue allocation, but its destination holds a register", ref.inum)
 			}
 		}
 	}

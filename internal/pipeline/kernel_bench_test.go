@@ -75,8 +75,11 @@ func (g *cycleGen) NextBatch(dst []trace.Record) int {
 // BenchmarkSimStep is the event kernel's layer benchmark: one op is one
 // Sim.Step of the paper's machine over the canned catalog trace, per
 // renaming scheme, and ns/instr is host time per committed instruction.
-// The simulator is built before the timed loop, so setup is excluded and
-// allocs/op is the steady-state per-cycle allocation rate.
+// blocks/instr and reexec/instr are the VP schemes' allocation refusals
+// per committed instruction (issue blocks, write-back re-executions):
+// the repeated visits whose cost ns/instr includes. The simulator is
+// built before the timed loop, so setup is excluded and allocs/op is the
+// steady-state per-cycle allocation rate.
 func BenchmarkSimStep(b *testing.B) {
 	recs := cannedTrace(b)
 	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
@@ -94,8 +97,10 @@ func BenchmarkSimStep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if c := sim.stats.Committed; c > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c), "ns/instr")
+			if c := float64(sim.stats.Committed); c > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/c, "ns/instr")
+				b.ReportMetric(float64(sim.stats.IssueBlocks)/c, "blocks/instr")
+				b.ReportMetric(float64(sim.stats.Reexecutions)/c, "reexec/instr")
 			}
 		})
 	}

@@ -291,6 +291,12 @@ var machineSeeds = [][]machineValue{
 		{fTrace0, traceKind("migratory")}, {fTrace0 + 1, traceKind("migratory")}, {fTrace0 + 2, traceKind("false-sharing")}},
 	{{fShape, 2}, {fCount, 2}, {fL2Size, 0}, {fStep, choice(machineSteps, StepSkew(-1))},
 		{fL1Size, 512}, {fMSHRs, 1}},
+	// Below the maximum NRR the shared pool's free-versus-reserve test
+	// grants unprotected allocations as well as refusing them, which
+	// Debug cross-checks against the renamer at every refusal.
+	{{fScheme, int(core.SchemeVPIssue)}, {fNRRInt, 1}, {fNRRFP, 1}, {fTrace0, traceKind("swim")}},
+	{{fShape, 1}, {fCount, 2}, {fScheme, int(core.SchemeVPWriteback)}, {fPhysRegs, 96},
+		{fNRRInt, 8}, {fNRRFP, 8}, {fTrace0 + 1, traceKind("swim")}},
 }
 
 // FuzzMachine checks that Validate is the one gate of every machine the
@@ -336,7 +342,7 @@ func FuzzMachine(f *testing.F) {
 		if want := int64(m.threads * machineInstr); !sim.Done() || st.Committed != want {
 			t.Fatalf("%d thread(s): committed %d of %d (done %v)", m.threads, st.Committed, want, sim.Done())
 		}
-		// Debug checks a shared pool's partition only with one thread.
+		// Debug checked the pool every cycle; this checks the drained end.
 		if err := sim.PoolCheck(); err != nil {
 			t.Fatalf("%d thread(s): register pool after the run: %v", m.threads, err)
 		}

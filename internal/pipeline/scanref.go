@@ -86,8 +86,8 @@ func (s *Sim) writebackScan(now int64) error {
 				if e.isLoad {
 					e.valueFrom = valueNone
 				}
-				if s.probe != nil {
-					s.probe.AllocRefused(now, th.id, e.inum, false)
+				if err := s.refuseAlloc(th, e.inum, now, false); err != nil {
+					return err
 				}
 				continue
 			}
@@ -111,7 +111,7 @@ func (s *Sim) writebackScan(now int64) error {
 
 // broadcastScan wakes every waiting operand of the owning thread matching
 // the completed tag by scanning the thread's reorder buffer.
-func (s *Sim) broadcastScan(th *thread, class isa.RegClass, tag int) {
+func (s *Sim) broadcastScan(th *thread, class isa.RegClass, tag int32) {
 	for i := 0; i < th.robCount; i++ {
 		e := th.at(i)
 		if e.st == stCompleted {
@@ -226,8 +226,8 @@ func (s *Sim) issueScan(now int64) error {
 				continue
 			}
 			if !th.ren.AllocateAtIssue(e.inum) {
-				if s.probe != nil {
-					s.probe.AllocRefused(now, th.id, e.inum, true)
+				if err := s.refuseAlloc(th, e.inum, now, true); err != nil {
+					return err
 				}
 				continue // VP issue allocation refused; stays in the queue
 			}

@@ -138,13 +138,6 @@ type robEntry struct {
 	completeAt int64 // cycle execution finishes (timeUnset while unknown)
 	aguDoneAt  int64 // memory ops: cycle the effective address is ready
 
-	// allocBlockedAt records the cycle VP-issue allocation last refused
-	// this instruction (timeUnset otherwise). The issue stage skips the
-	// renamer consult — counting the block without paying for it — until
-	// a register of the destination's class returns to the shared pool
-	// (see allocAtIssue).
-	allocBlockedAt int64
-
 	valueFrom int64 // loads: forwarding store inum, valueMemory, or valueNone
 
 	ren core.Renamed
@@ -343,6 +336,7 @@ type Sim struct {
 
 	threads []*thread
 	pool    *core.SharedPool
+	members []core.PoolMember // PoolCheck's buffer, reused across calls
 	bht     *bpred.BHT
 	dmem    *mem.L1 // the core's L1: private, or a port of a mem.System
 
@@ -371,22 +365,9 @@ type Sim struct {
 
 	genCtr uint32
 
-	// lastRegFree records, per class, the last cycle a physical register
-	// returned to the shared pool (via core.SharedPool's free listener).
-	// Shared-pool contention (SMT) shows up in deadlock diagnostics as a
-	// stale value here.
-	lastRegFree [2]int64
-
 	rotate          int // round-robin offset, advanced every cycle
 	orderBuf        []*thread
 	lastCommitCycle int64
-
-	// deferredIssueBlocks counts the cycles the issue stage skipped a
-	// provably futile VP-issue allocation consult (see allocAtIssue).
-	// Each skipped cycle is one issue block the renamer would have
-	// counted; Stats folds them back so IssueBlocks stays byte-identical
-	// to the consult-every-cycle accounting.
-	deferredIssueBlocks int64
 
 	// onCommit, when set, observes every commit in machine order
 	// (differential tests compare commit streams across kernels).
@@ -447,8 +428,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		dmem:  port,
 		sbBuf: make([]uint64, ringLen(cfg.StoreBufferSize)),
 	}
-	s.lastRegFree[0], s.lastRegFree[1] = timeUnset, timeUnset
-	s.pool.SetFreeListener(func(f int) { s.lastRegFree[f] = s.cycle })
 	for i, gen := range gens {
 		th := &thread{
 			id:     i,
@@ -543,12 +522,7 @@ func (s *Sim) Stats() Stats {
 			st.RenameRegStall += c.RenameStalls
 			st.EarlyReleases += c.EarlyReleases
 		}
-		if v, ok := th.ren.(*core.VP); ok {
-			st.Reexecutions += v.AllocFailures
-			st.IssueBlocks += v.IssueBlocks
-		}
 	}
-	st.IssueBlocks += s.deferredIssueBlocks
 	if s.wallNanos > 0 {
 		st.WallSeconds = float64(s.wallNanos) / 1e9
 		st.CyclesPerSec = float64(st.Cycles) / st.WallSeconds
@@ -665,17 +639,8 @@ func (s *Sim) stepBack(now int64) error {
 	s.fetchStage(now)
 	s.sample()
 	if s.cfg.Debug {
-		for _, th := range s.threads {
-			if err := th.ren.CheckInvariants(); err != nil {
-				//vpr:allowalloc error path: the failed run allocates once and stops
-				return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
-			}
-			if !s.scan {
-				if err := s.checkEvInvariants(th); err != nil {
-					//vpr:allowalloc error path: the failed run allocates once and stops
-					return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
-				}
-			}
+		if err := s.debugCheck(now); err != nil {
+			return err
 		}
 	}
 	if now-s.lastCommitCycle > s.cfg.DeadlockCycles {
@@ -685,6 +650,32 @@ func (s *Sim) stepBack(now int64) error {
 	}
 	s.cycle++
 	s.rotate++
+	return nil
+}
+
+// debugCheck runs the Debug-mode invariant checks at the end of a cycle:
+// every renamer's own bookkeeping, the shared pool's partition between
+// its free lists and every thread's holdings, and (event kernel) every
+// thread's scheduler indexes.
+//
+//vpr:coldpath
+func (s *Sim) debugCheck(now int64) error {
+	for _, th := range s.threads {
+		if err := th.ren.CheckInvariants(); err != nil {
+			return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
+		}
+	}
+	if err := s.PoolCheck(); err != nil {
+		return fmt.Errorf("cycle %d: %w", now, err)
+	}
+	if s.scan {
+		return nil
+	}
+	for _, th := range s.threads {
+		if err := s.checkEvInvariants(th); err != nil {
+			return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
+		}
+	}
 	return nil
 }
 
@@ -703,7 +694,8 @@ func (s *Sim) describeHeads() string {
 		fmt.Fprintf(&b, "t%d head inum %d %s state %d ready %v/%v",
 			th.id, e.inum, e.rec.Inst, e.st, e.src1Ready, e.src2Ready)
 	}
-	fmt.Fprintf(&b, "; last reg free int/fp cycle %d/%d", s.lastRegFree[0], s.lastRegFree[1])
+	fmt.Fprintf(&b, "; registers free int/fp %d/%d, reserved %d/%d",
+		s.pool.FreeCount(0), s.pool.FreeCount(1), s.pool.Reserve(0), s.pool.Reserve(1))
 	return b.String()
 }
 
@@ -743,11 +735,12 @@ func (s *Sim) sample() {
 }
 
 // PoolCheck validates the shared register pool against every thread's
-// holdings (Debug helper; called by tests).
+// holdings. Debug runs it every cycle; its buffers are reused, so it
+// allocates nothing once warm.
 func (s *Sim) PoolCheck() error {
-	members := make([]core.PoolMember, 0, len(s.threads))
+	s.members = s.members[:0]
 	for _, th := range s.threads {
-		members = append(members, th.ren.(core.PoolMember))
+		s.members = append(s.members, th.ren.(core.PoolMember))
 	}
-	return s.pool.CheckInvariants(members...)
+	return s.pool.CheckInvariants(s.members...)
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -153,5 +154,29 @@ func TestSMTThreadsDrainIndependently(t *testing.T) {
 	}
 	if st.Committed != 12000 {
 		t.Errorf("total = %d", st.Committed)
+	}
+}
+
+// TestDebugChecksSharedPoolPartition breaks the shared register files of
+// a two-thread machine: thread 1's renamer is rebuilt over a pool of its
+// own, so it names the same architectural registers as thread 0, and the
+// registers the shared pool gave thread 1 are held by no one. Each
+// context on its own is still consistent; only the pool-wide partition
+// check over every thread sees it, and Debug must stop the next cycle.
+func TestDebugChecksSharedPoolPartition(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
+		cfg := smtConfig(scheme, 2)
+		cfg.Debug = true
+		sim, err := NewSMT(cfg, smtGens(t, []string{"compress", "swim"}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := sim.threads[1]
+		th.ren = core.New(scheme, cfg.Rename) // over a private pool
+		th.ren.SetWakeupSink(&threadSink{th: th})
+		err = sim.Step()
+		if err == nil || !strings.Contains(err.Error(), "referenced") {
+			t.Errorf("%s: Debug step over a broken register partition returned %v, want the pool check's error", scheme, err)
+		}
 	}
 }

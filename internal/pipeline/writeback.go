@@ -18,7 +18,9 @@ import (
 // also carries port-starved retries from earlier cycles and stores that
 // became completable (address recorded and data arrived). Processing the
 // list in inum order per thread, threads in rotation order, consumes write
-// ports in the same order as the reference ROB scan.
+// ports in the same order as the reference ROB scan. A write-back
+// allocation refusal is decided from the thread's protection bounds and
+// the shared pool (allocBounds), so Complete is called only to allocate.
 func (s *Sim) writebackStage(now int64) error {
 	if s.scan {
 		return s.writebackScan(now)
@@ -28,6 +30,7 @@ func (s *Sim) writebackStage(now int64) error {
 	}
 	wbPorts := [2]int{s.cfg.RFWritePorts, s.cfg.RFWritePorts}
 	for _, th := range s.threadOrder() {
+		bound := s.allocBounds(th, core.SchemeVPWriteback)
 		i := 0
 		for i < len(th.wbPend) {
 			ref := th.wbPend[i]
@@ -72,24 +75,27 @@ func (s *Sim) writebackStage(now int64) error {
 					i++ // structural: retry next cycle
 					continue
 				}
+				if e.inum > bound[f] && !s.pool.MayAllocateUnprotected(f) {
+					// §3.3: no register may be allocated at write-back;
+					// squash the instruction back to the queue and
+					// re-execute it.
+					e.st = stWaiting
+					e.completeAt = timeUnset
+					e.aguDoneAt = timeUnset
+					if e.isLoad {
+						e.valueFrom = valueNone
+					}
+					if err := s.refuseAlloc(th, e.inum, now, false); err != nil {
+						return err
+					}
+					th.wbPend = removeRefAt(th.wbPend, i)
+					s.enqueueReady(th, e) // operands are still ready; re-issue from the queue
+					continue
+				}
 			}
 			preg, ok := th.ren.Complete(e.inum)
 			if !ok {
-				// §3.3: no register may be allocated at write-back;
-				// squash the instruction back to the queue and
-				// re-execute it.
-				e.st = stWaiting
-				e.completeAt = timeUnset
-				e.aguDoneAt = timeUnset
-				if e.isLoad {
-					e.valueFrom = valueNone
-				}
-				if s.probe != nil {
-					s.probe.AllocRefused(now, th.id, e.inum, false)
-				}
-				th.wbPend = removeRefAt(th.wbPend, i)
-				s.enqueueReady(th, e) // operands are still ready; re-issue from the queue
-				continue
+				return s.allocMismatch(th, e.inum, now, false)
 			}
 			if hasDst {
 				s.prf[f][preg] = e.rec.DstVal
@@ -150,7 +156,7 @@ func (s *Sim) resolveBranch(th *thread, e *robEntry, now int64) {
 // completed tag (tags are per-thread namespaces). The event kernel walks
 // the tag's waiter list — registered at dispatch, invalidated by squash
 // notifications — instead of scanning the reorder buffer.
-func (s *Sim) broadcast(th *thread, class isa.RegClass, tag int) {
+func (s *Sim) broadcast(th *thread, class isa.RegClass, tag int32) {
 	f := classIdxOf(class)
 	ws := th.waiters[f][tag]
 	for _, w := range ws {
@@ -195,7 +201,7 @@ func (s *Sim) operandBecameReady(th *thread, e *robEntry) {
 	}
 }
 
-func matches(op core.SrcOp, class isa.RegClass, tag int) bool {
+func matches(op core.SrcOp, class isa.RegClass, tag int32) bool {
 	return op.Present && !op.Zero && op.Class == class && op.Tag == tag
 }
 
@@ -213,7 +219,7 @@ func (s *Sim) checkOperand(th *thread, e *robEntry, op core.SrcOp, want uint64) 
 		return nil
 	}
 	f := classIdxOf(op.Class)
-	preg := th.ren.ReadPhys(op.Class, op.Tag)
+	preg := th.ren.ReadPhys(op.Class, int(op.Tag))
 	if got := s.prf[f][preg]; got != want {
 		//vpr:allowalloc error path: the failed run allocates once and stops
 		return fmt.Errorf("pipeline: golden-model mismatch at thread %d inum %d (%s): operand %s tag %d -> p%d holds %#x, architectural value %#x",

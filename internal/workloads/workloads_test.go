@@ -302,3 +302,26 @@ func BenchmarkNewGen(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTraceGen is the trace-generation layer's steady-state cost:
+// the emulator stepping a kernel into a 64-record buffer through
+// TraceGen.NextBatch, as a Stream refill drives it, in ns/record.
+func BenchmarkTraceGen(b *testing.B) {
+	for _, s := range Catalog() {
+		b.Run(s.Name, func(b *testing.B) {
+			gen, err := s.NewGen()
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := gen.(trace.BatchGenerator)
+			buf := make([]trace.Record, 64)
+			b.ReportAllocs()
+			for b.Loop() {
+				if batch.NextBatch(buf) != len(buf) {
+					b.Fatal(trace.Err(gen))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/record")
+		})
+	}
+}
