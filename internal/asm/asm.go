@@ -174,7 +174,7 @@ func (a *assembler) firstPass(src string) {
 					}
 					size = n
 				} else {
-					fields = splitOperands(operand)
+					fields = splitOperands(nil, operand)
 					if len(fields) == 0 {
 						a.errorf(line, "%s needs at least one value", mnemonic)
 						continue
@@ -271,7 +271,8 @@ func (a *assembler) secondPass() {
 func (a *assembler) parseInst(st stmt) (isa.Inst, error) {
 	info := st.op.Info()
 	in := isa.Inst{Op: st.op, Target: -1}
-	ops := splitOperands(st.operand)
+	var buf [3]string // no instruction form takes more operands
+	ops := splitOperands(buf[:0], st.operand)
 
 	need := func(n int) error {
 		if len(ops) != n {
@@ -460,9 +461,13 @@ func (a *assembler) evalExpr(s string) (int64, error) {
 	if s == "" {
 		return 0, errors.New("empty expression")
 	}
-	// Pure number (handles leading '-').
-	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
-		return v, nil
+	// Pure number (handles a leading sign). Only text that starts like
+	// one is parsed: a failed parse allocates its error, and a label
+	// never parses.
+	if c := s[0]; c >= '0' && c <= '9' || c == '-' || c == '+' {
+		if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+			return v, nil
+		}
 	}
 	// label, label+n, label-n — find the operator after the identifier.
 	for i := 1; i < len(s); i++ {
@@ -519,16 +524,22 @@ func parseReg(s string, want isa.RegClass) (isa.Reg, error) {
 	return isa.Reg{Class: class, Index: uint8(n)}, nil
 }
 
-func splitOperands(s string) []string {
+// splitOperands appends the comma-separated fields of s, trimmed, to dst.
+// An instruction passes a buffer on its stack, so the fields cost no
+// allocation.
+func splitOperands(dst []string, s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return dst
 	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	for {
+		field, rest, more := strings.Cut(s, ",")
+		dst = append(dst, strings.TrimSpace(field))
+		if !more {
+			return dst
+		}
+		s = rest
 	}
-	return parts
 }
 
 func isIdent(s string) bool {

@@ -40,7 +40,6 @@ type Conventional struct {
 
 	safeBound    int64   // instructions <= safeBound cannot be squashed
 	earlyPending []int64 // inums with a pending early release
-	sink         WakeupSink
 
 	// Register-lifetime accounting (§3.1 pressure metric, in vivo).
 	now         int64
@@ -189,9 +188,6 @@ func (c *Conventional) ReadPhys(class isa.RegClass, tag int) int { return tag }
 // TagSpace implements Renamer: wakeup tags are physical register numbers.
 func (c *Conventional) TagSpace(class isa.RegClass) int { return c.pool.PhysRegs() }
 
-// SetWakeupSink implements Renamer.
-func (c *Conventional) SetWakeupSink(s WakeupSink) { c.sink = s }
-
 // NoteRead implements Renamer: record which of the instruction's operands
 // have been consumed, so the early-release ablation can retire pending
 // reads. Store data operands are read at completion, not issue — freeing
@@ -253,9 +249,6 @@ func (c *Conventional) Squash(inum int64) {
 		c.noteFreed(e.class, e.newP)
 		if e.prevFreed {
 			panic("core: squashing an instruction whose previous mapping was early-released")
-		}
-		if c.sink != nil {
-			c.sink.TagSquashed(classOf(e.class), e.newP)
 		}
 	}
 	c.entries.popBack()
@@ -327,12 +320,6 @@ func (c *Conventional) noteFreed(f, p int) {
 
 // PressureStats implements Renamer.
 func (c *Conventional) PressureStats() (int64, int64) { return c.lifetimeSum, c.freed }
-
-// InUse implements Renamer: pool-wide allocated registers (all contexts).
-func (c *Conventional) InUse(class isa.RegClass) int {
-	f := classIdx(class)
-	return c.pool.PhysRegs() - c.pool.free[f].len()
-}
 
 // FreeCount implements Renamer.
 func (c *Conventional) FreeCount(class isa.RegClass) int {

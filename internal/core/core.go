@@ -166,15 +166,8 @@ type Renamer interface {
 	// TagSpace returns the size of the wakeup-tag namespace for the
 	// class: physical registers for the conventional scheme, VP registers
 	// for the virtual-physical schemes. The pipeline's event-indexed
-	// scheduler sizes its per-tag wakeup waiter lists with it.
+	// scheduler sizes its per-tag wakeup lists with it.
 	TagSpace(class isa.RegClass) int
-
-	// SetWakeupSink registers the scheduler's notification sink. The
-	// renamer must call TagSquashed whenever a destination wakeup tag is
-	// reclaimed during recovery, so the scheduler can drop waiters
-	// indexed under the tag before the tag is reused by a later rename.
-	// A nil sink disables notifications.
-	SetWakeupSink(s WakeupSink)
 
 	// Commit retires the oldest renamed instruction.
 	Commit(inum int64)
@@ -201,10 +194,6 @@ type Renamer interface {
 	// by the early-release ablation; a no-op elsewhere.
 	NoteRead(inum int64, first, second bool)
 
-	// InUse returns the number of physical registers currently allocated
-	// in the class's file.
-	InUse(class isa.RegClass) int
-
 	// FreeCount returns the number of free physical registers.
 	FreeCount(class isa.RegClass) int
 
@@ -214,17 +203,6 @@ type Renamer interface {
 	// is the pool's check (SharedPool.CheckInvariants). Used by tests and
 	// the pipeline's debug mode.
 	CheckInvariants() error
-}
-
-// WakeupSink receives the renamer-side notifications the pipeline's
-// event-indexed scheduler needs to keep its wakeup index consistent:
-// recovery reclaims wakeup tags (squash undoes renames newest-first) and
-// the tag numbers are recycled by later renames, so any waiters still
-// filed under a reclaimed tag must be invalidated before the reuse.
-type WakeupSink interface {
-	// TagSquashed reports that the destination tag of a squashed
-	// instruction returned to the renamer's free pool.
-	TagSquashed(class isa.RegClass, tag int)
 }
 
 // windowHint is the initial per-context capacity of renamer bookkeeping
@@ -244,14 +222,6 @@ func New(s Scheme, p Params) Renamer {
 	default:
 		panic("core: unknown scheme")
 	}
-}
-
-// classOf is the inverse of classIdx.
-func classOf(f int) isa.RegClass {
-	if f == 0 {
-		return isa.RegInt
-	}
-	return isa.RegFP
 }
 
 // classIdx maps a register class to an internal file index.

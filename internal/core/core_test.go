@@ -209,12 +209,12 @@ func TestConvStoreRenamesSourcesOnly(t *testing.T) {
 
 func TestVPRenameAllocatesNoPhysical(t *testing.T) {
 	v := NewVP(DefaultParams(), AllocAtWriteback)
-	inUse := v.InUse(isa.RegInt)
+	inUse := v.pool.InUse(0)
 	r0, ok := v.Rename(0, intInst(1, 2, 3))
 	if !ok {
 		t.Fatal("VP rename must not stall")
 	}
-	if v.InUse(isa.RegInt) != inUse {
+	if v.pool.InUse(0) != inUse {
 		t.Error("rename must not allocate a physical register")
 	}
 	if !r0.Dst.Present || r0.Dst.Tag < 32 {
@@ -234,7 +234,7 @@ func TestVPRenameAllocatesNoPhysical(t *testing.T) {
 	if !ok || p < 0 {
 		t.Fatalf("complete = %d,%v", p, ok)
 	}
-	if v.InUse(isa.RegInt) != inUse+1 {
+	if v.pool.InUse(0) != inUse+1 {
 		t.Error("completion must allocate exactly one register")
 	}
 	if !v.vpReady[classIdx(isa.RegInt)][r1.Src1.Tag] || v.ReadPhys(isa.RegInt, int(r1.Src1.Tag)) != p {
@@ -344,11 +344,11 @@ func TestVPIssueAllocationGate(t *testing.T) {
 		}
 	}
 	// Completing an issue-allocated instruction must not allocate again.
-	inUse := v.InUse(isa.RegInt)
+	inUse := v.pool.InUse(0)
 	if _, ok := v.Complete(0); !ok {
 		t.Fatal("complete failed")
 	}
-	if v.InUse(isa.RegInt) != inUse {
+	if v.pool.InUse(0) != inUse {
 		t.Error("completion after issue allocation must not allocate again")
 	}
 	if err := check(v); err != nil {
@@ -687,7 +687,7 @@ func TestRandomizedProtocolVPMaxNRR(t *testing.T) {
 // scheme must hold registers for strictly less aggregate time than the
 // conventional scheme — the paper's central claim, in miniature.
 func TestVPHoldsFewerRegisters(t *testing.T) {
-	sample := func(r Renamer) (pressure int64) {
+	sample := func(r Renamer, pool *SharedPool) (pressure int64) {
 		var inum int64
 		// Pipeline-ish loop: rename 4, complete the oldest 2 late,
 		// commit; sample InUse each "cycle".
@@ -712,12 +712,14 @@ func TestVPHoldsFewerRegisters(t *testing.T) {
 					q = q[1:]
 				}
 			}
-			pressure += int64(r.InUse(isa.RegInt))
+			pressure += int64(pool.InUse(0))
 		}
 		return pressure
 	}
-	conv := sample(NewConventional(DefaultParams()))
-	vp := sample(NewVP(DefaultParams(), AllocAtWriteback))
+	convPool := NewSharedPool(DefaultParams().PhysRegs)
+	conv := sample(NewConventionalShared(DefaultParams(), convPool), convPool)
+	vpPool := NewSharedPool(DefaultParams().PhysRegs)
+	vp := sample(NewVPShared(DefaultParams(), AllocAtWriteback, vpPool), vpPool)
 	if vp >= conv {
 		t.Errorf("aggregate register occupancy: vp %d, conv %d; VP must be lower", vp, conv)
 	}

@@ -50,6 +50,10 @@ func (p *SharedPool) PhysRegs() int { return p.physRegs }
 // 1 FP).
 func (p *SharedPool) FreeCount(f int) int { return p.free[f].len() }
 
+// InUse returns the registers of the class file that are handed out, to
+// any member.
+func (p *SharedPool) InUse(f int) int { return p.physRegs - p.free[f].len() }
+
 // Reserve returns the class file's aggregate outstanding reservation: the
 // registers the members' protected instructions may still claim.
 func (p *SharedPool) Reserve(f int) int { return p.reserve[f] }

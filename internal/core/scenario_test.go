@@ -78,7 +78,7 @@ func TestPaperSection33Narrative(t *testing.T) {
 	if err := check(v); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.InUse(isa.RegInt); got != 32 {
+	if got := v.pool.InUse(0); got != 32 {
 		t.Errorf("registers in use after drain = %d, want the 32 architectural", got)
 	}
 }

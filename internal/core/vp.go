@@ -69,7 +69,6 @@ type VP struct {
 	// instruction numbers in the window are consecutive, so an
 	// instruction sits at its offset from the front.
 	entries ring[vpEntry]
-	sink    WakeupSink
 
 	// Register-lifetime accounting (§3.1 pressure metric, in vivo).
 	now         int64
@@ -328,9 +327,6 @@ func (v *VP) ReadPhys(class isa.RegClass, tag int) int {
 // TagSpace implements Renamer: wakeup tags are VP register numbers.
 func (v *VP) TagSpace(class isa.RegClass) int { return v.params.VPRegs }
 
-// SetWakeupSink implements Renamer.
-func (v *VP) SetWakeupSink(s WakeupSink) { v.sink = s }
-
 // NoteRead implements Renamer (no-op: the VP scheme frees on commit only).
 //
 //vpr:hotpath
@@ -422,9 +418,6 @@ func (v *VP) Squash(inum int64) {
 		}
 		v.vpReady[f][e.vp] = false
 		v.vpFree[f].push(e.vp)
-		if v.sink != nil {
-			v.sink.TagSquashed(classOf(f), e.vp)
-		}
 		// Restore the previous mapping, with its physical register if
 		// one is still attached (PMT lookup, as in the paper).
 		prevP := v.pmt[f][e.prevVP]
@@ -441,12 +434,6 @@ func (v *VP) Squash(inum int64) {
 		// set only loses this member, handled above.
 	}
 	v.entries.popBack()
-}
-
-// InUse implements Renamer: pool-wide allocated registers (all contexts).
-func (v *VP) InUse(class isa.RegClass) int {
-	f := classIdx(class)
-	return v.pool.PhysRegs() - v.pool.free[f].len()
 }
 
 // FreeCount implements Renamer.

@@ -1,0 +1,120 @@
+package pipeline
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/synth"
+	"repro/internal/trace"
+	"repro/internal/workloads"
+)
+
+// allocTestInstr is each run's instruction budget per thread: long enough
+// that every scheduler structure reaches its steady occupancy.
+const allocTestInstr = 20000
+
+// runner is what Sim and Multicore have in common.
+type runner interface {
+	Run(maxCommits int64) (Stats, error)
+}
+
+// runMallocs builds a machine and counts the heap allocations one Run of
+// it makes, to the end of its trace, and returns the fewest over up to
+// three fresh builds. MemStats counts the whole process, and the
+// runtime's own goroutines allocate now and then (the scavenger growing
+// its timer heap, for one); a run that allocates does so every time,
+// since the simulation is deterministic. The forced collection first
+// keeps a garbage collection from starting inside Run.
+func runMallocs(t *testing.T, build func() (runner, error)) uint64 {
+	t.Helper()
+	fewest := uint64(math.MaxUint64)
+	for attempt := 0; attempt < 3 && fewest > 0; attempt++ {
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = m.Run(0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// collectKernel captures n records of a catalog kernel, so replaying them
+// allocates nothing on the generator's side.
+func collectKernel(t *testing.T, name string, n int64) []trace.Record {
+	t.Helper()
+	gen, err := workloads.MustByName(name).NewGen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := trace.Collect(gen, n)
+	if err := trace.Err(gen); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestRunAllocatesOnlyAtConstruction pins the kernel's allocation
+// contract: every structure a run needs is sized by New, NewSMT or
+// NewMulticore, so Run itself allocates nothing. The traces replay
+// collected records, which allocate nothing either.
+func TestRunAllocatesOnlyAtConstruction(t *testing.T) {
+	schemes := []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue}
+	for _, name := range workloads.Names() {
+		recs := collectKernel(t, name, allocTestInstr)
+		for _, scheme := range schemes {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			if n := runMallocs(t, func() (runner, error) { return New(cfg, trace.FromSlice(recs)) }); n != 0 {
+				t.Errorf("%s/%s: Run made %d allocations, want 0", name, scheme, n)
+			}
+		}
+	}
+
+	t.Run("smt", func(t *testing.T) {
+		compress := collectKernel(t, "compress", allocTestInstr)
+		swim := collectKernel(t, "swim", allocTestInstr)
+		for _, scheme := range schemes {
+			n := runMallocs(t, func() (runner, error) {
+				return NewSMT(smtConfig(scheme, 2), []trace.Generator{trace.FromSlice(compress), trace.FromSlice(swim)})
+			})
+			if n != 0 {
+				t.Errorf("%s: Run made %d allocations, want 0", scheme, n)
+			}
+		}
+	})
+
+	t.Run("coherent", func(t *testing.T) {
+		p, ok := synth.ByName("sharing")
+		if !ok {
+			t.Fatal("sharing preset missing")
+		}
+		sharing := trace.Collect(synth.New(p), allocTestInstr)
+		for _, scheme := range schemes {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			n := runMallocs(t, func() (runner, error) {
+				return NewMulticore(MulticoreConfig{
+					Cores:              2,
+					Core:               cfg,
+					L2:                 mem.DefaultL2Config(),
+					SharedAddressSpace: true,
+					Coherence:          true,
+				}, []trace.Generator{trace.FromSlice(sharing), trace.FromSlice(sharing)})
+			})
+			if n != 0 {
+				t.Errorf("%s: Run made %d allocations, want 0", scheme, n)
+			}
+		}
+	})
+}

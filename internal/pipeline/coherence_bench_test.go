@@ -9,10 +9,10 @@ import (
 )
 
 // BenchmarkCoherencePoint is the allocation budget the CI bench ratchet
-// pins: the MSI-coherent two-core sharing run, allocations reported.
-// Steady-state hot-loop allocations are zero by construction
-// (hotpathalloc, docs/LINTING.md); what remains is per-run setup, so
-// allocs/op must stay flat as instruction counts grow.
+// pins: the MSI-coherent two-core sharing run, allocations reported. A
+// run allocates only while NewMulticore builds it; Run itself allocates
+// nothing (TestRunAllocatesOnlyAtConstruction), so allocs/op is the
+// construction's and stays flat as instruction counts grow.
 func BenchmarkCoherencePoint(b *testing.B) {
 	p, ok := synth.ByName("sharing")
 	if !ok {

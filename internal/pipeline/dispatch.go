@@ -33,7 +33,8 @@ func (s *Sim) dispatchStage(now int64) error {
 
 			// Fill the slot in place: a composite literal assigned through
 			// the pointer is built on the stack and block-copied.
-			e := &th.rob[(th.robHead+th.robCount)&(len(th.rob)-1)]
+			slot := (th.robHead + th.robCount) & (len(th.rob) - 1)
+			e := &th.rob[slot]
 			info := rec.Inst.Op.Info()
 			*e = robEntry{}
 			e.inum = rec.Seq
@@ -67,7 +68,7 @@ func (s *Sim) dispatchStage(now int64) error {
 				th.sqPush(sqEntry{inum: rec.Seq})
 			}
 			if !s.scan {
-				s.registerWaiters(th, e)
+				s.registerWaiters(th, e, slot)
 				if e.ready() {
 					s.enqueueReady(th, e)
 				}

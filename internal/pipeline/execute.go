@@ -29,7 +29,11 @@ func (s *Sim) executeStage(now int64) error {
 	if s.scan {
 		return s.executeScan(now)
 	}
-	for _, ev := range s.aguWheel.due(now) {
+	evs, spilled := s.aguWheel.due(now)
+	for _, ev := range evs {
+		s.deliverAGU(ev)
+	}
+	for _, ev := range spilled {
 		s.deliverAGU(ev)
 	}
 	ports := s.cfg.CachePorts
@@ -192,9 +196,9 @@ func (s *Sim) checkViolation(th *thread, sqe *sqEntry, now int64) error {
 
 // squashFrom flushes every instruction of the thread from inum (inclusive)
 // to its window tail, restores the renamer newest-first, and re-fetches
-// from inum. Scheduler state for the squashed range is dropped eagerly
-// from the per-thread queues; in-flight wheel events die by generation,
-// and waiter lists are invalidated by the renamer's squash notifications.
+// from inum. Scheduler state for the squashed range is dropped eagerly:
+// each instruction's pending wheel event and wakeup links as it leaves,
+// then the per-thread queues' suffix.
 func (s *Sim) squashFrom(th *thread, inum int64, now int64) error {
 	tail := th.headInum + int64(th.robCount) - 1
 	if s.probe != nil {
@@ -207,6 +211,9 @@ func (s *Sim) squashFrom(th *thread, inum int64, now int64) error {
 			return fmt.Errorf("pipeline: squash of %d not in window", n)
 		}
 		s.leaveIQ(e)
+		if !s.scan {
+			s.unschedule(th, e, now)
+		}
 		th.ren.Squash(n)
 		if e.isStore {
 			if th.sqN == 0 || th.sqAt(th.sqN-1).inum != n {

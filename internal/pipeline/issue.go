@@ -30,15 +30,16 @@ func (s *Sim) issueStage(now int64) error {
 	rfReads := [2]int{s.cfg.RFReadPorts, s.cfg.RFReadPorts}
 	for _, th := range s.threadOrder() {
 		bound := s.allocBounds(th, core.SchemeVPIssue)
+		// Filter the queue in place: kept never runs ahead of qi, and
+		// issuing enqueues nothing.
 		q := th.readyQ
-		kept := q[:0]
+		kept := 0
 		for qi := 0; qi < len(q); qi++ {
 			if budget == 0 {
 				// Width spent: every later attempt would refuse before
 				// the allocation test, so keep the rest of the queue as
-				// it stands. kept never runs ahead of qi, so the
-				// overlapping copy is a plain memmove.
-				kept = q[:len(kept)+copy(q[len(kept):], q[qi:])]
+				// it stands. The overlapping copy is a plain memmove.
+				kept += copy(q[kept:], q[qi:])
 				break
 			}
 			ref := q[qi]
@@ -56,11 +57,11 @@ func (s *Sim) issueStage(now int64) error {
 				}
 			}
 			if keep {
-				//vpr:allowalloc amortized: stage buffers retain capacity across cycles
-				kept = append(kept, ref)
+				q[kept] = ref
+				kept++
 			}
 		}
-		th.readyQ = kept
+		th.readyQ = q[:kept]
 	}
 	return nil
 }

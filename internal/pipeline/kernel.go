@@ -8,8 +8,9 @@
 //
 //   - readyQ: per-thread, inum-sorted queue of dispatched instructions
 //     whose operands are ready. The issue stage walks only this queue.
-//   - waiters: per-thread wakeup lists, one per (class, tag). A result
-//     broadcast walks the tag's list instead of the reorder buffer.
+//   - wakeup lists: per-thread, one FIFO list per (class, tag) of the
+//     source operands waiting for that tag. A result broadcast walks the
+//     tag's list instead of the reorder buffer.
 //   - compWheel / aguWheel: timing wheels keyed by cycle. An instruction
 //     finishing execution (or finishing address generation) is visited in
 //     exactly that cycle, never polled.
@@ -18,17 +19,20 @@
 //     cycle (write-port structural stalls, blocked loads), so retry order
 //     stays identical to the reference scan.
 //
-// Consistency across squash/re-fetch (which reuses instruction numbers),
-// VP write-back allocation refusal (which sends a finished instruction
-// back to the queue) and shared-pool SMT recovery is kept two ways:
-// scheduler references carry the robEntry generation they were created
-// under and are dropped on mismatch, and the renamers notify the kernel
-// through core.WakeupSink when recovery reclaims a wakeup tag, so stale
-// waiters never survive until the tag is reused.
+// Every one of these structures is sized when the simulator is built, from
+// the reorder buffer's capacity, and a run allocates nothing after that:
+// each holds at most one reference per instruction in flight (two wakeup
+// links, one per source operand). Squash keeps that bound. The queues
+// are truncated at the squash point, and each squashed instruction's
+// pending wheel event and wakeup links are removed with it, so nothing
+// of a squashed instruction survives to be reused. Queue references and
+// wheel events still carry the robEntry generation they were created
+// under, and the stages check it before acting on one.
 package pipeline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -49,13 +53,20 @@ type evRef struct {
 	alloc uint8
 }
 
-// waiter is one registered wakeup subscription: instruction inum (under
-// gen) waits for the list's tag to be broadcast into source slot.
-type waiter struct {
-	inum int64
-	gen  uint32
-	slot uint8 // 0 = Src1, 1 = Src2
-}
+// waitLink links one source operand into its tag's wakeup list. The
+// links are a per-thread pool with one node per operand slot of the
+// reorder buffer: node 2i+k is source operand k (0 = Src1, 1 = Src2) of
+// the instruction in slot i, so the node names its waiter and the pool
+// never runs out. An operand is linked exactly while it waits: from
+// dispatch until the broadcast that readies it, or until it is squashed.
+type waitLink struct{ prev, next int32 }
+
+// waitList is one tag's wakeup list, kept in registration order (FIFO),
+// so a broadcast wakes its consumers oldest first and each joins the
+// ready queue at its tail. -1 marks an empty list and the ends of a list.
+type waitList struct{ head, tail int32 }
+
+var emptyWaitList = waitList{head: -1, tail: -1}
 
 // wevent is one timing-wheel event.
 type wevent struct {
@@ -66,44 +77,62 @@ type wevent struct {
 }
 
 const (
-	// compWheelSlots bounds how far ahead a completion may be scheduled
-	// without spilling to the overflow list. Cache misses (50-cycle
-	// penalty plus bus queueing) fit comfortably; pathological latencies
-	// (finite L2, long bus backlogs) take the overflow path.
-	compWheelSlots = 512
-	// aguWheelSlots covers effective-address latencies (Table 1: 1 cycle).
-	aguWheelSlots = 64
+	// compWheelSlots bounds how far ahead a completion is filed in a
+	// slot. Table 1 latencies (divide: 67 cycles) and L1 misses fit, and
+	// so do the shared L2's misses with their bank queueing but for a
+	// handful (on 2-core coherent sharing runs no completion was due more
+	// than 136 cycles ahead); a farther completion waits in the overflow.
+	compWheelSlots = 128
+	// aguWheelSlots covers the effective-address latency (Table 1: 1
+	// cycle).
+	aguWheelSlots = 4
+	// wheelDepth is how many events one slot holds: the paper's machine
+	// issues 8 instructions a cycle, and same-latency instructions issued
+	// together finish together. Further events due that cycle spill to
+	// the overflow: about 1% of the catalog kernels' completions, and
+	// none of their address-ready events.
+	wheelDepth = 8
 )
 
-// wheel is a timing wheel: events due within the horizon live in their
-// cycle's slot; farther events wait in overflow and migrate into slots as
-// the horizon advances. The simulator steps one cycle at a time, so every
-// slot is drained exactly at its cycle.
+// wheel is a timing wheel over one flat array: slot s holds the events
+// due in its cycle in evs[s*depth : s*depth+n[s]]. An event due beyond
+// the horizon, or whose slot is full, waits in the overflow, which due
+// drains in the event's cycle. The simulator steps one cycle at a time,
+// so every slot is drained exactly at its cycle.
+//
+// The overflow's capacity is the number of instructions that can be in
+// flight: an instruction has at most one pending event across both
+// wheels, and squash cancels the events of the instructions it removes.
+// Neither schedule nor due allocates.
+//
+// The per-slot counts live in the wheel itself, and so inside the Sim
+// that embeds it, never in a small allocation of their own: the allocator
+// packs small allocations made one after another into one cache line, so
+// two cores' counts, each written every cycle, would share it (4-byte
+// count slices cost skew stepping about 6%).
 type wheel struct {
-	slots       [][]wevent
-	mask        int64
-	overflow    []wevent
-	nextMigrate int64
+	evs   []wevent
+	n     [compWheelSlots]uint8 // events filed per slot, in the first mask+1 entries
+	depth int
+	mask  int64
+
+	overflow  []wevent
+	spill     []wevent // the overflow events due this cycle, handed out by due
+	nextSpill int64    // no overflow event is due before this cycle
+
+	scheduled, spilled int64 // events filed, and how many of them overflowed
 }
 
-func (w *wheel) init(slots int) {
-	if slots&(slots-1) != 0 {
-		panic("pipeline: wheel size must be a power of two")
+func (w *wheel) init(slots, depth, maxEvents int) {
+	if slots&(slots-1) != 0 || slots > len(w.n) {
+		panic("pipeline: wheel size must be a power of two no larger than compWheelSlots")
 	}
-	w.slots = make([][]wevent, slots)
+	w.evs = make([]wevent, slots*depth)
+	w.depth = depth
 	w.mask = int64(slots - 1)
-	// Carve every slot's initial capacity out of one flat arena: a
-	// typical cycle schedules a handful of events per slot, and growing
-	// hundreds of nil-backed slot lists individually through the
-	// allocator was a measurable share of a run's allocations. Slots
-	// that outgrow their window reallocate individually and keep the
-	// larger capacity (due resets a slot to evs[:0]); the three-index slice
-	// keeps such growth from bleeding into the next slot's window.
-	const perSlot = 4
-	arena := make([]wevent, slots*perSlot)
-	for i := range w.slots {
-		w.slots[i] = arena[i*perSlot : i*perSlot : (i+1)*perSlot]
-	}
+	w.overflow = make([]wevent, 0, maxEvents)
+	w.spill = make([]wevent, 0, maxEvents)
+	w.nextSpill = math.MaxInt64
 }
 
 // schedule files ev for cycle due and returns the cycle it will actually
@@ -117,41 +146,95 @@ func (w *wheel) schedule(now int64, ev wevent) int64 {
 	if ev.due <= now {
 		ev.due = now + 1
 	}
-	if ev.due-now <= w.mask {
-		slot := ev.due & w.mask
-		//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-		w.slots[slot] = append(w.slots[slot], ev)
+	w.scheduled++
+	slot := ev.due & w.mask
+	if n := int(w.n[slot]); ev.due-now <= w.mask && n < w.depth {
+		w.evs[int(slot)*w.depth+n] = ev
+		w.n[slot]++
 	} else {
-		//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-		w.overflow = append(w.overflow, ev)
+		w.spillEvent(ev)
 	}
 	return ev.due
 }
 
-// due returns every event due at now and empties its slot. Called once
-// per cycle. The returned slice aliases the slot's storage; it stays
-// intact while the caller walks it, because schedule never files into the
-// slot of now (a due at or before now is coerced to now+1, and a due
-// within the horizon maps to a different slot).
-func (w *wheel) due(now int64) []wevent {
-	if len(w.overflow) > 0 && now >= w.nextMigrate {
-		kept := w.overflow[:0]
-		for _, ev := range w.overflow {
-			if ev.due-now <= w.mask {
-				//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-				w.slots[ev.due&w.mask] = append(w.slots[ev.due&w.mask], ev)
-			} else {
-				//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-				kept = append(kept, ev)
-			}
-		}
-		w.overflow = kept
-		w.nextMigrate = now + (w.mask+1)/2
+// spillEvent files ev in the overflow.
+func (w *wheel) spillEvent(ev wevent) {
+	n := len(w.overflow)
+	if n == cap(w.overflow) {
+		panic("pipeline: timing wheel holds more events than instructions in flight")
 	}
-	slot := now & w.mask
-	evs := w.slots[slot]
-	w.slots[slot] = evs[:0]
-	return evs
+	w.overflow = w.overflow[:n+1]
+	w.overflow[n] = ev
+	w.nextSpill = min(w.nextSpill, ev.due)
+	w.spilled++
+}
+
+// due returns every event due at now, those of its slot and those of the
+// overflow, and empties the slot. Called once per cycle. The slices alias
+// the wheel's storage and stay intact while the caller walks them:
+// schedule never files into the slot of now (a due at or before now is
+// coerced to now+1, and a due within the horizon maps to another slot),
+// and only the next due rewrites the spill buffer.
+func (w *wheel) due(now int64) (slot, spilled []wevent) {
+	s := now & w.mask
+	base := int(s) * w.depth
+	slot = w.evs[base : base+int(w.n[s])]
+	w.n[s] = 0
+	if now >= w.nextSpill {
+		spilled = w.drainSpill(now)
+	}
+	return slot, spilled
+}
+
+// drainSpill moves the overflow events due at now into the spill buffer
+// and returns them.
+func (w *wheel) drainSpill(now int64) []wevent {
+	spill := w.spill[:0]
+	kept := w.overflow[:0]
+	w.nextSpill = math.MaxInt64
+	for _, ev := range w.overflow {
+		if ev.due == now {
+			spill = spill[:len(spill)+1]
+			spill[len(spill)-1] = ev
+			continue
+		}
+		kept = kept[:len(kept)+1]
+		kept[len(kept)-1] = ev
+		w.nextSpill = min(w.nextSpill, ev.due)
+	}
+	w.overflow = kept
+	return spill
+}
+
+// cancel removes the pending event of the occupancy gen, due at due: the
+// instruction was squashed before its deadline.
+func (w *wheel) cancel(due int64, gen uint32) {
+	s := due & w.mask
+	base := int(s) * w.depth
+	for i, last := base, base+int(w.n[s])-1; i <= last; i++ {
+		if w.evs[i].gen == gen {
+			w.evs[i] = w.evs[last]
+			w.n[s]--
+			return
+		}
+	}
+	for i, ev := range w.overflow {
+		if ev.gen == gen {
+			last := len(w.overflow) - 1
+			w.overflow[i] = w.overflow[last]
+			w.overflow = w.overflow[:last]
+			return
+		}
+	}
+}
+
+// pending counts the events the wheel holds.
+func (w *wheel) pending() int {
+	n := len(w.overflow)
+	for _, c := range w.n[:w.mask+1] {
+		n += int(c)
+	}
+	return n
 }
 
 // poolState tracks one functional-unit pool as a free count plus a release
@@ -191,43 +274,21 @@ func (s *Sim) tickPools(now int64) {
 	}
 }
 
-// initThreadEv sizes the thread's scheduler state. The wakeup index is
-// sized by the renamer's tag namespace (core.Renamer.TagSpace) and wired
-// to recovery through the wakeup sink.
+// initThreadEv sizes the thread's scheduler state from the reorder
+// buffer: every queue holds at most one reference per instruction in
+// flight, and the wakeup index has a list per tag of the renamer's tag
+// namespace (core.Renamer.TagSpace) over a pool of two links per slot.
 func (s *Sim) initThreadEv(th *thread) {
 	for f := 0; f < 2; f++ {
-		tags := th.ren.TagSpace(classOfIdx(f))
-		th.waiters[f] = make([][]waiter, tags)
-		// Same flat-arena trick as wheel.init: most tags collect only a
-		// couple of waiters, and first-touch growth of every per-tag nil
-		// slice was the hot loop's largest allocation source. Tags that
-		// outgrow the window reallocate individually and keep the
-		// capacity (TagSquashed resets to [:0]).
-		const perTag = 4
-		arena := make([]waiter, tags*perTag)
-		for t := range th.waiters[f] {
-			th.waiters[f][t] = arena[t*perTag : t*perTag : (t+1)*perTag]
+		th.wlists[f] = make([]waitList, th.ren.TagSpace(classOfIdx(f)))
+		for t := range th.wlists[f] {
+			th.wlists[f][t] = emptyWaitList
 		}
 	}
-	th.readyQ = make([]evRef, 0, 64)
-	th.wbPend = make([]evRef, 0, 64)
-	th.aguPend = make([]evRef, 0, 64)
-	th.ren.SetWakeupSink(&threadSink{th: th})
-}
-
-// threadSink adapts core.WakeupSink notifications onto one thread's
-// wakeup index.
-type threadSink struct{ th *thread }
-
-// TagSquashed implements core.WakeupSink: recovery reclaimed a destination
-// tag, so waiters filed under it are dead (they are younger than the
-// squashed producer and were squashed with it) and must not be woken by a
-// later reuse of the tag.
-//
-//vpr:hotpath
-func (k *threadSink) TagSquashed(class isa.RegClass, tag int) {
-	f := classIdxOf(class)
-	k.th.waiters[f][tag] = k.th.waiters[f][tag][:0]
+	th.wlinks = make([]waitLink, 2*len(th.rob))
+	th.readyQ = make([]evRef, 0, s.cfg.ROBSize)
+	th.wbPend = make([]evRef, 0, s.cfg.ROBSize)
+	th.aguPend = make([]evRef, 0, s.cfg.ROBSize)
 }
 
 // classOfIdx is the inverse of classIdxOf.
@@ -240,18 +301,18 @@ func classOfIdx(f int) isa.RegClass {
 
 // insertRef files r into the inum-sorted list. Scheduler lists are short
 // (bounded by instructions acting in one cycle plus structural carryover),
-// so an insertion memmove beats a heap.
+// so an insertion memmove beats a heap. The list has room: its capacity is
+// the reorder buffer's, and it holds at most one reference per
+// instruction in flight.
 func insertRef(list []evRef, r evRef) []evRef {
 	n := len(list)
-	//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
+	list = list[:n+1]
 	if n == 0 || list[n-1].inum < r.inum {
-		//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-		return append(list, r)
+		list[n] = r
+		return list
 	}
-	i := searchRefs(list, r.inum)
-	//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-	list = append(list, evRef{})
-	copy(list[i+1:], list[i:])
+	i := searchRefs(list[:n], r.inum)
+	copy(list[i+1:], list[i:n])
 	list[i] = r
 	return list
 }
@@ -299,29 +360,83 @@ func (s *Sim) issueAlloc(e *robEntry) uint8 {
 	return 1 + uint8(classIdxOf(e.ren.Dst.Class))
 }
 
-// registerWaiters subscribes the entry's not-yet-ready operands to their
-// tags' wakeup lists. Called at dispatch, the only point where an operand
-// can be (or become) not-ready: readiness is monotonic within one
-// generation — squash+re-fetch starts a new generation, and VP write-back
-// refusal re-queues the instruction with operands still ready.
-func (s *Sim) registerWaiters(th *thread, e *robEntry) {
-	if op := e.ren.Src1; !e.src1Ready && op.Present && !op.Zero {
-		f := classIdxOf(op.Class)
-		//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-		th.waiters[f][op.Tag] = append(th.waiters[f][op.Tag], waiter{inum: e.inum, gen: e.gen, slot: 0})
-	}
-	if op := e.ren.Src2; !e.src2Ready && op.Present && !op.Zero {
-		f := classIdxOf(op.Class)
-		//vpr:allowalloc amortized: scheduler lists retain capacity across cycles
-		th.waiters[f][op.Tag] = append(th.waiters[f][op.Tag], waiter{inum: e.inum, gen: e.gen, slot: 1})
+// registerWaiters links the entry's not-yet-ready operands, by the nodes
+// of its reorder-buffer slot, onto their tags' wakeup lists. Called at
+// dispatch, the only point where an operand can be (or become) not-ready:
+// readiness is monotonic within one generation — squash+re-fetch starts a
+// new generation, and VP write-back refusal re-queues the instruction
+// with operands still ready.
+func (s *Sim) registerWaiters(th *thread, e *robEntry, slot int) {
+	for k := 0; k < 2; k++ {
+		if op, waits := e.waitingSrc(k); waits {
+			th.linkWaiter(classIdxOf(op.Class), op.Tag, int32(2*slot+k))
+		}
 	}
 }
 
-// purgeThreadEv drops scheduler references to squashed instructions
-// (everything at or after inum). Wheel events cannot be purged in place;
-// they are dropped on delivery by their stale generation. Waiter lists are
-// purged by the renamer's TagSquashed notifications as the squash walks
-// the window.
+// waitingSrc returns source operand k (0 = Src1, 1 = Src2) and whether it
+// waits for a wakeup: present, not the zero register, and not ready yet.
+// Exactly such an operand is linked on its tag's wakeup list.
+func (e *robEntry) waitingSrc(k int) (core.SrcOp, bool) {
+	op, ready := e.ren.Src1, e.src1Ready
+	if k == 1 {
+		op, ready = e.ren.Src2, e.src2Ready
+	}
+	return op, !ready && op.Present && !op.Zero
+}
+
+// linkWaiter appends node to the tail of the tag's wakeup list.
+func (th *thread) linkWaiter(f int, tag, node int32) {
+	l := &th.wlists[f][tag]
+	th.wlinks[node] = waitLink{prev: l.tail, next: -1}
+	if l.tail < 0 {
+		l.head = node
+	} else {
+		th.wlinks[l.tail].next = node
+	}
+	l.tail = node
+}
+
+// unlinkWaiter takes node out of the tag's wakeup list.
+func (th *thread) unlinkWaiter(f int, tag, node int32) {
+	l := &th.wlists[f][tag]
+	k := th.wlinks[node]
+	if k.prev < 0 {
+		l.head = k.next
+	} else {
+		th.wlinks[k.prev].next = k.next
+	}
+	if k.next < 0 {
+		l.tail = k.prev
+	} else {
+		th.wlinks[k.next].prev = k.prev
+	}
+}
+
+// unschedule removes a squashed instruction from the indexes a squash
+// does not truncate: its pending wheel event and its linked operands.
+// Called before the entry leaves the window, at the squash's cycle, whose
+// wheel slots have already been drained, so an event is pending exactly
+// when its deadline lies ahead.
+func (s *Sim) unschedule(th *thread, e *robEntry, now int64) {
+	if e.st == stExecuting {
+		if e.completeAt > now {
+			s.compWheel.cancel(e.completeAt, e.gen)
+		} else if e.aguDoneAt > now {
+			s.aguWheel.cancel(e.aguDoneAt, e.gen)
+		}
+	}
+	slot := th.slotOf(e.inum)
+	for k := 0; k < 2; k++ {
+		if op, waits := e.waitingSrc(k); waits {
+			th.unlinkWaiter(classIdxOf(op.Class), op.Tag, int32(2*slot+k))
+		}
+	}
+}
+
+// purgeThreadEv drops scheduler queue references to squashed
+// instructions (everything at or after inum). The squash has already
+// unscheduled each of them from the wheels and the wakeup lists.
 func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 	th.readyQ = purgeRefsFrom(th.readyQ, inum)
 	th.wbPend = purgeRefsFrom(th.wbPend, inum)
@@ -391,6 +506,72 @@ func (s *Sim) checkEvInvariants(th *thread) error {
 				return fmt.Errorf("store %d completable but not pending write-back", e.inum)
 			}
 		}
+	}
+	return nil
+}
+
+// checkWaiters cross-checks the thread's wakeup lists against the
+// reorder buffer (Debug mode): every linked node must name an in-flight
+// instruction's operand that waits on the list's tag, the links must
+// agree in both directions, and every waiting operand must be linked.
+//
+//vpr:coldpath
+func (s *Sim) checkWaiters(th *thread) error {
+	linked := 0
+	for f := range th.wlists {
+		for tag, l := range th.wlists[f] {
+			prev := int32(-1)
+			for n := l.head; n >= 0; n = th.wlinks[n].next {
+				if linked++; linked > len(th.wlinks) {
+					return fmt.Errorf("wakeup list of tag %d/%d loops", f, tag)
+				}
+				slot, k := int(n>>1), int(n&1)
+				op, waits := th.rob[slot].waitingSrc(k)
+				if (slot-th.robHead)&(len(th.rob)-1) >= th.robCount || !waits ||
+					classIdxOf(op.Class) != f || int(op.Tag) != tag {
+					return fmt.Errorf("wakeup list of tag %d/%d links operand %d of slot %d, which does not wait on it", f, tag, k, slot)
+				}
+				if th.wlinks[n].prev != prev {
+					return fmt.Errorf("wakeup list of tag %d/%d: node %d links back to %d, not %d", f, tag, n, th.wlinks[n].prev, prev)
+				}
+				prev = n
+			}
+			if l.tail != prev {
+				return fmt.Errorf("wakeup list of tag %d/%d ends at %d, its tail is %d", f, tag, prev, l.tail)
+			}
+		}
+	}
+	waiting := 0
+	for i := 0; i < th.robCount; i++ {
+		for k := 0; k < 2; k++ {
+			if _, waits := th.at(i).waitingSrc(k); waits {
+				waiting++
+			}
+		}
+	}
+	if waiting != linked {
+		return fmt.Errorf("%d operands wait for a wakeup, %d are linked", waiting, linked)
+	}
+	return nil
+}
+
+// checkWheels checks that the timing wheels hold exactly one event per
+// executing instruction whose deadline lies ahead (Debug mode, at the end
+// of cycle now): squash cancels the events of the instructions it
+// removes, so no stale event outlives them.
+//
+//vpr:coldpath
+func (s *Sim) checkWheels(now int64) error {
+	want := 0
+	for _, th := range s.threads {
+		for i := 0; i < th.robCount; i++ {
+			if e := th.at(i); e.st == stExecuting && (e.completeAt > now || e.aguDoneAt > now) {
+				want++
+			}
+		}
+	}
+	if got := s.compWheel.pending() + s.aguWheel.pending(); got != want {
+		return fmt.Errorf("timing wheels hold %d events, %d instructions await a deadline", got, want)
 	}
 	return nil
 }

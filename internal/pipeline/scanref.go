@@ -271,3 +271,7 @@ func (s *Sim) freeUnitScan(pool int, now int64) int {
 	}
 	return -1
 }
+
+func matches(op core.SrcOp, class isa.RegClass, tag int32) bool {
+	return op.Present && !op.Zero && op.Class == class && op.Tag == tag
+}

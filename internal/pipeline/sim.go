@@ -32,7 +32,7 @@
 // on the shared Sim kernel defined here. Scheduling is event-indexed
 // (kernel.go): instead of scanning the whole reorder buffer in every stage
 // of every cycle, the kernel keeps an explicit ready queue, per-tag wakeup
-// waiter lists updated by result broadcast, and completion/AGU event
+// lists walked by result broadcast, and completion/AGU event
 // wheels keyed by cycle, so each stage visits only the instructions that
 // can actually act now. scanref.go retains the original O(ROB)-scan stage
 // implementations as a differential oracle; both kernels are
@@ -102,9 +102,9 @@ type robEntry struct {
 
 	// gen distinguishes this occupancy of the ROB slot from earlier ones
 	// with the same inum (squash + re-fetch reuses instruction numbers):
-	// scheduler references — wheel events, queue entries, wakeup waiters
-	// — carry the gen they were created under and are dropped when it no
-	// longer matches.
+	// wheel events and queue entries carry the gen they were created
+	// under and are dropped when it no longer matches, and squash cancels
+	// a wheel event by it.
 	gen uint32
 
 	// Issue constants, fixed at dispatch so a retried issue attempt
@@ -203,11 +203,13 @@ type thread struct {
 
 	committed int64
 
-	// Event-kernel state (nil slices under the scan reference kernel).
+	// Event-kernel state (nil slices under the scan reference kernel),
+	// sized at construction (initThreadEv).
 	readyQ  []evRef       // dispatched, operands ready, waiting to issue; inum-sorted
 	wbPend  []evRef       // execution finished or store completable; inum-sorted
 	aguPend []evRef       // post-AGU memory ops awaiting cache/forwarding; inum-sorted
-	waiters [2][][]waiter // wakeup index: per class, per tag, registered consumers
+	wlists  [2][]waitList // wakeup index: per class, per tag, the waiting operands
+	wlinks  []waitLink    // the wakeup lists' links, two per reorder-buffer slot
 }
 
 // ringLen rounds a ring's capacity up to a power of two so its index wraps
@@ -217,6 +219,11 @@ func ringLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 // at returns the thread's i-th oldest in-flight entry.
 func (t *thread) at(i int) *robEntry {
 	return &t.rob[(t.robHead+i)&(len(t.rob)-1)]
+}
+
+// slotOf returns the ring slot of in-flight instruction inum.
+func (t *thread) slotOf(inum int64) int {
+	return (t.robHead + int(inum-t.headInum)) & (len(t.rob) - 1)
 }
 
 func (t *thread) entryByInum(inum int64) *robEntry {
@@ -468,8 +475,9 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		}
 	}
 	if !s.scan {
-		s.compWheel.init(compWheelSlots)
-		s.aguWheel.init(aguWheelSlots)
+		inFlight := len(gens) * cfg.ROBSize
+		s.compWheel.init(compWheelSlots, wheelDepth, inFlight)
+		s.aguWheel.init(aguWheelSlots, wheelDepth, inFlight)
 	}
 	s.kindToPool = [isa.NumFUKinds]int{
 		isa.FUIntALU:  0,
@@ -675,6 +683,12 @@ func (s *Sim) debugCheck(now int64) error {
 		if err := s.checkEvInvariants(th); err != nil {
 			return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
 		}
+		if err := s.checkWaiters(th); err != nil {
+			return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
+		}
+	}
+	if err := s.checkWheels(now); err != nil {
+		return fmt.Errorf("cycle %d: %w", now, err)
 	}
 	return nil
 }
@@ -729,9 +743,8 @@ func (s *Sim) sample() {
 	}
 	s.stats.ROBOccupancySum += int64(rob)
 	s.stats.IQOccupancySum += int64(s.iqCount)
-	// InUse is pool-wide; any thread's renamer reports the shared files.
-	s.stats.IntRegsInUseSum += int64(s.threads[0].ren.InUse(isa.RegInt))
-	s.stats.FPRegsInUseSum += int64(s.threads[0].ren.InUse(isa.RegFP))
+	s.stats.IntRegsInUseSum += int64(s.pool.InUse(0))
+	s.stats.FPRegsInUseSum += int64(s.pool.InUse(1))
 }
 
 // PoolCheck validates the shared register pool against every thread's

@@ -173,7 +173,6 @@ func TestDebugChecksSharedPoolPartition(t *testing.T) {
 		}
 		th := sim.threads[1]
 		th.ren = core.New(scheme, cfg.Rename) // over a private pool
-		th.ren.SetWakeupSink(&threadSink{th: th})
 		err = sim.Step()
 		if err == nil || !strings.Contains(err.Error(), "referenced") {
 			t.Errorf("%s: Debug step over a broken register partition returned %v, want the pool check's error", scheme, err)

@@ -25,7 +25,11 @@ func (s *Sim) writebackStage(now int64) error {
 	if s.scan {
 		return s.writebackScan(now)
 	}
-	for _, ev := range s.compWheel.due(now) {
+	evs, spilled := s.compWheel.due(now)
+	for _, ev := range evs {
+		s.deliverCompletion(ev)
+	}
+	for _, ev := range spilled {
 		s.deliverCompletion(ev)
 	}
 	wbPorts := [2]int{s.cfg.RFWritePorts, s.cfg.RFWritePorts}
@@ -154,30 +158,21 @@ func (s *Sim) resolveBranch(th *thread, e *robEntry, now int64) {
 
 // broadcast wakes every waiting operand of the owning thread matching the
 // completed tag (tags are per-thread namespaces). The event kernel walks
-// the tag's waiter list — registered at dispatch, invalidated by squash
-// notifications — instead of scanning the reorder buffer.
+// the tag's wakeup list — linked at dispatch, unlinked by squash —
+// instead of scanning the reorder buffer: each node names one operand of
+// one in-flight instruction, oldest first, and the whole list wakes.
 func (s *Sim) broadcast(th *thread, class isa.RegClass, tag int32) {
-	f := classIdxOf(class)
-	ws := th.waiters[f][tag]
-	for _, w := range ws {
-		e := th.entryByInum(w.inum)
-		if e == nil || e.gen != w.gen || e.st == stCompleted {
-			continue
-		}
-		if w.slot == 0 {
-			if e.src1Ready || !matches(e.ren.Src1, class, tag) {
-				continue
-			}
+	l := &th.wlists[classIdxOf(class)][tag]
+	for n := l.head; n >= 0; n = th.wlinks[n].next {
+		e := &th.rob[n>>1]
+		if n&1 == 0 {
 			e.src1Ready = true
 		} else {
-			if e.src2Ready || !matches(e.ren.Src2, class, tag) {
-				continue
-			}
 			e.src2Ready = true
 		}
 		s.operandBecameReady(th, e)
 	}
-	th.waiters[f][tag] = ws[:0]
+	*l = emptyWaitList
 }
 
 // operandBecameReady reacts to a wakeup: a waiting instruction with all
@@ -199,10 +194,6 @@ func (s *Sim) operandBecameReady(th *thread, e *robEntry) {
 			}
 		}
 	}
-}
-
-func matches(op core.SrcOp, class isa.RegClass, tag int32) bool {
-	return op.Present && !op.Zero && op.Class == class && op.Tag == tag
 }
 
 func classIdxOf(c isa.RegClass) int {
