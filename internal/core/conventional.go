@@ -38,8 +38,13 @@ type Conventional struct {
 	// instruction sits at its offset from the front.
 	entries ring[convEntry]
 
-	safeBound    int64   // instructions <= safeBound cannot be squashed
-	earlyPending []int64 // inums with a pending early release
+	safeBound int64 // instructions <= safeBound cannot be squashed
+	// earlyPending lists the completed instructions whose previous
+	// mapping awaits early release, in completion order. Its capacity is
+	// the window (EarlyRelease only): every entry is an instruction in
+	// flight, since Tick drops committed and squashed ones each cycle,
+	// and an instruction completes once per occupancy.
+	earlyPending []int64
 
 	// Register-lifetime accounting (§3.1 pressure metric, in vivo).
 	now         int64
@@ -54,7 +59,8 @@ type Conventional struct {
 
 var _ Renamer = (*Conventional)(nil)
 
-// NewConventional builds the baseline renamer. The initial state maps
+// NewConventional builds the baseline renamer for the window the VP
+// registers cover (VPRegs − isa.NumLogical). The initial state maps
 // logical register i to physical register i in each file, with the
 // remaining registers free — the paper's observation that "when the
 // instruction window is empty each logical register is mapped to a physical
@@ -63,18 +69,24 @@ func NewConventional(p Params) *Conventional {
 	if p.PhysRegs <= isa.NumLogical {
 		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, isa.NumLogical))
 	}
-	return NewConventionalShared(p, NewSharedPool(p.PhysRegs))
+	return NewConventionalShared(p, NewSharedPool(p.PhysRegs), p.window())
 }
 
 // NewConventionalShared builds a conventional renamer drawing from a shared
-// physical register pool (SMT: one renamer per hardware context). The
-// context's architectural registers are claimed from the pool immediately.
-func NewConventionalShared(p Params, pool *SharedPool) *Conventional {
+// physical register pool (SMT: one renamer per hardware context) for a
+// window of at most window instructions in flight, the context's reorder
+// buffer. The context's architectural registers are claimed from the pool
+// immediately.
+func NewConventionalShared(p Params, pool *SharedPool, window int) *Conventional {
+	checkWindow(window)
 	c := &Conventional{
 		params:    p,
 		pool:      pool,
-		entries:   newRing[convEntry](windowHint),
+		entries:   newRing[convEntry](window),
 		safeBound: -1,
+	}
+	if p.EarlyRelease {
+		c.earlyPending = make([]int64, 0, window)
 	}
 	arch := pool.attach(0, 0, false)
 	for f := 0; f < 2; f++ {
@@ -174,8 +186,12 @@ func (c *Conventional) Complete(inum int64) (int, bool) {
 	}
 	c.ready[e.class][e.newP] = true
 	if c.params.EarlyRelease && e.prevP >= 0 {
-		//vpr:allowalloc amortized: earlyPending retains capacity across cycles
-		c.earlyPending = append(c.earlyPending, inum)
+		n := len(c.earlyPending)
+		if n == cap(c.earlyPending) {
+			panic("core: more early releases pending than instructions in flight")
+		}
+		c.earlyPending = c.earlyPending[:n+1]
+		c.earlyPending[n] = inum
 	}
 	return e.newP, true
 }
@@ -275,8 +291,8 @@ func (c *Conventional) Tick(now, safe int64) {
 		if c.tryEarlyRelease(e) {
 			continue
 		}
-		//vpr:allowalloc in-place filter: kept aliases earlyPending's backing array
-		kept = append(kept, inum)
+		kept = kept[:len(kept)+1]
+		kept[len(kept)-1] = inum
 	}
 	c.earlyPending = kept
 }

@@ -33,7 +33,11 @@
 //vpr:detpkg
 package core
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // Scheme selects a renaming scheme.
 type Scheme int
@@ -92,6 +96,13 @@ func DefaultParams() Params {
 // MaxNRR returns the largest legal NRR for the parameter set
 // (physical registers minus logical registers).
 func (p Params) MaxNRR() int { return p.PhysRegs - isa.NumLogical }
+
+// window returns the instruction window the VP registers cover (VPRegs =
+// logical + window, §3.2.1): the most instructions a renamer built by
+// New, NewConventional or NewVP holds in flight. DefaultParams makes it
+// 128, the paper's reorder buffer. A pipeline passes its own reorder
+// buffer's size instead (NewConventionalShared, NewVPShared).
+func (p Params) window() int { return p.VPRegs - isa.NumLogical }
 
 // SrcOp is a renamed source operand. It packs into 8 bytes.
 type SrcOp struct {
@@ -205,12 +216,8 @@ type Renamer interface {
 	CheckInvariants() error
 }
 
-// windowHint is the initial per-context capacity of renamer bookkeeping
-// rings; they grow on demand, so this only tunes the first allocation
-// (the paper's window is 128 instructions).
-const windowHint = 256
-
-// New builds a renamer for the scheme.
+// New builds a renamer for the scheme over a private register pool. Its
+// window is the one the VP registers cover: VPRegs − isa.NumLogical.
 func New(s Scheme, p Params) Renamer {
 	switch s {
 	case SchemeConventional:
@@ -221,6 +228,13 @@ func New(s Scheme, p Params) Renamer {
 		return NewVP(p, AllocAtIssue)
 	default:
 		panic("core: unknown scheme")
+	}
+}
+
+// checkWindow rejects a renamer window that holds no instruction.
+func checkWindow(window int) {
+	if window < 1 {
+		panic(fmt.Sprintf("core: window of %d instructions; a renamer needs at least 1", window))
 	}
 }
 

@@ -483,6 +483,8 @@ func TestBadParamsPanic(t *testing.T) {
 		func() {
 			NewVP(Params{PhysRegs: 64, VPRegs: 160, NRRInt: 33, NRRFP: 1}, AllocAtWriteback)
 		},
+		func() { NewConventional(Params{PhysRegs: 64, VPRegs: 32}) }, // no window
+		func() { NewConventionalShared(DefaultParams(), NewSharedPool(64), 0) },
 	}
 	for i, f := range cases {
 		func() {
@@ -494,6 +496,34 @@ func TestBadParamsPanic(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestWindowIsFixedAtConstruction fills each renamer's window, which New
+// sizes from the VP registers (32 + 128 by default: 128 instructions),
+// and checks that one more rename panics instead of growing the rings; a
+// window passed to the shared constructors bounds them the same way.
+func TestWindowIsFixedAtConstruction(t *testing.T) {
+	fill := func(name string, r Renamer, window int) {
+		t.Helper()
+		for i := 0; i < window; i++ {
+			if _, ok := r.Rename(int64(i), intInst(1+i%30, 2, 3)); !ok {
+				t.Fatalf("%s: rename %d of a %d-instruction window refused", name, i, window)
+			}
+		}
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: rename past a full %d-instruction window did not panic", name, window)
+			}
+		}()
+		r.Rename(int64(window), storeInst(1, 2))
+	}
+	p := DefaultParams()
+	p.PhysRegs = 32 + 128 // conv must not stall before its window fills
+	for _, s := range []Scheme{SchemeConventional, SchemeVPWriteback, SchemeVPIssue} {
+		fill(s.String(), New(s, p), 128)
+	}
+	fill("conv shared", NewConventionalShared(p, NewSharedPool(p.PhysRegs), 96), 96)
+	fill("vp shared", NewVPShared(p, AllocAtIssue, NewSharedPool(p.PhysRegs), 48), 48)
 }
 
 // --- Randomized protocol driver ---------------------------------------------
@@ -717,9 +747,9 @@ func TestVPHoldsFewerRegisters(t *testing.T) {
 		return pressure
 	}
 	convPool := NewSharedPool(DefaultParams().PhysRegs)
-	conv := sample(NewConventionalShared(DefaultParams(), convPool), convPool)
+	conv := sample(NewConventionalShared(DefaultParams(), convPool, DefaultParams().window()), convPool)
 	vpPool := NewSharedPool(DefaultParams().PhysRegs)
-	vp := sample(NewVPShared(DefaultParams(), AllocAtWriteback, vpPool), vpPool)
+	vp := sample(NewVPShared(DefaultParams(), AllocAtWriteback, vpPool, DefaultParams().window()), vpPool)
 	if vp >= conv {
 		t.Errorf("aggregate register occupancy: vp %d, conv %d; VP must be lower", vp, conv)
 	}

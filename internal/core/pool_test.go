@@ -13,8 +13,8 @@ func TestSharedPoolTwoVPContexts(t *testing.T) {
 	p := DefaultParams()
 	p.PhysRegs = 96
 	p.NRRInt, p.NRRFP = 8, 8
-	a := NewVPShared(p, AllocAtWriteback, pool)
-	b := NewVPShared(p, AllocAtWriteback, pool)
+	a := NewVPShared(p, AllocAtWriteback, pool, p.window())
+	b := NewVPShared(p, AllocAtWriteback, pool, p.window())
 
 	if pool.FreeCount(0) != 96-64 {
 		t.Fatalf("free after two attaches = %d, want 32", pool.FreeCount(0))
@@ -57,8 +57,8 @@ func TestSharedPoolReservationIsAggregate(t *testing.T) {
 	p := DefaultParams()
 	p.PhysRegs = 80
 	p.NRRInt, p.NRRFP = 8, 8 // aggregate reservation = 16 = all free registers
-	a := NewVPShared(p, AllocAtWriteback, pool)
-	b := NewVPShared(p, AllocAtWriteback, pool)
+	a := NewVPShared(p, AllocAtWriteback, pool, p.window())
+	b := NewVPShared(p, AllocAtWriteback, pool, p.window())
 
 	// Fill A with more dest instructions than its protected set.
 	for i := int64(0); i < 12; i++ {
@@ -94,8 +94,8 @@ func TestSharedPoolMixedSchemes(t *testing.T) {
 	p := DefaultParams()
 	p.PhysRegs = 96
 	p.NRRInt, p.NRRFP = 4, 4
-	c := NewConventionalShared(p, pool)
-	v := NewVPShared(p, AllocAtWriteback, pool)
+	c := NewConventionalShared(p, pool, p.window())
+	v := NewVPShared(p, AllocAtWriteback, pool, p.window())
 
 	if _, ok := c.Rename(0, intInst(1, 2, 3)); !ok {
 		t.Fatal("conventional rename refused")
@@ -122,9 +122,9 @@ func TestSharedPoolRejectsOverCommit(t *testing.T) {
 	p := DefaultParams()
 	p.PhysRegs = 64
 	p.NRRInt, p.NRRFP = 1, 1
-	NewVPShared(p, AllocAtWriteback, pool)
-	NewVPShared(p, AllocAtWriteback, pool) // reservation check must fire here or on the next
-	NewVPShared(p, AllocAtWriteback, pool)
+	NewVPShared(p, AllocAtWriteback, pool, p.window())
+	NewVPShared(p, AllocAtWriteback, pool, p.window()) // reservation check must fire here or on the next
+	NewVPShared(p, AllocAtWriteback, pool, p.window())
 }
 
 func TestSharedPoolRandomizedTwoContexts(t *testing.T) {
@@ -135,8 +135,8 @@ func TestSharedPoolRandomizedTwoContexts(t *testing.T) {
 	p.PhysRegs = 96
 	p.VPRegs = 32 + 64
 	p.NRRInt, p.NRRFP = 4, 4
-	a := NewVPShared(p, AllocAtWriteback, pool)
-	b := NewVPShared(p, AllocAtIssue, pool)
+	a := NewVPShared(p, AllocAtWriteback, pool, p.window())
+	b := NewVPShared(p, AllocAtIssue, pool, p.window())
 	da := newDriver(t, a, 32, 1)
 	db := newDriver(t, b, 32, 2)
 	for i := 0; i < 200000 && (da.commits < 1500 || db.commits < 1500); i++ {

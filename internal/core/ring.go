@@ -1,17 +1,20 @@
 package core
 
-// ring is a growable double-ended queue over a power-of-two circular
-// buffer. The renamers keep their per-instruction bookkeeping in rings
-// instead of maps: instructions are renamed in program order with
+// ring is a fixed-capacity double-ended queue over a power-of-two
+// circular buffer. The renamers keep their per-instruction bookkeeping in
+// rings instead of maps: instructions are renamed in program order with
 // consecutive numbers, retired from the front (commit) and undone from
 // the back (squash), so the live set is always a contiguous window and an
 // instruction sits at its number's offset from the oldest one. Compared
 // to a map this removes one heap allocation and one hash per instruction
-// from the simulation hot path.
+// from the simulation hot path. A ring is sized for the window when its
+// renamer is built and never grows: a push into a full ring is a
+// protocol violation and panics.
 type ring[T any] struct {
 	buf  []T // len(buf) is a power of two
 	head int
 	n    int
+	max  int // capacity: the window the renamer was built for
 }
 
 func newRing[T any](capacity int) ring[T] {
@@ -19,7 +22,7 @@ func newRing[T any](capacity int) ring[T] {
 	for c < capacity {
 		c <<= 1
 	}
-	return ring[T]{buf: make([]T, c)}
+	return ring[T]{buf: make([]T, c), max: capacity}
 }
 
 func (r *ring[T]) len() int { return r.n }
@@ -39,11 +42,10 @@ func (r *ring[T]) atOffset(off int64) *T {
 }
 
 // push appends a zeroed element and returns a pointer to it, for the
-// caller to fill in place. The pointer is valid until the next grow
-// (push when full).
+// caller to fill in place.
 func (r *ring[T]) push() *T {
-	if r.n == len(r.buf) {
-		r.grow()
+	if r.n == r.max {
+		panic("core: more instructions in flight than the renamer's window")
 	}
 	p := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	var zero T
@@ -59,13 +61,4 @@ func (r *ring[T]) popFront() {
 
 func (r *ring[T]) popBack() {
 	r.n--
-}
-
-func (r *ring[T]) grow() {
-	next := make([]T, 2*len(r.buf))
-	for i := 0; i < r.n; i++ {
-		next[i] = *r.at(i)
-	}
-	r.buf = next
-	r.head = 0
 }

@@ -81,25 +81,29 @@ type VP struct {
 
 var _ Renamer = (*VP)(nil)
 
-// NewVP builds a virtual-physical renamer. Initially each logical register
-// is mapped to VP register i, which is mapped to physical register i, so
+// NewVP builds a virtual-physical renamer for the window its VP registers
+// cover (VPRegs − isa.NumLogical). Initially each logical register is
+// mapped to VP register i, which is mapped to physical register i, so
 // architectural state is readable exactly as in the conventional scheme.
 func NewVP(p Params, policy AllocPolicy) *VP {
 	if p.PhysRegs <= isa.NumLogical {
 		panic(fmt.Sprintf("core: %d physical registers cannot back %d logical", p.PhysRegs, isa.NumLogical))
 	}
-	return NewVPShared(p, policy, NewSharedPool(p.PhysRegs))
+	return NewVPShared(p, policy, NewSharedPool(p.PhysRegs), p.window())
 }
 
 // NewVPShared builds a virtual-physical renamer drawing from a shared
 // physical register pool (SMT: one renamer per hardware context, private
-// GMT/PMT and VP namespace, shared physical files). The context's
-// architectural registers are claimed from the pool immediately and its
-// NRR reservation joins the pool's aggregate deadlock-avoidance guard.
-func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
+// GMT/PMT and VP namespace, shared physical files) for a window of at
+// most window instructions in flight, the context's reorder buffer. The
+// context's architectural registers are claimed from the pool immediately
+// and its NRR reservation joins the pool's aggregate deadlock-avoidance
+// guard.
+func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool, window int) *VP {
 	if p.VPRegs <= isa.NumLogical {
 		panic("core: need more VP registers than logical registers")
 	}
+	checkWindow(window)
 	maxNRR := p.MaxNRR()
 	for _, nrr := range []int{p.NRRInt, p.NRRFP} {
 		if nrr < 1 || nrr > maxNRR {
@@ -111,11 +115,11 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool) *VP {
 		policy:  policy,
 		pool:    pool,
 		nrr:     [2]int{p.NRRInt, p.NRRFP},
-		entries: newRing[vpEntry](windowHint),
+		entries: newRing[vpEntry](window),
 	}
 	arch := pool.attach(p.NRRInt, p.NRRFP, true)
 	for f := 0; f < 2; f++ {
-		v.pending[f] = newRing[int64](windowHint)
+		v.pending[f] = newRing[int64](window)
 		v.allocCycle[f] = make([]int64, pool.PhysRegs())
 		v.gmt[f] = make([]gmtEntry, isa.NumLogical)
 		v.pmt[f] = make([]int, p.VPRegs)

@@ -81,6 +81,35 @@ func TestRunAllocatesOnlyAtConstruction(t *testing.T) {
 		}
 	}
 
+	// The renamers' windows are sized from the reorder buffer, and the
+	// early-release ablation's pending list from the window, so neither
+	// grows under a larger reorder buffer or the ablation. The large
+	// machine's queue and register files let swim fill all 512 entries
+	// (329 under conv), so a window sized below the reorder buffer would
+	// have to grow.
+	t.Run("window", func(t *testing.T) {
+		swim := collectKernel(t, "swim", allocTestInstr)
+		big := func(scheme core.Scheme) Config {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.ROBSize, cfg.IQSize = 512, 512
+			cfg.Rename.PhysRegs = 256
+			cfg.Rename.VPRegs = 32 + cfg.ROBSize
+			return cfg
+		}
+		early := DefaultConfig()
+		early.Rename.EarlyRelease = true
+		for name, cfg := range map[string]Config{
+			"conv rob 512":       big(core.SchemeConventional),
+			"vp-wb rob 512":      big(core.SchemeVPWriteback),
+			"conv early release": early,
+		} {
+			if n := runMallocs(t, func() (runner, error) { return New(cfg, trace.FromSlice(swim)) }); n != 0 {
+				t.Errorf("%s: Run made %d allocations, want 0", name, n)
+			}
+		}
+	})
+
 	t.Run("smt", func(t *testing.T) {
 		compress := collectKernel(t, "compress", allocTestInstr)
 		swim := collectKernel(t, "swim", allocTestInstr)

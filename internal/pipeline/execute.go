@@ -29,13 +29,7 @@ func (s *Sim) executeStage(now int64) error {
 	if s.scan {
 		return s.executeScan(now)
 	}
-	evs, spilled := s.aguWheel.due(now)
-	for _, ev := range evs {
-		s.deliverAGU(ev)
-	}
-	for _, ev := range spilled {
-		s.deliverAGU(ev)
-	}
+	s.deliverDue(&s.aguWheel, now, true)
 	ports := s.cfg.CachePorts
 	// The post-commit store buffer gets first claim on one port. Without
 	// this guarantee, re-executing loads (VP write-back allocation) can
@@ -88,8 +82,7 @@ func (s *Sim) executeStage(now int64) error {
 					i++ // blocked: retry next cycle
 					continue
 				}
-				e.completeAt = s.compWheel.schedule(now,
-					wevent{due: e.completeAt, inum: e.inum, tid: int32(th.id), gen: e.gen})
+				e.completeAt = s.compWheel.schedule(now, e.completeAt, th.id, th.slotOf(e.inum))
 				th.aguPend = removeRefAt(th.aguPend, i)
 			default:
 				th.aguPend = removeRefAt(th.aguPend, i)
@@ -105,17 +98,6 @@ func (s *Sim) executeStage(now int64) error {
 		ports--
 	}
 	return nil
-}
-
-// deliverAGU files an AGU-wheel event into its thread's pending list,
-// dropping stale generations (squash between issue and address-ready).
-func (s *Sim) deliverAGU(ev wevent) {
-	th := s.threads[ev.tid]
-	e := th.entryByInum(ev.inum)
-	if e == nil || e.gen != ev.gen || e.st != stExecuting || e.aguDoneAt != ev.due {
-		return
-	}
-	th.aguPend = insertRef(th.aguPend, evRef{inum: ev.inum, gen: ev.gen})
 }
 
 // tryLoad attempts to give a post-AGU load its value: forwarded from the

@@ -121,11 +121,9 @@ func (s *Sim) issue(th *thread, ref evRef, now int64, budget *int, rfReads *[2]i
 	if e.isLoad || e.isStore {
 		// Effective-address unit latency, then the memory pipeline.
 		e.completeAt = timeUnset
-		e.aguDoneAt = s.aguWheel.schedule(now,
-			wevent{due: now + latency, inum: e.inum, tid: int32(th.id), gen: e.gen})
+		e.aguDoneAt = s.aguWheel.schedule(now, now+latency, th.id, th.slotOf(e.inum))
 	} else {
-		e.completeAt = s.compWheel.schedule(now,
-			wevent{due: now + latency, inum: e.inum, tid: int32(th.id), gen: e.gen})
+		e.completeAt = s.compWheel.schedule(now, now+latency, th.id, th.slotOf(e.inum))
 	}
 	if s.cfg.Scheme != core.SchemeVPWriteback {
 		s.leaveIQ(e)

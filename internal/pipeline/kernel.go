@@ -25,14 +25,17 @@
 // links, one per source operand). Squash keeps that bound. The queues
 // are truncated at the squash point, and each squashed instruction's
 // pending wheel event and wakeup links are removed with it, so nothing
-// of a squashed instruction survives to be reused. Queue references and
-// wheel events still carry the robEntry generation they were created
-// under, and the stages check it before acting on one.
+// of a squashed instruction survives to be reused. A wheel event is a
+// bit naming the instruction's reorder-buffer slot, which therefore holds
+// the instruction it was scheduled for; queue references still carry the
+// robEntry generation they were created under, and the stages check it
+// before acting on one.
 package pipeline
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -68,14 +71,6 @@ type waitList struct{ head, tail int32 }
 
 var emptyWaitList = waitList{head: -1, tail: -1}
 
-// wevent is one timing-wheel event.
-type wevent struct {
-	due  int64
-	inum int64
-	tid  int32
-	gen  uint32
-}
-
 const (
 	// compWheelSlots bounds how far ahead a completion is filed in a
 	// slot. Table 1 latencies (divide: 67 cycles) and L1 misses fit, and
@@ -83,158 +78,228 @@ const (
 	// handful (on 2-core coherent sharing runs no completion was due more
 	// than 136 cycles ahead); a farther completion waits in the overflow.
 	compWheelSlots = 128
-	// aguWheelSlots covers the effective-address latency (Table 1: 1
-	// cycle).
-	aguWheelSlots = 4
-	// wheelDepth is how many events one slot holds: the paper's machine
-	// issues 8 instructions a cycle, and same-latency instructions issued
-	// together finish together. Further events due that cycle spill to
-	// the overflow: about 1% of the catalog kernels' completions, and
-	// none of their address-ready events.
-	wheelDepth = 8
+	// aguWheelSlots covers the effective-address latency: every memory
+	// operation takes 1 cycle (isa.FUEffAddr), so its address-ready event
+	// always falls in the next cycle and the wheel needs no overflow.
+	aguWheelSlots = 2
 )
 
-// wheel is a timing wheel over one flat array: slot s holds the events
-// due in its cycle in evs[s*depth : s*depth+n[s]]. An event due beyond
-// the horizon, or whose slot is full, waits in the overflow, which due
-// drains in the event's cycle. The simulator steps one cycle at a time,
-// so every slot is drained exactly at its cycle.
+// wevent is a completion due beyond the wheel's horizon, waiting in the
+// overflow: its cycle and the thread and reorder-buffer slot of its
+// instruction.
+type wevent struct {
+	due  int64
+	tid  int32
+	slot int32
+}
+
+// wheel is a timing wheel of reorder-buffer-slot bits. Each cycle slot
+// holds one bit per reorder-buffer slot per thread, set while the
+// instruction in that slot has its event due in the slot's cycle: slot s
+// of thread t is bits[(s*threads+t)*words:][:words]. An instruction has at
+// most one event pending across both wheels, and squash cancels it
+// exactly (unschedule), so a set bit always names a live instruction and
+// delivery reads nothing else. An event due beyond the horizon waits in
+// the overflow, which delivery (Sim.deliverDue) drains in the event's
+// cycle while it compacts the list; its capacity is the number of
+// instructions in flight. The simulator steps one cycle at a time, so
+// every slot is drained exactly at its cycle. Neither scheduling nor
+// delivery allocates.
 //
-// The overflow's capacity is the number of instructions that can be in
-// flight: an instruction has at most one pending event across both
-// wheels, and squash cancels the events of the instructions it removes.
-// Neither schedule nor due allocates.
-//
-// The per-slot counts live in the wheel itself, and so inside the Sim
-// that embeds it, never in a small allocation of their own: the allocator
-// packs small allocations made one after another into one cache line, so
-// two cores' counts, each written every cycle, would share it (4-byte
-// count slices cost skew stepping about 6%).
+// The per-slot counts keep delivery proportional to the events: an empty
+// slot costs one load, and a walk stops at its last event. They live in
+// the wheel itself, and so inside the Sim that embeds it, never in a
+// small allocation of their own: the allocator packs small allocations
+// made one after another into one cache line, so two cores' counts, each
+// written every cycle, would share it (4-byte count slices cost skew
+// stepping about 6%).
 type wheel struct {
-	evs   []wevent
-	n     [compWheelSlots]uint8 // events filed per slot, in the first mask+1 entries
-	depth int
-	mask  int64
+	bits     []uint64
+	n        [compWheelSlots]uint32 // events filed per slot, in the first mask+1 entries
+	words    int                    // bit words per thread per slot
+	slotMask int                    // words*64 - 1: a thread's bit positions wrap with it
+	threads  int
+	mask     int64
 
-	overflow  []wevent
-	spill     []wevent // the overflow events due this cycle, handed out by due
-	nextSpill int64    // no overflow event is due before this cycle
+	overflow     []wevent
+	nextOverflow int64 // no overflow event is due before this cycle
 
-	scheduled, spilled int64 // events filed, and how many of them overflowed
+	scheduled, overflowed int64 // events filed, and how many of them overflowed
 }
 
-func (w *wheel) init(slots, depth, maxEvents int) {
-	if slots&(slots-1) != 0 || slots > len(w.n) {
-		panic("pipeline: wheel size must be a power of two no larger than compWheelSlots")
+// init sizes the wheel for threads threads over reorder buffers of
+// robSlots slots each, a power of two (ringLen), with room for
+// maxOverflow events beyond the horizon (0: every event must fall within
+// it).
+func (w *wheel) init(slots, threads, robSlots, maxOverflow int) {
+	if slots&(slots-1) != 0 || slots > len(w.n) || robSlots&(robSlots-1) != 0 {
+		panic("pipeline: wheel and reorder-buffer sizes must be powers of two, and the wheel no larger than compWheelSlots")
 	}
-	w.evs = make([]wevent, slots*depth)
-	w.depth = depth
+	w.words = (robSlots + 63) / 64
+	w.slotMask = w.words*64 - 1
+	w.threads = threads
+	// Whole cache lines: the bits are written every cycle, so another
+	// core's allocation must not share their last line (the counts below
+	// say why). The AGU wheel's 32 bytes would otherwise share one.
+	n := slots * threads * w.words
+	w.bits = make([]uint64, n, (n+7)&^7)
 	w.mask = int64(slots - 1)
-	w.overflow = make([]wevent, 0, maxEvents)
-	w.spill = make([]wevent, 0, maxEvents)
-	w.nextSpill = math.MaxInt64
+	w.overflow = make([]wevent, 0, maxOverflow)
+	w.nextOverflow = math.MaxInt64
 }
 
-// schedule files ev for cycle due and returns the cycle it will actually
+// schedule files the event of the instruction in reorder-buffer slot slot
+// of thread tid for cycle due and returns the cycle it will actually
 // fire. Events must be scheduled for the future; a due at or before now
 // lands in the next cycle, matching the reference scan (which picks work
-// up at the first stage pass after the deadline passes). Callers must
-// store the returned due back into the robEntry deadline field they
-// scheduled from — delivery validates the event against that field, so a
-// coerced deadline the entry did not carry would be dropped as stale.
-func (w *wheel) schedule(now int64, ev wevent) int64 {
-	if ev.due <= now {
-		ev.due = now + 1
+// up at the first stage pass after the deadline passes). Callers store
+// the returned due in the robEntry deadline field they scheduled from;
+// unschedule cancels the event by it.
+func (w *wheel) schedule(now, due int64, tid, slot int) int64 {
+	if due <= now {
+		due = now + 1
 	}
 	w.scheduled++
-	slot := ev.due & w.mask
-	if n := int(w.n[slot]); ev.due-now <= w.mask && n < w.depth {
-		w.evs[int(slot)*w.depth+n] = ev
-		w.n[slot]++
-	} else {
-		w.spillEvent(ev)
+	if due-now > w.mask {
+		w.overflowEvent(wevent{due: due, tid: int32(tid), slot: int32(slot)})
+		return due
 	}
-	return ev.due
+	s := int(due & w.mask)
+	w.bits[(s*w.threads+tid)*w.words+slot>>6] |= 1 << (slot & 63)
+	w.n[s]++
+	return due
 }
 
-// spillEvent files ev in the overflow.
-func (w *wheel) spillEvent(ev wevent) {
+// overflowEvent files ev, due beyond the horizon, in the overflow.
+func (w *wheel) overflowEvent(ev wevent) {
 	n := len(w.overflow)
 	if n == cap(w.overflow) {
-		panic("pipeline: timing wheel holds more events than instructions in flight")
+		panic("pipeline: timing-wheel event due beyond the horizon, and the overflow is full")
 	}
 	w.overflow = w.overflow[:n+1]
 	w.overflow[n] = ev
-	w.nextSpill = min(w.nextSpill, ev.due)
-	w.spilled++
+	w.nextOverflow = min(w.nextOverflow, ev.due)
+	w.overflowed++
 }
 
-// due returns every event due at now, those of its slot and those of the
-// overflow, and empties the slot. Called once per cycle. The slices alias
-// the wheel's storage and stay intact while the caller walks them:
-// schedule never files into the slot of now (a due at or before now is
-// coerced to now+1, and a due within the horizon maps to another slot),
-// and only the next due rewrites the spill buffer.
-func (w *wheel) due(now int64) (slot, spilled []wevent) {
-	s := now & w.mask
-	base := int(s) * w.depth
-	slot = w.evs[base : base+int(w.n[s])]
-	w.n[s] = 0
-	if now >= w.nextSpill {
-		spilled = w.drainSpill(now)
-	}
-	return slot, spilled
+// row returns the bit words of cycle slot s: words per thread, thread
+// by thread.
+func (w *wheel) row(s int) []uint64 {
+	return w.bits[s*w.threads*w.words:][:w.threads*w.words]
 }
 
-// drainSpill moves the overflow events due at now into the spill buffer
-// and returns them.
-func (w *wheel) drainSpill(now int64) []wevent {
-	spill := w.spill[:0]
-	kept := w.overflow[:0]
-	w.nextSpill = math.MaxInt64
-	for _, ev := range w.overflow {
-		if ev.due == now {
-			spill = spill[:len(spill)+1]
-			spill[len(spill)-1] = ev
-			continue
-		}
-		kept = kept[:len(kept)+1]
-		kept[len(kept)-1] = ev
-		w.nextSpill = min(w.nextSpill, ev.due)
-	}
-	w.overflow = kept
-	return spill
-}
-
-// cancel removes the pending event of the occupancy gen, due at due: the
-// instruction was squashed before its deadline.
-func (w *wheel) cancel(due int64, gen uint32) {
-	s := due & w.mask
-	base := int(s) * w.depth
-	for i, last := base, base+int(w.n[s])-1; i <= last; i++ {
-		if w.evs[i].gen == gen {
-			w.evs[i] = w.evs[last]
-			w.n[s]--
-			return
-		}
+// cancel removes the pending event, due at due, of the instruction in
+// reorder-buffer slot slot of thread tid: it was squashed before its
+// deadline. The instruction's bit in the due cycle's slot is set exactly
+// when its event lies within the horizon; otherwise it is in the
+// overflow.
+func (w *wheel) cancel(due int64, tid, slot int) {
+	s := int(due & w.mask)
+	word := &w.bits[(s*w.threads+tid)*w.words+slot>>6]
+	if bit := uint64(1) << (slot & 63); *word&bit != 0 {
+		*word &^= bit
+		w.n[s]--
+		return
 	}
 	for i, ev := range w.overflow {
-		if ev.gen == gen {
+		if int(ev.tid) == tid && int(ev.slot) == slot {
 			last := len(w.overflow) - 1
 			w.overflow[i] = w.overflow[last]
 			w.overflow = w.overflow[:last]
 			return
 		}
 	}
+	panic("pipeline: cancelled a timing-wheel event that is not pending")
 }
 
-// pending counts the events the wheel holds.
-func (w *wheel) pending() int {
-	n := len(w.overflow)
-	for _, c := range w.n[:w.mask+1] {
-		n += int(c)
+// each calls f for every pending event with the cycle it is due in, for
+// a wheel last drained at now (Debug checks and tests).
+//
+//vpr:coldpath
+func (w *wheel) each(now int64, f func(due int64, tid, slot int)) {
+	for s := int64(0); s <= w.mask; s++ {
+		due := now + 1 + (s-now-1)&w.mask // the one cycle in (now, now+mask+1] on slot s
+		for i, word := range w.row(int(s)) {
+			for ; word != 0; word &= word - 1 {
+				f(due, i/w.words, i%w.words*64+bits.TrailingZeros64(word))
+			}
+		}
 	}
-	return n
+	for _, ev := range w.overflow {
+		f(ev.due, int(ev.tid), int(ev.slot))
+	}
+}
+
+// deliverDue files every event due at now on w into its thread's pending
+// list, aguPend for the address-ready wheel (agu) and wbPend for the
+// completion wheel, and removes it. A thread's events come out in age
+// order, from its oldest instruction's reorder-buffer slot around the
+// ring, so each lands at the tail of the inum-sorted list; the overflow's
+// events due now follow, taken out as the overflow is compacted. The
+// stages deliver a wheel's events before they schedule into it, and
+// schedule never files into the slot of now (a due at or before now is
+// coerced to now+1, and a due within the horizon maps to another slot).
+func (s *Sim) deliverDue(w *wheel, now int64, agu bool) {
+	sl := int(now & w.mask)
+	if n := w.n[sl]; n != 0 {
+		w.n[sl] = 0
+		nw := w.words
+		row := w.row(sl)
+		for tid := 0; n != 0; tid++ {
+			th := s.threads[tid]
+			words := row[tid*nw : tid*nw+nw]
+			// Rotated word j holds the slots head+64j to head+64j+63
+			// around the ring: the bits of word lo from the head's bit
+			// position up, then those of the next word below it.
+			head := th.robHead
+			sh := uint(head & 63)
+			below := uint64(1)<<sh - 1
+			lo := head >> 6
+			for j := 0; j < nw && n != 0; j++ {
+				hi := lo + 1
+				if hi == nw {
+					hi = 0
+				}
+				r := words[lo]>>sh | words[hi]<<(64-sh)
+				words[lo] &= below
+				words[hi] &^= below
+				for base := head + j<<6; r != 0; r &= r - 1 {
+					s.fileDue(th, (base+bits.TrailingZeros64(r))&w.slotMask, agu)
+					n--
+				}
+				lo = hi
+			}
+		}
+	}
+	if now < w.nextOverflow {
+		return
+	}
+	kept := w.overflow[:0]
+	w.nextOverflow = math.MaxInt64
+	for _, ev := range w.overflow {
+		if ev.due == now {
+			s.fileDue(s.threads[ev.tid], int(ev.slot), agu)
+			continue
+		}
+		kept = kept[:len(kept)+1]
+		kept[len(kept)-1] = ev
+		w.nextOverflow = min(w.nextOverflow, ev.due)
+	}
+	w.overflow = kept
+}
+
+// fileDue files the instruction in the thread's reorder-buffer slot,
+// whose event is due this cycle, into the thread's pending list: aguPend
+// once its effective address is ready (agu), wbPend once it finishes
+// execution.
+func (s *Sim) fileDue(th *thread, slot int, agu bool) {
+	e := &th.rob[slot]
+	ref := evRef{inum: e.inum, gen: e.gen}
+	if agu {
+		th.aguPend = insertRef(th.aguPend, ref)
+	} else {
+		th.wbPend = insertRef(th.wbPend, ref)
+	}
 }
 
 // poolState tracks one functional-unit pool as a free count plus a release
@@ -419,14 +484,14 @@ func (th *thread) unlinkWaiter(f int, tag, node int32) {
 // wheel slots have already been drained, so an event is pending exactly
 // when its deadline lies ahead.
 func (s *Sim) unschedule(th *thread, e *robEntry, now int64) {
+	slot := th.slotOf(e.inum)
 	if e.st == stExecuting {
 		if e.completeAt > now {
-			s.compWheel.cancel(e.completeAt, e.gen)
+			s.compWheel.cancel(e.completeAt, th.id, slot)
 		} else if e.aguDoneAt > now {
-			s.aguWheel.cancel(e.aguDoneAt, e.gen)
+			s.aguWheel.cancel(e.aguDoneAt, th.id, slot)
 		}
 	}
-	slot := th.slotOf(e.inum)
 	for k := 0; k < 2; k++ {
 		if op, waits := e.waitingSrc(k); waits {
 			th.unlinkWaiter(classIdxOf(op.Class), op.Tag, int32(2*slot+k))
@@ -555,13 +620,35 @@ func (s *Sim) checkWaiters(th *thread) error {
 	return nil
 }
 
-// checkWheels checks that the timing wheels hold exactly one event per
-// executing instruction whose deadline lies ahead (Debug mode, at the end
-// of cycle now): squash cancels the events of the instructions it
-// removes, so no stale event outlives them.
+// checkWheels checks the timing wheels at the end of cycle now (Debug
+// mode): every pending event must name an executing instruction whose
+// deadline on that wheel is the event's cycle, and every executing
+// instruction whose deadline lies ahead must have one. Squash cancels the
+// events of the instructions it removes, so no stale event outlives them.
 //
 //vpr:coldpath
 func (s *Sim) checkWheels(now int64) error {
+	var err error
+	got := 0
+	check := func(agu bool) func(due int64, tid, slot int) {
+		return func(due int64, tid, slot int) {
+			got++
+			e := &s.threads[tid].rob[slot]
+			deadline := e.completeAt
+			if agu {
+				deadline = e.aguDoneAt
+			}
+			if err == nil && (e.st != stExecuting || deadline != due) {
+				err = fmt.Errorf("timing-wheel event due %d (agu %v) names thread %d slot %d, instruction %d in state %d due %d",
+					due, agu, tid, slot, e.inum, e.st, deadline)
+			}
+		}
+	}
+	s.compWheel.each(now, check(false))
+	s.aguWheel.each(now, check(true))
+	if err != nil {
+		return err
+	}
 	want := 0
 	for _, th := range s.threads {
 		for i := 0; i < th.robCount; i++ {
@@ -570,7 +657,7 @@ func (s *Sim) checkWheels(now int64) error {
 			}
 		}
 	}
-	if got := s.compWheel.pending() + s.aguWheel.pending(); got != want {
+	if got != want {
 		return fmt.Errorf("timing wheels hold %d events, %d instructions await a deadline", got, want)
 	}
 	return nil

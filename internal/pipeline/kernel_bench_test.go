@@ -77,9 +77,9 @@ func (g *cycleGen) NextBatch(dst []trace.Record) int {
 // renaming scheme, and ns/instr is host time per committed instruction.
 // blocks/instr and reexec/instr are the VP schemes' allocation refusals
 // per committed instruction (issue blocks, write-back re-executions):
-// the repeated visits whose cost ns/instr includes. spill/event is the
-// share of completion-wheel events that found their slot full or lay
-// beyond the horizon and took the overflow. The simulator is built before
+// the repeated visits whose cost ns/instr includes. overflow/event is the
+// share of completion-wheel events due beyond the wheel's horizon, which
+// wait in its overflow list. The simulator is built before
 // the timed loop, so setup is excluded and allocs/op is the steady-state
 // per-cycle allocation rate.
 func BenchmarkSimStep(b *testing.B) {
@@ -105,7 +105,7 @@ func BenchmarkSimStep(b *testing.B) {
 				b.ReportMetric(float64(sim.stats.Reexecutions)/c, "reexec/instr")
 			}
 			if w := sim.compWheel; w.scheduled > 0 {
-				b.ReportMetric(float64(w.spilled)/float64(w.scheduled), "spill/event")
+				b.ReportMetric(float64(w.overflowed)/float64(w.scheduled), "overflow/event")
 			}
 		})
 	}

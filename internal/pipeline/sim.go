@@ -102,9 +102,8 @@ type robEntry struct {
 
 	// gen distinguishes this occupancy of the ROB slot from earlier ones
 	// with the same inum (squash + re-fetch reuses instruction numbers):
-	// wheel events and queue entries carry the gen they were created
-	// under and are dropped when it no longer matches, and squash cancels
-	// a wheel event by it.
+	// scheduler queue references carry the gen they were created under
+	// and are dropped when it no longer matches.
 	gen uint32
 
 	// Issue constants, fixed at dispatch so a retried issue attempt
@@ -446,11 +445,11 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		}
 		switch cfg.Scheme {
 		case core.SchemeConventional:
-			th.ren = core.NewConventionalShared(cfg.Rename, s.pool)
+			th.ren = core.NewConventionalShared(cfg.Rename, s.pool, cfg.ROBSize)
 		case core.SchemeVPWriteback:
-			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtWriteback, s.pool)
+			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtWriteback, s.pool, cfg.ROBSize)
 		case core.SchemeVPIssue:
-			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtIssue, s.pool)
+			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtIssue, s.pool, cfg.ROBSize)
 		default:
 			return nil, fmt.Errorf("pipeline: unknown scheme %v", cfg.Scheme)
 		}
@@ -475,9 +474,9 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		}
 	}
 	if !s.scan {
-		inFlight := len(gens) * cfg.ROBSize
-		s.compWheel.init(compWheelSlots, wheelDepth, inFlight)
-		s.aguWheel.init(aguWheelSlots, wheelDepth, inFlight)
+		robSlots := ringLen(cfg.ROBSize)
+		s.compWheel.init(compWheelSlots, len(gens), robSlots, len(gens)*cfg.ROBSize)
+		s.aguWheel.init(aguWheelSlots, len(gens), robSlots, 0)
 	}
 	s.kindToPool = [isa.NumFUKinds]int{
 		isa.FUIntALU:  0,

@@ -25,13 +25,7 @@ func (s *Sim) writebackStage(now int64) error {
 	if s.scan {
 		return s.writebackScan(now)
 	}
-	evs, spilled := s.compWheel.due(now)
-	for _, ev := range evs {
-		s.deliverCompletion(ev)
-	}
-	for _, ev := range spilled {
-		s.deliverCompletion(ev)
-	}
+	s.deliverDue(&s.compWheel, now, false)
 	wbPorts := [2]int{s.cfg.RFWritePorts, s.cfg.RFWritePorts}
 	for _, th := range s.threadOrder() {
 		bound := s.allocBounds(th, core.SchemeVPWriteback)
@@ -118,18 +112,6 @@ func (s *Sim) writebackStage(now int64) error {
 		}
 	}
 	return nil
-}
-
-// deliverCompletion files a completion-wheel event into its thread's
-// pending list, dropping events whose instruction was squashed (stale
-// generation) or already pulled back for re-execution.
-func (s *Sim) deliverCompletion(ev wevent) {
-	th := s.threads[ev.tid]
-	e := th.entryByInum(ev.inum)
-	if e == nil || e.gen != ev.gen || e.st != stExecuting || e.completeAt != ev.due {
-		return
-	}
-	th.wbPend = insertRef(th.wbPend, evRef{inum: ev.inum, gen: ev.gen})
 }
 
 // leaveIQ releases the instruction-queue slot. Under write-back allocation
