@@ -7,6 +7,13 @@
 // paper's row/series shapes lives in report.go and is shared by
 // cmd/vptables and README/EXPERIMENTS generation. Experiment.Run executes
 // a plan on an engine.
+//
+// The ledger pins the reduced results and the engine caches them, so the
+// package is determinism-checked: vplint's detsource analyzer bans
+// unwaived wall clocks, goroutine launches and order-dependent map
+// iteration here.
+//
+//vpr:detpkg
 package experiments
 
 import (
@@ -281,11 +288,12 @@ func nrrSweepPlan(scheme core.Scheme, nrrs []int, opts Options) (Plan, error) {
 }
 
 // MeanSpeedupAt returns the arithmetic-mean speedup across workloads at
-// NRR index i (the way the paper quotes per-NRR averages).
+// NRR index i (the way the paper quotes per-NRR averages), summed in
+// workload-name order so the float result is the same on every call.
 func (s NRRSweep) MeanSpeedupAt(i int) float64 {
 	var xs []float64
-	for _, sp := range s.Speedup {
-		xs = append(xs, sp[i])
+	for _, name := range sortedKeys(s.Speedup) {
+		xs = append(xs, s.Speedup[name][i])
 	}
 	return arithmeticMean(xs)
 }
@@ -386,21 +394,17 @@ func figure7Plan(opts Options) (Plan, error) {
 // workloads at register-count index i, using harmonic-mean IPCs as in the
 // paper's summary.
 func (f Fig7) MeanImprovementAt(i int) float64 {
-	var conv, vp []float64
-	for _, cells := range f.Cells {
-		conv = append(conv, cells[i].ConvIPC)
-		vp = append(vp, cells[i].VPIPC)
-	}
-	return improvementPct(harmonicMean(conv), harmonicMean(vp))
+	return improvementPct(f.HarmonicIPCAt(i))
 }
 
 // HarmonicIPCAt returns the harmonic-mean IPCs (conv, vp) at register-count
-// index i.
+// index i, summed in workload-name order so the float results are the
+// same on every call.
 func (f Fig7) HarmonicIPCAt(i int) (float64, float64) {
 	var conv, vp []float64
-	for _, cells := range f.Cells {
-		conv = append(conv, cells[i].ConvIPC)
-		vp = append(vp, cells[i].VPIPC)
+	for _, name := range sortedKeys(f.Cells) {
+		conv = append(conv, f.Cells[name][i].ConvIPC)
+		vp = append(vp, f.Cells[name][i].VPIPC)
 	}
 	return harmonicMean(conv), harmonicMean(vp)
 }

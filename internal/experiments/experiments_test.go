@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -319,5 +320,37 @@ func TestLifetimeOrdering(t *testing.T) {
 	out := RenderLifetime(rows)
 	if !strings.Contains(out, "cycles held/value") {
 		t.Errorf("rendered lifetime study:\n%s", out)
+	}
+}
+
+// TestMeansIgnoreMapOrder pins the experiment means to one float64 on
+// every call. NRRSweep and Fig7 hold their per-workload values in maps,
+// and float addition is not associative, so a mean summed in map
+// iteration order can differ from call to call in its last bits. The
+// hand-built maps below hold values whose sum depends on the order; each
+// mean must equal the one summed in workload-name order, 200 times over.
+func TestMeansIgnoreMapOrder(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	sweep := NRRSweep{Speedup: map[string][]float64{}}
+	fig := Fig7{Cells: map[string][]Fig7Cell{}}
+	var speedups, conv, vp []float64
+	for k, name := range names {
+		x := 0.1 * float64(k+1)
+		sweep.Speedup[name] = []float64{x}
+		fig.Cells[name] = []Fig7Cell{{ConvIPC: 1 / x, VPIPC: 1 / (x + 0.05)}}
+		speedups = append(speedups, x)
+		conv = append(conv, 1/x)
+		vp = append(vp, 1/(x+0.05))
+	}
+	wantHC, wantHV := harmonicMean(conv), harmonicMean(vp)
+	want := [4]float64{arithmeticMean(speedups), wantHC, wantHV, improvementPct(wantHC, wantHV)}
+	for call := 0; call < 200; call++ {
+		hc, hv := fig.HarmonicIPCAt(0)
+		got := [4]float64{sweep.MeanSpeedupAt(0), hc, hv, fig.MeanImprovementAt(0)}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("call %d: means %v, summed in name order %v", call, got, want)
+			}
+		}
 	}
 }

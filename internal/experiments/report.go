@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -103,10 +104,5 @@ func RenderAblation(rows []AblationRow, extraLabel string) string {
 }
 
 func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(m))
 }

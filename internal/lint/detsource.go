@@ -11,10 +11,11 @@ import (
 
 // DetSource hunts nondeterminism sources in the determinism-checked
 // simulator packages — those whose package doc carries //vpr:detpkg
-// (internal/pipeline, internal/mem, internal/sim, internal/core). The
-// engine's result cache serves simulator output by configuration hash,
-// so any dependence on host time, scheduler interleaving, or map
-// iteration order silently poisons cached sweeps. Three sources are
+// (internal/pipeline, internal/mem, internal/sim, internal/core,
+// internal/experiments). The engine's result cache serves simulator
+// output by configuration hash, and the ledger pins the experiments'
+// reduced results, so any dependence on host time, scheduler
+// interleaving, or map iteration order silently poisons cached sweeps. Three sources are
 // flagged:
 //
 //   - time.Now / time.Since / time.Until and anything from math/rand:

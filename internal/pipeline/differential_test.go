@@ -84,7 +84,8 @@ func diffKernels(t *testing.T, name string, cfg Config, mkGens func() []trace.Ge
 
 // diffConfigs are the pressure corners the differential sweep runs per
 // workload: all three schemes, small and default register files, minimum
-// and maximum NRR, both disambiguation policies.
+// and maximum NRR, both disambiguation policies, degenerate and far cache
+// timing, and ring sizes that are not powers of two.
 func diffConfigs() []Config {
 	var out []Config
 	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
@@ -114,6 +115,15 @@ func diffConfigs() []Config {
 	zeroHit.Cache.HitLatency = 0
 	zeroHit.Scheme = core.SchemeVPWriteback
 	out = append(out, zeroHit)
+	// Far cache timing: a 300-cycle miss penalty puts every miss's
+	// completion two laps of the completion wheel ahead, so its slot is
+	// visited twice before the cycle it falls due.
+	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
+		farMiss := DefaultConfig()
+		farMiss.Scheme = scheme
+		farMiss.Cache.MissPenalty = 300
+		out = append(out, farMiss)
+	}
 	// Ring sizes that are not powers of two: the ROB, store queue and
 	// store buffer round their allocation up, never their capacity.
 	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
@@ -132,13 +142,18 @@ func oddRings(scheme core.Scheme) Config {
 	return cfg
 }
 
-// ringSuffix names a non-default ROB or store-buffer size in a subtest.
+// ringSuffix names a non-default ROB or store-buffer size, and a
+// non-default L1 miss penalty, in a subtest.
 func ringSuffix(cfg Config) string {
 	def := DefaultConfig()
-	if cfg.ROBSize == def.ROBSize && cfg.StoreBufferSize == def.StoreBufferSize {
-		return ""
+	s := ""
+	if cfg.ROBSize != def.ROBSize || cfg.StoreBufferSize != def.StoreBufferSize {
+		s = fmt.Sprintf("-rob%d-sb%d", cfg.ROBSize, cfg.StoreBufferSize)
 	}
-	return fmt.Sprintf("-rob%d-sb%d", cfg.ROBSize, cfg.StoreBufferSize)
+	if cfg.Cache.MissPenalty != def.Cache.MissPenalty {
+		s += fmt.Sprintf("-miss%d", cfg.Cache.MissPenalty)
+	}
+	return s
 }
 
 // TestDifferentialEventVsScan sweeps randomized synthetic workloads

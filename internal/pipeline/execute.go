@@ -8,11 +8,12 @@ import "fmt"
 // forwarding or through a shared cache port, and the post-commit store
 // buffer drains through whatever ports remain.
 //
-// Event kernel: the AGU wheel delivers memory operations in the cycle
-// their effective address is ready; loads that cannot yet get a value
-// (ports, MSHRs, unresolved older store addresses, forwarding data not
-// produced) stay in the thread's inum-sorted pending list and retry each
-// cycle, exactly like the reference scan revisits them.
+// Event kernel: a memory operation enters the thread's inum-sorted
+// pending list at issue, and the stage takes it up from the cycle its
+// effective address is ready; loads that cannot yet get a value (ports,
+// MSHRs, unresolved older store addresses, forwarding data not produced)
+// stay in the list and retry each cycle, exactly like the reference scan
+// revisits them.
 //
 // Concurrency contract: this is the memory phase of the split cycle
 // (Sim.stepMem) — the only phase that touches s.dmem and, through it,
@@ -29,7 +30,6 @@ func (s *Sim) executeStage(now int64) error {
 	if s.scan {
 		return s.executeScan(now)
 	}
-	s.deliverDue(&s.aguWheel, now, true)
 	ports := s.cfg.CachePorts
 	// The post-commit store buffer gets first claim on one port. Without
 	// this guarantee, re-executing loads (VP write-back allocation) can
@@ -47,9 +47,12 @@ func (s *Sim) executeStage(now int64) error {
 		for i < len(th.aguPend) {
 			ref := th.aguPend[i]
 			e := th.entryByInum(ref.inum)
-			if e == nil || e.gen != ref.gen || e.st != stExecuting ||
-				e.aguDoneAt == timeUnset || e.aguDoneAt > now {
+			if e == nil || e.gen != ref.gen || e.st != stExecuting {
 				th.aguPend = removeRefAt(th.aguPend, i)
+				continue
+			}
+			if e.aguDoneAt > now {
+				i++ // address not ready yet
 				continue
 			}
 			switch {
@@ -179,7 +182,7 @@ func (s *Sim) checkViolation(th *thread, sqe *sqEntry, now int64) error {
 // squashFrom flushes every instruction of the thread from inum (inclusive)
 // to its window tail, restores the renamer newest-first, and re-fetches
 // from inum. Scheduler state for the squashed range is dropped eagerly:
-// each instruction's pending wheel event and wakeup links as it leaves,
+// each instruction's pending completion and wakeup links as it leaves,
 // then the per-thread queues' suffix.
 func (s *Sim) squashFrom(th *thread, inum int64, now int64) error {
 	tail := th.headInum + int64(th.robCount) - 1

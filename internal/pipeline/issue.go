@@ -88,8 +88,9 @@ func (s *Sim) allocBounds(th *thread, scheme core.Scheme) [2]int64 {
 // issue issues the instruction a ready-queue reference names, which the
 // cycle's budgets admit: it allocates the destination's register under VP
 // issue allocation, reads the operands, takes the functional unit and the
-// read ports, and schedules the result. A reference whose instruction is
-// gone is dropped without issuing.
+// read ports, and schedules the result, or files a memory op into the
+// memory pipeline. A reference whose instruction is gone is dropped
+// without issuing.
 func (s *Sim) issue(th *thread, ref evRef, now int64, budget *int, rfReads *[2]int) error {
 	e := th.entryByInum(ref.inum)
 	if e == nil || e.gen != ref.gen || e.st != stWaiting || !e.ready() {
@@ -119,9 +120,11 @@ func (s *Sim) issue(th *thread, ref evRef, now int64, budget *int, rfReads *[2]i
 	e.st = stExecuting
 	e.inReadyQ = false
 	if e.isLoad || e.isStore {
-		// Effective-address unit latency, then the memory pipeline.
+		// The memory pipeline takes it up once the effective-address
+		// unit's latency has passed.
 		e.completeAt = timeUnset
-		e.aguDoneAt = s.aguWheel.schedule(now, now+latency, th.id, th.slotOf(e.inum))
+		e.aguDoneAt = now + latency
+		th.aguPend = insertRef(th.aguPend, evRef{inum: e.inum, gen: e.gen})
 	} else {
 		e.completeAt = s.compWheel.schedule(now, now+latency, th.id, th.slotOf(e.inum))
 	}

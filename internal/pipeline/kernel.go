@@ -11,21 +11,26 @@
 //   - wakeup lists: per-thread, one FIFO list per (class, tag) of the
 //     source operands waiting for that tag. A result broadcast walks the
 //     tag's list instead of the reorder buffer.
-//   - compWheel / aguWheel: timing wheels keyed by cycle. An instruction
-//     finishing execution (or finishing address generation) is visited in
-//     exactly that cycle, never polled.
-//   - wbPend / aguPend: per-thread, inum-sorted pending lists fed by the
-//     wheels, carrying over instructions that could not complete this
-//     cycle (write-port structural stalls, blocked loads), so retry order
-//     stays identical to the reference scan.
+//   - compWheel: a timing wheel keyed by cycle. An instruction finishing
+//     execution is visited in exactly that cycle, never polled; one due a
+//     lap or more ahead waits in its slot until that lap.
+//   - wbPend: per-thread, inum-sorted pending list fed by the wheel and
+//     by stores that become completable, carrying over instructions that
+//     could not complete this cycle (write-port structural stalls), so
+//     retry order stays identical to the reference scan.
+//   - aguPend: per-thread, inum-sorted list of the memory ops in the
+//     memory pipeline. A load or store enters it at issue, and the
+//     execute stage takes it up once its effective address is ready and
+//     retries it each cycle until a store has recorded its address or a
+//     load has its value.
 //
 // Every one of these structures is sized when the simulator is built, from
 // the reorder buffer's capacity, and a run allocates nothing after that:
 // each holds at most one reference per instruction in flight (two wakeup
 // links, one per source operand). Squash keeps that bound. The queues
 // are truncated at the squash point, and each squashed instruction's
-// pending wheel event and wakeup links are removed with it, so nothing
-// of a squashed instruction survives to be reused. A wheel event is a
+// pending completion and wakeup links are removed with it, so nothing
+// of a squashed instruction survives to be reused. A completion is a
 // bit naming the instruction's reorder-buffer slot, which therefore holds
 // the instruction it was scheduled for; queue references still carry the
 // robEntry generation they were created under, and the stages check it
@@ -34,7 +39,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -71,43 +75,29 @@ type waitList struct{ head, tail int32 }
 
 var emptyWaitList = waitList{head: -1, tail: -1}
 
-const (
-	// compWheelSlots bounds how far ahead a completion is filed in a
-	// slot. Table 1 latencies (divide: 67 cycles) and L1 misses fit, and
-	// so do the shared L2's misses with their bank queueing but for a
-	// handful (on 2-core coherent sharing runs no completion was due more
-	// than 136 cycles ahead); a farther completion waits in the overflow.
-	compWheelSlots = 128
-	// aguWheelSlots covers the effective-address latency: every memory
-	// operation takes 1 cycle (isa.FUEffAddr), so its address-ready event
-	// always falls in the next cycle and the wheel needs no overflow.
-	aguWheelSlots = 2
-)
+// compWheelSlots is the completion wheel's horizon, in cycles. Table 1
+// latencies (divide: 67 cycles) and L1 misses fall within it, and so do
+// the shared L2's misses with their bank queueing but for a handful (on
+// 2-core coherent sharing runs 4 of 672,592 completions fell beyond it);
+// a farther completion waits a lap or more in its slot.
+const compWheelSlots = 128
 
-// wevent is a completion due beyond the wheel's horizon, waiting in the
-// overflow: its cycle and the thread and reorder-buffer slot of its
-// instruction.
-type wevent struct {
-	due  int64
-	tid  int32
-	slot int32
-}
-
-// wheel is a timing wheel of reorder-buffer-slot bits. Each cycle slot
-// holds one bit per reorder-buffer slot per thread, set while the
-// instruction in that slot has its event due in the slot's cycle: slot s
-// of thread t is bits[(s*threads+t)*words:][:words]. An instruction has at
-// most one event pending across both wheels, and squash cancels it
-// exactly (unschedule), so a set bit always names a live instruction and
-// delivery reads nothing else. An event due beyond the horizon waits in
-// the overflow, which delivery (Sim.deliverDue) drains in the event's
-// cycle while it compacts the list; its capacity is the number of
-// instructions in flight. The simulator steps one cycle at a time, so
-// every slot is drained exactly at its cycle. Neither scheduling nor
-// delivery allocates.
+// wheel is the completion wheel: a timing wheel of reorder-buffer-slot
+// bits. Each cycle slot holds one bit per reorder-buffer slot per thread,
+// set while the instruction in that slot has its completion due in a
+// cycle that maps to the slot (the cycle mod compWheelSlots): slot s of
+// thread t is bits[(s*threads+t)*words:][:words]. An instruction has at
+// most one completion pending, and squash cancels it exactly
+// (unschedule), so a set bit always names a live instruction, whose
+// completeAt is the cycle it is due. Delivery (Sim.deliverDue) visits
+// every set bit of the cycle's slot and passes over one due on a later
+// lap until its completeAt is the cycle. The simulator steps one cycle at
+// a time, so every slot is visited in each of its cycles. Neither
+// scheduling nor delivery allocates, and at 128 slots the bits fill whole
+// cache lines that no other allocation shares.
 //
 // The per-slot counts keep delivery proportional to the events: an empty
-// slot costs one load, and a walk stops at its last event. They live in
+// slot costs one load, and a walk stops at its last set bit. They live in
 // the wheel itself, and so inside the Sim that embeds it, never in a
 // small allocation of their own: the allocator packs small allocations
 // made one after another into one cache line, so two cores' counts, each
@@ -115,71 +105,42 @@ type wevent struct {
 // stepping about 6%).
 type wheel struct {
 	bits     []uint64
-	n        [compWheelSlots]uint32 // events filed per slot, in the first mask+1 entries
+	n        [compWheelSlots]uint32 // bits set per slot, laps ahead included
 	words    int                    // bit words per thread per slot
 	slotMask int                    // words*64 - 1: a thread's bit positions wrap with it
 	threads  int
-	mask     int64
-
-	overflow     []wevent
-	nextOverflow int64 // no overflow event is due before this cycle
-
-	scheduled, overflowed int64 // events filed, and how many of them overflowed
 }
 
 // init sizes the wheel for threads threads over reorder buffers of
-// robSlots slots each, a power of two (ringLen), with room for
-// maxOverflow events beyond the horizon (0: every event must fall within
-// it).
-func (w *wheel) init(slots, threads, robSlots, maxOverflow int) {
-	if slots&(slots-1) != 0 || slots > len(w.n) || robSlots&(robSlots-1) != 0 {
-		panic("pipeline: wheel and reorder-buffer sizes must be powers of two, and the wheel no larger than compWheelSlots")
+// robSlots slots each, a power of two (ringLen).
+func (w *wheel) init(threads, robSlots int) {
+	if robSlots&(robSlots-1) != 0 {
+		panic("pipeline: reorder-buffer slots must be a power of two")
 	}
 	w.words = (robSlots + 63) / 64
 	w.slotMask = w.words*64 - 1
 	w.threads = threads
-	// Whole cache lines: the bits are written every cycle, so another
-	// core's allocation must not share their last line (the counts below
-	// say why). The AGU wheel's 32 bytes would otherwise share one.
-	n := slots * threads * w.words
-	w.bits = make([]uint64, n, (n+7)&^7)
-	w.mask = int64(slots - 1)
-	w.overflow = make([]wevent, 0, maxOverflow)
-	w.nextOverflow = math.MaxInt64
+	w.bits = make([]uint64, compWheelSlots*threads*w.words)
 }
 
-// schedule files the event of the instruction in reorder-buffer slot slot
-// of thread tid for cycle due and returns the cycle it will actually
-// fire. Events must be scheduled for the future; a due at or before now
-// lands in the next cycle, matching the reference scan (which picks work
-// up at the first stage pass after the deadline passes). Callers store
-// the returned due in the robEntry deadline field they scheduled from;
-// unschedule cancels the event by it.
+// wheelSlot is the completion wheel's slot of cycle c.
+func wheelSlot(c int64) int { return int(c & (compWheelSlots - 1)) }
+
+// schedule files the completion of the instruction in reorder-buffer slot
+// slot of thread tid for cycle due and returns the cycle it will actually
+// fire. Completions must be scheduled for the future; a due at or before
+// now lands in the next cycle, matching the reference scan (which picks
+// work up at the first stage pass after the deadline passes). Callers
+// store the returned due in the robEntry's completeAt, which delivery
+// compares with the cycle and unschedule cancels by.
 func (w *wheel) schedule(now, due int64, tid, slot int) int64 {
 	if due <= now {
 		due = now + 1
 	}
-	w.scheduled++
-	if due-now > w.mask {
-		w.overflowEvent(wevent{due: due, tid: int32(tid), slot: int32(slot)})
-		return due
-	}
-	s := int(due & w.mask)
+	s := wheelSlot(due)
 	w.bits[(s*w.threads+tid)*w.words+slot>>6] |= 1 << (slot & 63)
 	w.n[s]++
 	return due
-}
-
-// overflowEvent files ev, due beyond the horizon, in the overflow.
-func (w *wheel) overflowEvent(ev wevent) {
-	n := len(w.overflow)
-	if n == cap(w.overflow) {
-		panic("pipeline: timing-wheel event due beyond the horizon, and the overflow is full")
-	}
-	w.overflow = w.overflow[:n+1]
-	w.overflow[n] = ev
-	w.nextOverflow = min(w.nextOverflow, ev.due)
-	w.overflowed++
 }
 
 // row returns the bit words of cycle slot s: words per thread, thread
@@ -188,118 +149,81 @@ func (w *wheel) row(s int) []uint64 {
 	return w.bits[s*w.threads*w.words:][:w.threads*w.words]
 }
 
-// cancel removes the pending event, due at due, of the instruction in
-// reorder-buffer slot slot of thread tid: it was squashed before its
-// deadline. The instruction's bit in the due cycle's slot is set exactly
-// when its event lies within the horizon; otherwise it is in the
-// overflow.
+// cancel removes the pending completion, due at due, of the instruction
+// in reorder-buffer slot slot of thread tid: it was squashed before its
+// deadline.
 func (w *wheel) cancel(due int64, tid, slot int) {
-	s := int(due & w.mask)
+	s := wheelSlot(due)
 	word := &w.bits[(s*w.threads+tid)*w.words+slot>>6]
-	if bit := uint64(1) << (slot & 63); *word&bit != 0 {
-		*word &^= bit
-		w.n[s]--
-		return
+	bit := uint64(1) << (slot & 63)
+	if *word&bit == 0 {
+		panic("pipeline: cancelled a completion that is not pending")
 	}
-	for i, ev := range w.overflow {
-		if int(ev.tid) == tid && int(ev.slot) == slot {
-			last := len(w.overflow) - 1
-			w.overflow[i] = w.overflow[last]
-			w.overflow = w.overflow[:last]
-			return
-		}
-	}
-	panic("pipeline: cancelled a timing-wheel event that is not pending")
+	*word &^= bit
+	w.n[s]--
 }
 
-// each calls f for every pending event with the cycle it is due in, for
-// a wheel last drained at now (Debug checks and tests).
+// each calls f for every pending completion with its cycle slot (Debug
+// checks and tests).
 //
 //vpr:coldpath
-func (w *wheel) each(now int64, f func(due int64, tid, slot int)) {
-	for s := int64(0); s <= w.mask; s++ {
-		due := now + 1 + (s-now-1)&w.mask // the one cycle in (now, now+mask+1] on slot s
-		for i, word := range w.row(int(s)) {
+func (w *wheel) each(f func(s, tid, slot int)) {
+	for s := 0; s < compWheelSlots; s++ {
+		for i, word := range w.row(s) {
 			for ; word != 0; word &= word - 1 {
-				f(due, i/w.words, i%w.words*64+bits.TrailingZeros64(word))
+				f(s, i/w.words, i%w.words*64+bits.TrailingZeros64(word))
 			}
 		}
-	}
-	for _, ev := range w.overflow {
-		f(ev.due, int(ev.tid), int(ev.slot))
 	}
 }
 
-// deliverDue files every event due at now on w into its thread's pending
-// list, aguPend for the address-ready wheel (agu) and wbPend for the
-// completion wheel, and removes it. A thread's events come out in age
-// order, from its oldest instruction's reorder-buffer slot around the
-// ring, so each lands at the tail of the inum-sorted list; the overflow's
-// events due now follow, taken out as the overflow is compacted. The
-// stages deliver a wheel's events before they schedule into it, and
-// schedule never files into the slot of now (a due at or before now is
-// coerced to now+1, and a due within the horizon maps to another slot).
-func (s *Sim) deliverDue(w *wheel, now int64, agu bool) {
-	sl := int(now & w.mask)
-	if n := w.n[sl]; n != 0 {
-		w.n[sl] = 0
-		nw := w.words
-		row := w.row(sl)
-		for tid := 0; n != 0; tid++ {
-			th := s.threads[tid]
-			words := row[tid*nw : tid*nw+nw]
-			// Rotated word j holds the slots head+64j to head+64j+63
-			// around the ring: the bits of word lo from the head's bit
-			// position up, then those of the next word below it.
-			head := th.robHead
-			sh := uint(head & 63)
-			below := uint64(1)<<sh - 1
-			lo := head >> 6
-			for j := 0; j < nw && n != 0; j++ {
-				hi := lo + 1
-				if hi == nw {
-					hi = 0
-				}
-				r := words[lo]>>sh | words[hi]<<(64-sh)
-				words[lo] &= below
-				words[hi] &^= below
-				for base := head + j<<6; r != 0; r &= r - 1 {
-					s.fileDue(th, (base+bits.TrailingZeros64(r))&w.slotMask, agu)
-					n--
-				}
-				lo = hi
-			}
-		}
-	}
-	if now < w.nextOverflow {
+// deliverDue files every completion due at now into its thread's wbPend
+// and clears its bit; a bit of now's slot whose instruction falls due on
+// a later lap (its completeAt is not now) stays set. A thread's events
+// come out in age order, from its oldest instruction's reorder-buffer
+// slot around the ring, so each lands at the tail of the inum-sorted
+// list. The write-back stage delivers before anything is scheduled in the
+// cycle, and schedule files nothing due at or before now.
+func (s *Sim) deliverDue(now int64) {
+	w := &s.compWheel
+	sl := wheelSlot(now)
+	n := w.n[sl] // set bits not yet visited
+	if n == 0 {
 		return
 	}
-	kept := w.overflow[:0]
-	w.nextOverflow = math.MaxInt64
-	for _, ev := range w.overflow {
-		if ev.due == now {
-			s.fileDue(s.threads[ev.tid], int(ev.slot), agu)
-			continue
+	kept := uint32(0) // bits due on a later lap
+	nw := w.words
+	row := w.row(sl)
+	for tid := 0; n != 0; tid++ {
+		th := s.threads[tid]
+		words := row[tid*nw : tid*nw+nw]
+		// Rotated word j holds the slots head+64j to head+64j+63
+		// around the ring: the bits of word lo from the head's bit
+		// position up, then those of the next word below it.
+		head := th.robHead
+		sh := uint(head & 63)
+		lo := head >> 6
+		for j := 0; j < nw && n != 0; j++ {
+			hi := lo + 1
+			if hi == nw {
+				hi = 0
+			}
+			r := words[lo]>>sh | words[hi]<<(64-sh)
+			for base := head + j<<6; r != 0; r &= r - 1 {
+				n--
+				slot := (base + bits.TrailingZeros64(r)) & w.slotMask
+				e := &th.rob[slot]
+				if e.completeAt != now {
+					kept++
+					continue
+				}
+				words[slot>>6] &^= 1 << (slot & 63)
+				th.wbPend = insertRef(th.wbPend, evRef{inum: e.inum, gen: e.gen})
+			}
+			lo = hi
 		}
-		kept = kept[:len(kept)+1]
-		kept[len(kept)-1] = ev
-		w.nextOverflow = min(w.nextOverflow, ev.due)
 	}
-	w.overflow = kept
-}
-
-// fileDue files the instruction in the thread's reorder-buffer slot,
-// whose event is due this cycle, into the thread's pending list: aguPend
-// once its effective address is ready (agu), wbPend once it finishes
-// execution.
-func (s *Sim) fileDue(th *thread, slot int, agu bool) {
-	e := &th.rob[slot]
-	ref := evRef{inum: e.inum, gen: e.gen}
-	if agu {
-		th.aguPend = insertRef(th.aguPend, ref)
-	} else {
-		th.wbPend = insertRef(th.wbPend, ref)
-	}
+	w.n[sl] = kept
 }
 
 // poolState tracks one functional-unit pool as a free count plus a release
@@ -479,18 +403,14 @@ func (th *thread) unlinkWaiter(f int, tag, node int32) {
 }
 
 // unschedule removes a squashed instruction from the indexes a squash
-// does not truncate: its pending wheel event and its linked operands.
+// does not truncate: its pending completion and its linked operands.
 // Called before the entry leaves the window, at the squash's cycle, whose
-// wheel slots have already been drained, so an event is pending exactly
+// completions have already been delivered, so one is pending exactly
 // when its deadline lies ahead.
 func (s *Sim) unschedule(th *thread, e *robEntry, now int64) {
 	slot := th.slotOf(e.inum)
-	if e.st == stExecuting {
-		if e.completeAt > now {
-			s.compWheel.cancel(e.completeAt, th.id, slot)
-		} else if e.aguDoneAt > now {
-			s.aguWheel.cancel(e.aguDoneAt, th.id, slot)
-		}
+	if e.st == stExecuting && e.completeAt > now {
+		s.compWheel.cancel(e.completeAt, th.id, slot)
 	}
 	for k := 0; k < 2; k++ {
 		if op, waits := e.waitingSrc(k); waits {
@@ -501,7 +421,7 @@ func (s *Sim) unschedule(th *thread, e *robEntry, now int64) {
 
 // purgeThreadEv drops scheduler queue references to squashed
 // instructions (everything at or after inum). The squash has already
-// unscheduled each of them from the wheels and the wakeup lists.
+// unscheduled each of them from the wheel and the wakeup lists.
 func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 	th.readyQ = purgeRefsFrom(th.readyQ, inum)
 	th.wbPend = purgeRefsFrom(th.wbPend, inum)
@@ -513,10 +433,12 @@ func (s *Sim) purgeThreadEv(th *thread, inum int64) {
 // the ready queue, and every ready-queue reference must name a current,
 // waiting, ready instruction whose issue constants it carries (one that
 // issue must allocate for must still lack its register); every
-// completable store must be in the write-back pending list, the queues
-// must be inum-sorted, the store queue's known-address prefix must match
-// a fresh scan, and every store's dispatch slot and every load's mark
-// must agree with a search of the queue.
+// completable store must be in the write-back pending list, the memory
+// pipeline's list must hold exactly the executing memory ops that await
+// their address (stores) or value (loads), the queues must be
+// inum-sorted, the store queue's known-address prefix must match a fresh
+// scan, and every store's dispatch slot and every load's mark must agree
+// with a search of the queue.
 //
 //vpr:coldpath
 func (s *Sim) checkEvInvariants(th *thread) error {
@@ -549,6 +471,7 @@ func (s *Sim) checkEvInvariants(th *thread) error {
 			}
 		}
 	}
+	inMemPipe := 0
 	for i := 0; i < th.robCount; i++ {
 		e := th.at(i)
 		if e.isStore && th.sqOf(e) != th.sqEntry(e.inum) {
@@ -563,14 +486,25 @@ func (s *Sim) checkEvInvariants(th *thread) error {
 				return fmt.Errorf("load %d marks %d older stores, scan finds %d", e.inum, n, older)
 			}
 		}
-		switch {
-		case e.st == stWaiting && e.ready() && !e.inReadyQ:
+		if e.st == stWaiting && e.ready() && !e.inReadyQ {
 			return fmt.Errorf("instruction %d ready but not in the ready queue", e.inum)
-		case e.st == stExecuting && e.isStore && e.src2Ready:
-			if sqe := th.sqOf(e); sqe != nil && sqe.eaKnown && !inRefs(th.wbPend, e) {
-				return fmt.Errorf("store %d completable but not pending write-back", e.inum)
+		}
+		if e.st != stExecuting {
+			continue
+		}
+		sqe := th.sqOf(e)
+		if e.isStore && e.src2Ready && sqe != nil && sqe.eaKnown && !inRefs(th.wbPend, e) {
+			return fmt.Errorf("store %d completable but not pending write-back", e.inum)
+		}
+		if e.isLoad && e.valueFrom == valueNone || e.isStore && sqe != nil && !sqe.eaKnown {
+			inMemPipe++
+			if !inRefs(th.aguPend, e) {
+				return fmt.Errorf("memory op %d awaits its address or value but is not pending in the memory pipeline", e.inum)
 			}
 		}
+	}
+	if inMemPipe != len(th.aguPend) {
+		return fmt.Errorf("%d memory ops await their address or value, the memory pipeline holds %d", inMemPipe, len(th.aguPend))
 	}
 	return nil
 }
@@ -620,45 +554,44 @@ func (s *Sim) checkWaiters(th *thread) error {
 	return nil
 }
 
-// checkWheels checks the timing wheels at the end of cycle now (Debug
-// mode): every pending event must name an executing instruction whose
-// deadline on that wheel is the event's cycle, and every executing
-// instruction whose deadline lies ahead must have one. Squash cancels the
-// events of the instructions it removes, so no stale event outlives them.
+// checkWheel checks the completion wheel at the end of cycle now (Debug
+// mode): every pending completion must name an executing instruction
+// whose completeAt lies ahead and maps to the completion's slot, every
+// slot's count must be its set bits, and every executing instruction
+// whose completeAt lies ahead must have a completion pending. Squash
+// cancels the completions of the instructions it removes, so none
+// outlives them.
 //
 //vpr:coldpath
-func (s *Sim) checkWheels(now int64) error {
+func (s *Sim) checkWheel(now int64) error {
 	var err error
-	got := 0
-	check := func(agu bool) func(due int64, tid, slot int) {
-		return func(due int64, tid, slot int) {
-			got++
-			e := &s.threads[tid].rob[slot]
-			deadline := e.completeAt
-			if agu {
-				deadline = e.aguDoneAt
-			}
-			if err == nil && (e.st != stExecuting || deadline != due) {
-				err = fmt.Errorf("timing-wheel event due %d (agu %v) names thread %d slot %d, instruction %d in state %d due %d",
-					due, agu, tid, slot, e.inum, e.st, deadline)
-			}
+	var got [compWheelSlots]uint32
+	pending := 0
+	s.compWheel.each(func(sl, tid, slot int) {
+		got[sl]++
+		pending++
+		e := &s.threads[tid].rob[slot]
+		if err == nil && (e.st != stExecuting || e.completeAt <= now || wheelSlot(e.completeAt) != sl) {
+			err = fmt.Errorf("completion in wheel slot %d names thread %d slot %d, instruction %d in state %d due %d",
+				sl, tid, slot, e.inum, e.st, e.completeAt)
 		}
-	}
-	s.compWheel.each(now, check(false))
-	s.aguWheel.each(now, check(true))
+	})
 	if err != nil {
 		return err
+	}
+	if got != s.compWheel.n {
+		return fmt.Errorf("completion wheel counts %v, its slots hold %v", s.compWheel.n, got)
 	}
 	want := 0
 	for _, th := range s.threads {
 		for i := 0; i < th.robCount; i++ {
-			if e := th.at(i); e.st == stExecuting && (e.completeAt > now || e.aguDoneAt > now) {
+			if e := th.at(i); e.st == stExecuting && e.completeAt > now {
 				want++
 			}
 		}
 	}
-	if got != want {
-		return fmt.Errorf("timing wheels hold %d events, %d instructions await a deadline", got, want)
+	if pending != want {
+		return fmt.Errorf("completion wheel holds %d completions, %d instructions await one", pending, want)
 	}
 	return nil
 }

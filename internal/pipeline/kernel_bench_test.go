@@ -77,11 +77,9 @@ func (g *cycleGen) NextBatch(dst []trace.Record) int {
 // renaming scheme, and ns/instr is host time per committed instruction.
 // blocks/instr and reexec/instr are the VP schemes' allocation refusals
 // per committed instruction (issue blocks, write-back re-executions):
-// the repeated visits whose cost ns/instr includes. overflow/event is the
-// share of completion-wheel events due beyond the wheel's horizon, which
-// wait in its overflow list. The simulator is built before
-// the timed loop, so setup is excluded and allocs/op is the steady-state
-// per-cycle allocation rate.
+// the repeated visits whose cost ns/instr includes. The simulator is
+// built before the timed loop, so setup is excluded and allocs/op is the
+// steady-state per-cycle allocation rate.
 func BenchmarkSimStep(b *testing.B) {
 	recs := cannedTrace(b)
 	for _, scheme := range []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue} {
@@ -103,9 +101,6 @@ func BenchmarkSimStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/c, "ns/instr")
 				b.ReportMetric(float64(sim.stats.IssueBlocks)/c, "blocks/instr")
 				b.ReportMetric(float64(sim.stats.Reexecutions)/c, "reexec/instr")
-			}
-			if w := sim.compWheel; w.scheduled > 0 {
-				b.ReportMetric(float64(w.overflowed)/float64(w.scheduled), "overflow/event")
 			}
 		})
 	}

@@ -40,6 +40,7 @@ const (
 	fL1Size
 	fL1Line
 	fMSHRs
+	fL1Miss
 	fStoreBuffer
 	fForwardLatency
 	fRecoveryPenalty
@@ -89,6 +90,7 @@ var machineChoices = [numMachineFields][]int{
 	fL1Size:          {16 << 10, 512, 4 << 10, 64 << 10, 24 << 10, 0},
 	fL1Line:          {32, 16, 64, 128, 48, 0},
 	fMSHRs:           {8, 1, 2, 16, 0},
+	fL1Miss:          {50, 0, 150, 400},
 	fStoreBuffer:     {16, 1, 2, 64, 0},
 	fForwardLatency:  {2, 1, 4, 0},
 	fRecoveryPenalty: {0, 1, 20, -7},
@@ -161,6 +163,7 @@ func decodeMachine(t *testing.T, data []byte) machine {
 	cfg.SimpleFPUnits, cfg.FPMulUnits, cfg.FPDivUnits = v[fSimpleFP], v[fFPMul], v[fFPDiv]
 	cfg.RFReadPorts, cfg.RFWritePorts, cfg.CachePorts = v[fReadPorts], v[fWritePorts], v[fCachePorts]
 	cfg.Cache.SizeBytes, cfg.Cache.LineBytes, cfg.Cache.MSHRs = v[fL1Size], v[fL1Line], v[fMSHRs]
+	cfg.Cache.MissPenalty = v[fL1Miss]
 	cfg.StoreBufferSize, cfg.ForwardLatency = v[fStoreBuffer], v[fForwardLatency]
 	cfg.RecoveryPenalty, cfg.BHTEntries = v[fRecoveryPenalty], v[fBHT]
 	cfg.Disambiguation = Disambiguation(v[fDisamb])
@@ -297,6 +300,11 @@ var machineSeeds = [][]machineValue{
 	{{fScheme, int(core.SchemeVPIssue)}, {fNRRInt, 1}, {fNRRFP, 1}, {fTrace0, traceKind("swim")}},
 	{{fShape, 1}, {fCount, 2}, {fScheme, int(core.SchemeVPWriteback)}, {fPhysRegs, 96},
 		{fNRRInt, 8}, {fNRRFP, 8}, {fTrace0 + 1, traceKind("swim")}},
+	// Misses completing beyond the completion wheel's 128-cycle horizon
+	// wait a lap or more in their slot, which Debug checks every cycle.
+	{{fScheme, int(core.SchemeVPWriteback)}, {fL1Miss, 400}, {fTrace0, traceKind("swim")}},
+	{{fShape, 1}, {fCount, 2}, {fScheme, int(core.SchemeVPIssue)}, {fPhysRegs, 96},
+		{fNRRInt, 16}, {fNRRFP, 16}, {fL1Miss, 150}, {fTrace0 + 1, traceKind("swim")}},
 }
 
 // FuzzMachine checks that Validate is the one gate of every machine the

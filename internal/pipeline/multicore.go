@@ -113,17 +113,10 @@ type Multicore struct {
 	// without a shared L2, where nothing waits.
 	gate *memGate
 
-	// Live-core tracking: drained[i] is set the first time core i reports
-	// Done, decrementing liveCount, so Done() is O(1) once everything has
-	// drained and the run loops never rescan finished cores. All three
-	// fields belong to the serial control plane — the stepper goroutines
-	// must never reach them (sharedguard enforces it).
-	//
-	//vpr:coreprivate
-	drained []bool
-	//vpr:coreprivate
-	liveCount int
-	// liveBuf is reused index scratch for the serial run loop.
+	// liveBuf is reused index scratch for the serial run loop, which
+	// keeps Run allocation-free. It belongs to the serial control plane:
+	// the stepper goroutines must never reach it (sharedguard enforces
+	// it).
 	//
 	//vpr:coreprivate
 	liveBuf []int
@@ -149,8 +142,6 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 	}
 	m := &Multicore{cfg: cfg}
 	m.step, _ = cfg.Step.plan() // Validate already vetted it
-	m.drained = make([]bool, cfg.Cores)
-	m.liveCount = cfg.Cores
 	m.liveBuf = make([]int, 0, cfg.Cores)
 	if cfg.L2 != (mem.L2Config{}) {
 		coh := mem.CoherenceConfig{
@@ -190,32 +181,14 @@ func (m *Multicore) Cores() int { return len(m.cores) }
 // Core exposes one core's simulator (probes, renamer statistics).
 func (m *Multicore) Core(i int) *Sim { return m.cores[i] }
 
-// noteDrained marks core i as drained exactly once, maintaining the
-// live-core count.
-func (m *Multicore) noteDrained(i int) {
-	if !m.drained[i] {
-		m.drained[i] = true
-		m.liveCount--
-	}
-}
-
-// Done reports whether every core has drained its trace. Once every core
-// has been seen drained the answer is a counter read; until then only the
-// cores not yet marked are consulted (draining is irreversible).
+// Done reports whether every core has drained its trace.
 func (m *Multicore) Done() bool {
-	if m.liveCount == 0 {
-		return true
-	}
-	for i, c := range m.cores {
-		if m.drained[i] {
-			continue
-		}
+	for _, c := range m.cores {
 		if !c.Done() {
 			return false
 		}
-		m.noteDrained(i)
 	}
-	return m.liveCount == 0
+	return true
 }
 
 // CoreStats snapshots one core's statistics (local L1 counters; the
@@ -253,11 +226,7 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 	live := m.liveBuf[:cap(m.liveBuf)]
 	n := 0
 	for i, c := range m.cores {
-		if c.Done() {
-			m.noteDrained(i)
-			continue
-		}
-		if maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
+		if c.Done() || maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
 			continue
 		}
 		live[n] = i
@@ -279,11 +248,7 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 				//vpr:allowalloc error path: the failed run allocates once and stops
 				return fmt.Errorf("pipeline: core %d: %w", i, err)
 			}
-			if c.Done() {
-				m.noteDrained(i)
-				continue
-			}
-			if maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
+			if c.Done() || maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
 				continue
 			}
 			live[w] = i

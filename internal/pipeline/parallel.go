@@ -449,10 +449,7 @@ func (m *Multicore) runParallel(ctx context.Context, maxCommitsPerCore int64) er
 	if r.panicked != nil {
 		panic(r.panicked)
 	}
-	for i, c := range m.cores {
-		if c.Done() {
-			m.noteDrained(i)
-		}
+	for i := range m.cores {
 		m.parSync.add(r.cores[i].f)
 	}
 	return r.err

@@ -494,8 +494,8 @@ func TestParallelCorePanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestMulticoreLiveTracking: Done() is O(1) after a drain and the serial
-// loop never steps a drained core again (the live list shrinks).
+// TestMulticoreLiveTracking: the serial loop never steps a drained core
+// again (the live list shrinks), and Done reports the drain.
 func TestMulticoreLiveTracking(t *testing.T) {
 	cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
 	cfg.Core.ValueCheck = false
@@ -518,9 +518,6 @@ func TestMulticoreLiveTracking(t *testing.T) {
 	}
 	if !mc.Done() {
 		t.Fatal("drained multicore not done")
-	}
-	if mc.liveCount != 0 {
-		t.Errorf("liveCount %d after drain, want 0", mc.liveCount)
 	}
 	c0, c1 := mc.Core(0).cycle, mc.Core(1).cycle
 	if c0 >= c1 {

@@ -32,11 +32,12 @@
 // on the shared Sim kernel defined here. Scheduling is event-indexed
 // (kernel.go): instead of scanning the whole reorder buffer in every stage
 // of every cycle, the kernel keeps an explicit ready queue, per-tag wakeup
-// lists walked by result broadcast, and completion/AGU event
-// wheels keyed by cycle, so each stage visits only the instructions that
-// can actually act now. scanref.go retains the original O(ROB)-scan stage
-// implementations as a differential oracle; both kernels are
-// cycle-identical by construction and by test.
+// lists walked by result broadcast, a completion wheel keyed by cycle,
+// and the memory pipeline's list of the loads and stores it serves, so
+// each stage visits only the instructions that can actually act now.
+// scanref.go retains the original O(ROB)-scan stage implementations as a
+// differential oracle; both kernels are cycle-identical by construction
+// and by test.
 //
 // Beyond the single-core Sim, multicore.go steps N single-thread cores in
 // cycle-lockstep against a shared memory hierarchy (internal/mem): private
@@ -206,7 +207,7 @@ type thread struct {
 	// sized at construction (initThreadEv).
 	readyQ  []evRef       // dispatched, operands ready, waiting to issue; inum-sorted
 	wbPend  []evRef       // execution finished or store completable; inum-sorted
-	aguPend []evRef       // post-AGU memory ops awaiting cache/forwarding; inum-sorted
+	aguPend []evRef       // issued memory ops awaiting their address or value; inum-sorted
 	wlists  [2][]waitList // wakeup index: per class, per tag, the waiting operands
 	wlinks  []waitLink    // the wakeup lists' links, two per reorder-buffer slot
 }
@@ -365,9 +366,7 @@ type Sim struct {
 	scanPools  [6][]int64
 	kindToPool [isa.NumFUKinds]int
 
-	// Event wheels (event kernel only).
-	compWheel wheel // execution-complete events, keyed by cycle
-	aguWheel  wheel // effective-address-ready events, keyed by cycle
+	compWheel wheel // execution-complete events, keyed by cycle (event kernel only)
 
 	genCtr uint32
 
@@ -474,9 +473,7 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		}
 	}
 	if !s.scan {
-		robSlots := ringLen(cfg.ROBSize)
-		s.compWheel.init(compWheelSlots, len(gens), robSlots, len(gens)*cfg.ROBSize)
-		s.aguWheel.init(aguWheelSlots, len(gens), robSlots, 0)
+		s.compWheel.init(len(gens), ringLen(cfg.ROBSize))
 	}
 	s.kindToPool = [isa.NumFUKinds]int{
 		isa.FUIntALU:  0,
@@ -686,7 +683,7 @@ func (s *Sim) debugCheck(now int64) error {
 			return fmt.Errorf("cycle %d thread %d: %w", now, th.id, err)
 		}
 	}
-	if err := s.checkWheels(now); err != nil {
+	if err := s.checkWheel(now); err != nil {
 		return fmt.Errorf("cycle %d: %w", now, err)
 	}
 	return nil

@@ -25,7 +25,7 @@ func (s *Sim) writebackStage(now int64) error {
 	if s.scan {
 		return s.writebackScan(now)
 	}
-	s.deliverDue(&s.compWheel, now, false)
+	s.deliverDue(now)
 	wbPorts := [2]int{s.cfg.RFWritePorts, s.cfg.RFWritePorts}
 	for _, th := range s.threadOrder() {
 		bound := s.allocBounds(th, core.SchemeVPWriteback)
