@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -50,6 +51,16 @@ func main() {
 		debug    = flag.Bool("debug", false, "run renamer invariant checks every cycle (slow)")
 	)
 	flag.Parse()
+
+	switch {
+	case *instr < 1:
+		// The kernels never end: without a budget the run never would.
+		fatalf("-instr %d: need at least 1 instruction", *instr)
+	case *l2 < 0:
+		fatalf("-l2 %d: the L2 size cannot be negative (0 = the infinite L2)", *l2)
+	case *l2 > math.MaxInt/1024:
+		fatalf("-l2 %d: the size in bytes overflows an int", *l2)
+	}
 
 	cfg := vpr.DefaultConfig()
 	switch *scheme {

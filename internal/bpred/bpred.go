@@ -5,6 +5,8 @@
 // direction predictor).
 package bpred
 
+import "repro/internal/reuse"
+
 // BHT is the branch history table.
 type BHT struct {
 	counters []uint8 // 0..3; taken when >= 2
@@ -20,6 +22,14 @@ const DefaultEntries = 2048
 // New builds a table with the given number of entries (rounded up to a
 // power of two). Counters start weakly not-taken.
 func New(entries int) *BHT {
+	b := new(BHT)
+	b.Reset(entries)
+	return b
+}
+
+// Reset makes b the table New(entries) builds, keeping its counters'
+// storage when that covers the entries.
+func (b *BHT) Reset(entries int) {
 	if entries <= 0 {
 		entries = DefaultEntries
 	}
@@ -27,11 +37,11 @@ func New(entries int) *BHT {
 	for n < entries {
 		n <<= 1
 	}
-	c := make([]uint8, n)
+	c := reuse.Slice(b.counters, n)
 	for i := range c {
 		c[i] = 1 // weakly not-taken
 	}
-	return &BHT{counters: c}
+	*b = BHT{counters: c}
 }
 
 func (b *BHT) index(pc int) int {

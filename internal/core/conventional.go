@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // convEntry is the per-instruction bookkeeping of the conventional scheme.
@@ -78,27 +79,36 @@ func NewConventional(p Params) *Conventional {
 // buffer. The context's architectural registers are claimed from the pool
 // immediately.
 func NewConventionalShared(p Params, pool *SharedPool, window int) *Conventional {
+	c := new(Conventional)
+	c.reset(p, pool, window)
+	return c
+}
+
+// reset makes c the renamer NewConventionalShared(p, pool, window) builds,
+// keeping each of its buffers whose capacity covers the new parameters.
+func (c *Conventional) reset(p Params, pool *SharedPool, window int) {
 	checkWindow(window)
-	c := &Conventional{
+	old := *c
+	*c = Conventional{
 		params:    p,
 		pool:      pool,
-		entries:   newRing[convEntry](window),
+		entries:   old.entries,
 		safeBound: -1,
 	}
+	c.entries.reset(window)
 	if p.EarlyRelease {
-		c.earlyPending = make([]int64, 0, window)
+		c.earlyPending = reuse.Slice(old.earlyPending, window)[:0:window]
 	}
 	arch := pool.attach(0, 0, false)
 	for f := 0; f < 2; f++ {
-		c.mapTable[f] = make([]int, isa.NumLogical)
-		c.ready[f] = make([]bool, pool.PhysRegs())
-		c.allocCycle[f] = make([]int64, pool.PhysRegs())
+		c.mapTable[f] = reuse.Slice(old.mapTable[f], isa.NumLogical)
+		c.ready[f] = reuse.Slice(old.ready[f], pool.PhysRegs())
+		c.allocCycle[f] = reuse.Slice(old.allocCycle[f], pool.PhysRegs())
 		for l := 0; l < isa.NumLogical; l++ {
 			c.mapTable[f][l] = arch[f][l]
 			c.ready[f][arch[f][l]] = true
 		}
 	}
-	return c
 }
 
 // Rename implements Renamer.

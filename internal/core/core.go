@@ -37,6 +37,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // Scheme selects a renaming scheme.
@@ -231,6 +232,37 @@ func New(s Scheme, p Params) Renamer {
 	}
 }
 
+// ResetShared makes r, a renamer whose run has ended (nil for none), into
+// the renamer of scheme s that NewConventionalShared or NewVPShared builds
+// over pool for window, keeping each buffer whose capacity covers the new
+// parameters, and returns it. A renamer of another scheme's type is
+// replaced by a new one. pool must have been reset (SharedPool.Reset) or
+// built since r last drew from it.
+func ResetShared(r Renamer, s Scheme, p Params, pool *SharedPool, window int) Renamer {
+	switch s {
+	case SchemeConventional:
+		c, ok := r.(*Conventional)
+		if !ok {
+			c = new(Conventional)
+		}
+		c.reset(p, pool, window)
+		return c
+	case SchemeVPWriteback, SchemeVPIssue:
+		policy := AllocAtWriteback
+		if s == SchemeVPIssue {
+			policy = AllocAtIssue
+		}
+		v, ok := r.(*VP)
+		if !ok {
+			v = new(VP)
+		}
+		v.reset(p, policy, pool, window)
+		return v
+	default:
+		panic("core: unknown scheme")
+	}
+}
+
 // checkWindow rejects a renamer window that holds no instruction.
 func checkWindow(window int) {
 	if window < 1 {
@@ -255,12 +287,13 @@ type freeList struct {
 	regs []int
 }
 
-func newFreeList(lo, hi int) *freeList {
-	f := &freeList{regs: make([]int, 0, hi-lo)}
+// reset fills the list with the registers lo..hi-1, keeping its storage
+// when that holds them all.
+func (f *freeList) reset(lo, hi int) {
+	f.regs = reuse.Slice(f.regs, hi-lo)[:0]
 	for r := hi - 1; r >= lo; r-- {
 		f.regs = append(f.regs, r) // pop order: lo first
 	}
-	return f
 }
 
 func (f *freeList) len() int    { return len(f.regs) }

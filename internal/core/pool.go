@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // SharedPool owns the physical register files when several hardware
@@ -26,21 +27,36 @@ type SharedPool struct {
 	reserve  [2]int // Σ over VP members of (NRR − Used)
 	members  int
 
-	// Scratch buffers of CheckInvariants, reused across calls so a
-	// per-cycle debug check allocates nothing once warm.
+	// Scratch buffers, reused across calls: CheckInvariants counts and
+	// collects registers in them, so a per-cycle debug check allocates
+	// nothing once warm, and attach returns a new context's
+	// architectural registers in them.
 	seen, held []int
 }
 
 // NewSharedPool builds a pool with physRegs registers per class file.
 func NewSharedPool(physRegs int) *SharedPool {
+	p := new(SharedPool)
+	p.Reset(physRegs)
+	return p
+}
+
+// Reset empties the pool, as NewSharedPool(physRegs) builds it, keeping
+// each buffer whose capacity covers physRegs. Every renamer that drew
+// from the pool must then be reset over it (ResetShared), which attaches
+// it again.
+func (p *SharedPool) Reset(physRegs int) {
 	if physRegs <= 0 {
 		panic("core: pool needs registers")
 	}
-	p := &SharedPool{physRegs: physRegs}
+	old := *p
+	*p = SharedPool{physRegs: physRegs, free: old.free, seen: old.seen[:0], held: old.held[:0]}
 	for f := 0; f < 2; f++ {
-		p.free[f] = newFreeList(0, physRegs)
+		if p.free[f] == nil {
+			p.free[f] = new(freeList)
+		}
+		p.free[f].reset(0, physRegs)
 	}
-	return p
 }
 
 // PhysRegs returns the per-class file size.
@@ -65,20 +81,22 @@ func (p *SharedPool) release(f, reg int) {
 }
 
 // attach claims the architectural registers for one new context and, for
-// VP members, registers its reservation in the aggregate.
+// VP members, registers its reservation in the aggregate. The registers it
+// returns live in the pool's scratch buffers, valid until the next attach
+// or check.
 func (p *SharedPool) attach(nrrInt, nrrFP int, vp bool) [2][]int {
 	const logical = isa.NumLogical
 	if p.free[0].len() < logical || p.free[1].len() < logical {
 		panic(fmt.Sprintf("core: pool of %d registers/file cannot back another context of %d logical (%d contexts attached)",
 			p.physRegs, logical, p.members))
 	}
-	var arch [2][]int
+	arch := [2][]int{reuse.Slice(p.seen, logical), reuse.Slice(p.held, logical)}
 	for f := 0; f < 2; f++ {
-		arch[f] = make([]int, logical)
 		for l := 0; l < logical; l++ {
 			arch[f][l] = p.free[f].pop()
 		}
 	}
+	p.seen, p.held = arch[0], arch[1]
 	if vp {
 		p.reserve[0] += nrrInt
 		p.reserve[1] += nrrFP
@@ -124,8 +142,8 @@ func (p *SharedPool) CheckInvariants(members ...PoolMember) error {
 	if len(members) != p.members {
 		return fmt.Errorf("core: pool check given %d of %d member contexts", len(members), p.members)
 	}
-	if p.seen == nil {
-		p.seen = make([]int, p.physRegs)
+	if len(p.seen) != p.physRegs {
+		p.seen = reuse.Slice(p.seen, p.physRegs)
 	}
 	for f := 0; f < 2; f++ {
 		seen := p.seen

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/reuse"
+
 // ring is a fixed-capacity double-ended queue over a power-of-two
 // circular buffer. The renamers keep their per-instruction bookkeeping in
 // rings instead of maps: instructions are renamed in program order with
@@ -8,7 +10,7 @@ package core
 // instruction sits at its number's offset from the oldest one. Compared
 // to a map this removes one heap allocation and one hash per instruction
 // from the simulation hot path. A ring is sized for the window when its
-// renamer is built and never grows: a push into a full ring is a
+// renamer is built or reset and never grows: a push into a full ring is a
 // protocol violation and panics.
 type ring[T any] struct {
 	buf  []T // len(buf) is a power of two
@@ -17,12 +19,14 @@ type ring[T any] struct {
 	max  int // capacity: the window the renamer was built for
 }
 
-func newRing[T any](capacity int) ring[T] {
+// reset empties the ring for capacity elements, keeping its buffer when
+// that covers the power of two the capacity rounds up to.
+func (r *ring[T]) reset(capacity int) {
 	c := 1
 	for c < capacity {
 		c <<= 1
 	}
-	return ring[T]{buf: make([]T, c), max: capacity}
+	*r = ring[T]{buf: reuse.Slice(r.buf, c), max: capacity}
 }
 
 func (r *ring[T]) len() int { return r.n }

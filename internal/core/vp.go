@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // AllocPolicy selects when the VP scheme allocates physical registers.
@@ -100,6 +101,14 @@ func NewVP(p Params, policy AllocPolicy) *VP {
 // and its NRR reservation joins the pool's aggregate deadlock-avoidance
 // guard.
 func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool, window int) *VP {
+	v := new(VP)
+	v.reset(p, policy, pool, window)
+	return v
+}
+
+// reset makes v the renamer NewVPShared(p, policy, pool, window) builds,
+// keeping each of its buffers whose capacity covers the new parameters.
+func (v *VP) reset(p Params, policy AllocPolicy, pool *SharedPool, window int) {
 	if p.VPRegs <= isa.NumLogical {
 		panic("core: need more VP registers than logical registers")
 	}
@@ -110,20 +119,25 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool, window int) *VP
 			panic(fmt.Sprintf("core: NRR %d out of range [1,%d]", nrr, maxNRR))
 		}
 	}
-	v := &VP{
+	old := *v
+	*v = VP{
 		params:  p,
 		policy:  policy,
 		pool:    pool,
 		nrr:     [2]int{p.NRRInt, p.NRRFP},
-		entries: newRing[vpEntry](window),
+		entries: old.entries,
+		pending: old.pending,
+		vpFree:  old.vpFree,
+		seenVP:  old.seenVP[:0],
 	}
+	v.entries.reset(window)
 	arch := pool.attach(p.NRRInt, p.NRRFP, true)
 	for f := 0; f < 2; f++ {
-		v.pending[f] = newRing[int64](window)
-		v.allocCycle[f] = make([]int64, pool.PhysRegs())
-		v.gmt[f] = make([]gmtEntry, isa.NumLogical)
-		v.pmt[f] = make([]int, p.VPRegs)
-		v.vpReady[f] = make([]bool, p.VPRegs)
+		v.pending[f].reset(window)
+		v.allocCycle[f] = reuse.Slice(old.allocCycle[f], pool.PhysRegs())
+		v.gmt[f] = reuse.Slice(old.gmt[f], isa.NumLogical)
+		v.pmt[f] = reuse.Slice(old.pmt[f], p.VPRegs)
+		v.vpReady[f] = reuse.Slice(old.vpReady[f], p.VPRegs)
 		for i := range v.pmt[f] {
 			v.pmt[f][i] = -1
 		}
@@ -132,9 +146,11 @@ func NewVPShared(p Params, policy AllocPolicy, pool *SharedPool, window int) *VP
 			v.pmt[f][l] = arch[f][l]
 			v.vpReady[f][l] = true
 		}
-		v.vpFree[f] = newFreeList(isa.NumLogical, p.VPRegs)
+		if v.vpFree[f] == nil {
+			v.vpFree[f] = new(freeList)
+		}
+		v.vpFree[f].reset(isa.NumLogical, p.VPRegs)
 	}
-	return v
 }
 
 // Rename implements Renamer. The VP scheme never stalls here: the VP pool
@@ -462,8 +478,8 @@ func (v *VP) AppendHeld(dst []int, f int) []int {
 // sorted. The physical files are the pool's check
 // (SharedPool.CheckInvariants).
 func (v *VP) CheckInvariants() error {
-	if v.seenVP == nil {
-		v.seenVP = make([]int, v.params.VPRegs)
+	if len(v.seenVP) != v.params.VPRegs {
+		v.seenVP = reuse.Slice(v.seenVP, v.params.VPRegs)
 	}
 	for f := 0; f < 2; f++ {
 		// VP registers: free, or live (reachable as a current GMT

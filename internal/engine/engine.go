@@ -8,9 +8,11 @@
 // parallelism level — the simulator itself is deterministic, and ordering
 // is the only thing concurrency could perturb. (Multi-core machines are
 // sharded across the pool as whole machines; the cores of one machine
-// stay in lockstep on one worker.) The cache is keyed by a canonical
-// hash of workload/generator identity, machine configuration and
-// instruction budget (see specKey) — for multi-core specs also the
+// stay in lockstep on one worker.) Within one RunBatch call each worker
+// resets a spare machine of the point's scheme instead of building one
+// (sim.Spares); a reset machine equals a new one. The cache is keyed by
+// a canonical hash of workload/generator identity, machine configuration
+// and instruction budget (see specKey) — for multi-core specs also the
 // shared-L2 geometry, address-space mode and coherence switch — so
 // overlapping sweeps, e.g. the conventional baseline shared by figures
 // 4, 5 and 7, never re-simulate the same point. Every run, single or
@@ -130,13 +132,20 @@ func (e *Engine) report(outcome string, label func() string) {
 // specs (an attached engine probe or Config.Policies.Probe) bypass the
 // cache read so the probe always observes a real simulation.
 func (e *Engine) Run(ctx context.Context, spec sim.Spec) (sim.Result, error) {
+	return e.run(ctx, spec, sim.RunContext)
+}
+
+// run is Run with simulate performing the simulation: sim.RunContext on a
+// new machine, or a batch worker's sim.Spares.RunContext.
+func (e *Engine) run(ctx context.Context, spec sim.Spec,
+	simulate func(context.Context, sim.Spec) (sim.Result, error)) (sim.Result, error) {
 	key, cacheable := specKey(spec)
 	return cachedRun(ctx, e, &spec.Config, key, cacheable, spec.Label, nil,
 		func(ctx context.Context) (sim.Result, error) {
 			if e.runHook != nil {
 				e.runHook(spec)
 			}
-			return sim.RunContext(ctx, spec)
+			return simulate(ctx, spec)
 		})
 }
 
@@ -239,26 +248,42 @@ func cachedRun[R any](ctx context.Context, e *Engine, cfg *pipeline.Config, key 
 // ctx.Err()) (a cancellation that lands mid-simulation arrives wrapped
 // with the workload name). Results are identical at every parallelism
 // level.
+//
+// Each worker keeps one spare machine per scheme (sim.Spares) for the
+// life of the call: a point it simulates resets its scheme's spare
+// instead of building a machine. The spares die with the call.
 func (e *Engine) RunBatch(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
-	return batch(ctx, e.parallelism, specs, e.Run)
+	return batch(ctx, e.parallelism, specs, func() func(context.Context, sim.Spec) (sim.Result, error) {
+		simulate := sim.Spares{}.RunContext
+		return func(ctx context.Context, spec sim.Spec) (sim.Result, error) {
+			return e.run(ctx, spec, simulate)
+		}
+	})
 }
 
-// RunSMTBatch is RunBatch for multithreaded points.
+// RunSMTBatch is RunBatch for multithreaded points. Every point builds
+// its own machine.
 func (e *Engine) RunSMTBatch(ctx context.Context, specs []sim.SMTSpec) ([]sim.SMTResult, error) {
-	return batch(ctx, e.parallelism, specs, e.RunSMT)
+	return batch(ctx, e.parallelism, specs, func() func(context.Context, sim.SMTSpec) (sim.SMTResult, error) {
+		return e.RunSMT
+	})
 }
 
 // RunMulticoreBatch is RunBatch for multi-core points. The sharding is
 // across machines: each machine's cores are stepped by one worker's
-// RunMulticore call.
+// RunMulticore call, on a machine of its own.
 func (e *Engine) RunMulticoreBatch(ctx context.Context, specs []sim.MulticoreSpec) ([]sim.MulticoreResult, error) {
-	return batch(ctx, e.parallelism, specs, e.RunMulticore)
+	return batch(ctx, e.parallelism, specs, func() func(context.Context, sim.MulticoreSpec) (sim.MulticoreResult, error) {
+		return e.RunMulticore
+	})
 }
 
-// batch runs run(ctx, specs[i]) for every spec on at most workers
-// goroutines and returns the results in spec order, cancelling the batch
-// on the first error and returning it.
-func batch[S, R any](ctx context.Context, workers int, specs []S, run func(context.Context, S) (R, error)) ([]R, error) {
+// batch runs every spec on at most workers goroutines and returns the
+// results in spec order, cancelling the batch on the first error and
+// returning it. Each worker runs its specs with the function newRun makes
+// for it, so a worker can keep state of its own across its runs; a
+// worker that fails returns at once and runs nothing more.
+func batch[S, R any](ctx context.Context, workers int, specs []S, newRun func() func(context.Context, S) (R, error)) ([]R, error) {
 	n := len(specs)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -283,6 +308,7 @@ func batch[S, R any](ctx context.Context, workers int, specs []S, run func(conte
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			run := newRun()
 			for i := range indexes {
 				if ctx.Err() != nil {
 					fail(ctx.Err())

@@ -462,3 +462,36 @@ func TestSMTRegisterBudgetRejected(t *testing.T) {
 		t.Errorf("error %q does not name the per-thread NRR bound [1,16]", err)
 	}
 }
+
+// TestUnboundedBudgetRejected: catalog kernels and synthetic presets
+// never end, so a point that names one without an instruction budget is
+// an error before anything is built, not a run only a deadline stops.
+func TestUnboundedBudgetRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	eng := New()
+	_, err := eng.Run(ctx, sim.Spec{Workload: "swim", Config: pipeline.DefaultConfig()})
+	checkBudgetErr(t, "Run", err)
+	_, err = eng.RunBatch(ctx, []sim.Spec{{Workload: "swim", Config: pipeline.DefaultConfig(), MaxInstr: -5}})
+	checkBudgetErr(t, "RunBatch", err)
+	_, err = eng.RunSMT(ctx, sim.SMTSpec{Workloads: []string{"swim"}, Config: pipeline.DefaultConfig()})
+	checkBudgetErr(t, "RunSMT", err)
+	_, err = eng.RunMulticore(ctx, sim.MulticoreSpec{
+		Workloads: []string{"synth:sharing", "synth:sharing"},
+		Config:    pipeline.DefaultConfig(),
+		L2:        mem.DefaultL2Config(),
+	})
+	checkBudgetErr(t, "RunMulticore", err)
+}
+
+func checkBudgetErr(t *testing.T, call string, err error) {
+	t.Helper()
+	switch {
+	case err == nil:
+		t.Errorf("%s ran a point without a budget", call)
+	case errors.Is(err, context.DeadlineExceeded):
+		t.Errorf("%s ran a point without a budget until the deadline: %v", call, err)
+	case !strings.Contains(err.Error(), "instruction budget"):
+		t.Errorf("%s: error %q does not name the instruction budget", call, err)
+	}
+}

@@ -92,6 +92,9 @@ func coherencePlan(opts Options) (Plan, error) {
 		if n < 1 {
 			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
 		}
+		if err := opts.checkSplit(n, "cores"); err != nil {
+			return Plan{}, err
+		}
 	}
 	if _, err := opts.stepMode(); err != nil {
 		return Plan{}, err

@@ -98,6 +98,16 @@ func (o Options) instr() int64 {
 	return 200_000
 }
 
+// checkSplit rejects a budget too small to give each of n cores or
+// threads (unit) an instruction: the plans that divide Instr among them
+// would build points with no budget, and their kernels never end.
+func (o Options) checkSplit(n int, unit string) error {
+	if o.instr() < int64(n) {
+		return fmt.Errorf("experiments: instruction budget %d cannot be split over %d %s", o.instr(), n, unit)
+	}
+	return nil
+}
+
 func (o Options) progress(format string, args ...any) {
 	if o.Progress != nil {
 		o.Progress(format, args...)
@@ -173,7 +183,7 @@ func table2Plan(opts Options, withPenalty20 bool) (Plan, error) {
 	const physRegs = 64
 	nrr := physRegs - 32
 	names := opts.workloads()
-	var specs []sim.Spec
+	specs := make([]sim.Spec, 0, 4*len(names)) // room for the penalty-20 pairs
 	for _, name := range names {
 		specs = append(specs,
 			point(name, baseConfig(core.SchemeConventional, physRegs, nrr), opts.instr()),
@@ -258,7 +268,7 @@ func nrrSweepPlan(scheme core.Scheme, nrrs []int, opts Options) (Plan, error) {
 	}
 	names := opts.workloads()
 	stride := 1 + len(nrrs)
-	var specs []sim.Spec
+	specs := make([]sim.Spec, 0, stride*len(names))
 	for _, name := range names {
 		specs = append(specs, point(name, baseConfig(core.SchemeConventional, physRegs, physRegs-32), opts.instr()))
 		for _, nrr := range nrrs {
@@ -316,7 +326,7 @@ func figure6Plan(opts Options) (Plan, error) {
 	const physRegs = 64
 	nrr := physRegs - 32
 	names := opts.workloads()
-	var specs []sim.Spec
+	specs := make([]sim.Spec, 0, 3*len(names))
 	for _, name := range names {
 		specs = append(specs,
 			point(name, baseConfig(core.SchemeConventional, physRegs, nrr), opts.instr()),
@@ -365,7 +375,7 @@ func figure7Plan(opts Options) (Plan, error) {
 	}
 	names := opts.workloads()
 	regCounts := PaperRegCounts
-	var specs []sim.Spec
+	specs := make([]sim.Spec, 0, 2*len(regCounts)*len(names))
 	for _, name := range names {
 		for _, regs := range regCounts {
 			nrr := regs - 32

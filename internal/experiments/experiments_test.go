@@ -256,6 +256,28 @@ func TestUnknownWorkloadFails(t *testing.T) {
 	}
 }
 
+// TestBudgetTooSmallToSplit: the plans that divide Instr among cores or
+// threads reject a budget that leaves one of them nothing, since a point
+// without a budget would run its never-ending kernel forever.
+func TestBudgetTooSmallToSplit(t *testing.T) {
+	for _, tc := range []struct {
+		exp   string
+		instr int64
+		want  string
+	}{
+		{"multicore", 3, "budget 3 cannot be split over 4 cores"},
+		{"coherence", 1, "budget 1 cannot be split over 2 cores"},
+		{"smt", 1, "budget 1 cannot be split over 2 threads"},
+		{"smt-fetch", 3, "budget 3 cannot be split over 4 threads"},
+	} {
+		exp, _ := ByName(tc.exp)
+		_, err := exp.Build(Options{Instr: tc.instr})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s at %d instructions: err = %v, want %q", tc.exp, tc.instr, err, tc.want)
+		}
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	var lines int
 	opts := quickOpts("compress")

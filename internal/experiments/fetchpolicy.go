@@ -42,6 +42,9 @@ func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 		if n < 2 {
 			return Plan{}, fmt.Errorf("experiments: fetch-policy study needs >= 2 threads, got %d", n)
 		}
+		if err := opts.checkSplit(n, "threads"); err != nil {
+			return Plan{}, err
+		}
 	}
 	names := opts.workloads()
 	type mix struct {

@@ -59,6 +59,9 @@ func multicorePlan(opts Options) (Plan, error) {
 		if n < 1 {
 			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
 		}
+		if err := opts.checkSplit(n, "cores"); err != nil {
+			return Plan{}, err
+		}
 	}
 	if _, err := opts.stepMode(); err != nil {
 		return Plan{}, err

@@ -52,6 +52,9 @@ func smtScalingPlan(threadCounts []int, opts Options) (Plan, error) {
 		if n < 1 {
 			return Plan{}, fmt.Errorf("experiments: bad thread count %d", n)
 		}
+		if err := opts.checkSplit(n, "threads"); err != nil {
+			return Plan{}, err
+		}
 	}
 	names := opts.workloads()
 	var specs []sim.SMTSpec

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/cache"
+	"repro/internal/reuse"
 )
 
 // L1Config sizes one core's lockup-free L1; L1FromCacheConfig carries a
@@ -141,24 +142,47 @@ type L1 struct {
 
 // NewL1 builds a private L1 over next (nil = infinite next level).
 func NewL1(cfg L1Config, next *BankedL2) (*L1, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(L1)
+	if err := newL1(l, cfg, next); err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// ResetL1 builds the L1 NewL1(cfg, nil) returns in the storage of l, an L1
+// over the infinite next level whose core has stopped, keeping its lines'
+// and MSHRs' storage where that covers cfg. A port of a System shares its
+// L2 and directory with other cores, so it cannot be reset on its own.
+// On an error l is left as it was.
+func ResetL1(l *L1, cfg L1Config) error {
+	if l.next != nil {
+		return fmt.Errorf("mem: an L1 over a shared L2 cannot be reset")
+	}
+	return newL1(l, cfg, nil)
+}
+
+// newL1 builds the L1 NewL1(cfg, next) returns in l's storage, or leaves
+// l as it was when cfg is invalid.
+func newL1(l *L1, cfg L1Config, next *BankedL2) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if next != nil && next.lineBytes != cfg.LineBytes {
-		return nil, fmt.Errorf("mem: L1 line size %d != L2 line size %d", cfg.LineBytes, next.lineBytes)
+		return fmt.Errorf("mem: L1 line size %d != L2 line size %d", cfg.LineBytes, next.lineBytes)
 	}
 	shift := uint(0)
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	return &L1{
+	*l = L1{
 		cfg:       cfg,
 		next:      next,
-		lines:     make([]line, cfg.SizeBytes/cfg.LineBytes),
-		mshrs:     make([]mshr, cfg.MSHRs),
+		lines:     reuse.Slice(l.lines, cfg.SizeBytes/cfg.LineBytes),
+		mshrs:     reuse.Slice(l.mshrs, cfg.MSHRs),
 		lineShift: shift,
 		nextDue:   noneDue,
-	}, nil
+	}
+	return nil
 }
 
 func (l *L1) index(lineAddr uint64) int { return int(lineAddr) & (len(l.lines) - 1) }

@@ -65,9 +65,10 @@ func collectKernel(t *testing.T, name string, n int64) []trace.Record {
 }
 
 // TestRunAllocatesOnlyAtConstruction pins the kernel's allocation
-// contract: every structure a run needs is sized by New, NewSMT or
-// NewMulticore, so Run itself allocates nothing. The traces replay
-// collected records, which allocate nothing either.
+// contract: every structure a run needs is sized by New, NewSMT,
+// NewMulticore or Reset, so Run itself allocates nothing, and a Reset
+// into buffers that cover the new machine allocates nothing either. The
+// traces replay collected records, which allocate nothing.
 func TestRunAllocatesOnlyAtConstruction(t *testing.T) {
 	schemes := []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue}
 	for _, name := range workloads.Names() {
@@ -106,6 +107,54 @@ func TestRunAllocatesOnlyAtConstruction(t *testing.T) {
 		} {
 			if n := runMallocs(t, func() (runner, error) { return New(cfg, trace.FromSlice(swim)) }); n != 0 {
 				t.Errorf("%s: Run made %d allocations, want 0", name, n)
+			}
+		}
+	})
+
+	// A finished machine reset, without growing, for another point of
+	// its scheme allocates nothing: every buffer covers the new machine.
+	t.Run("reuse", func(t *testing.T) {
+		swim := collectKernel(t, "swim", allocTestInstr)
+		config := func(scheme core.Scheme, regs, nrr, penalty int) Config {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.Rename.PhysRegs = regs
+			cfg.Rename.NRRInt, cfg.Rename.NRRFP = nrr, nrr
+			cfg.Cache.MissPenalty = penalty
+			return cfg
+		}
+		for _, tc := range []struct {
+			name     string
+			from, to Config
+		}{
+			{"conv miss penalty 20", config(core.SchemeConventional, 64, 32, 50), config(core.SchemeConventional, 64, 32, 20)},
+			{"vp-wb NRR 1 to 32", config(core.SchemeVPWriteback, 64, 1, 50), config(core.SchemeVPWriteback, 64, 32, 50)},
+			{"vp-issue NRR 8 to 24", config(core.SchemeVPIssue, 64, 8, 50), config(core.SchemeVPIssue, 64, 24, 50)},
+			{"conv 96 to 48 registers", config(core.SchemeConventional, 96, 32, 50), config(core.SchemeConventional, 48, 16, 50)},
+			{"vp-wb 96 to 48 registers", config(core.SchemeVPWriteback, 96, 32, 50), config(core.SchemeVPWriteback, 48, 16, 50)},
+		} {
+			fewest := uint64(math.MaxUint64)
+			for attempt := 0; attempt < 3 && fewest > 0; attempt++ {
+				s, err := New(tc.from, trace.FromSlice(swim))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				gen := trace.FromSlice(swim)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				err = s.Reset(tc.to, gen)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fewest = min(fewest, after.Mallocs-before.Mallocs)
+			}
+			if fewest != 0 {
+				t.Errorf("%s: Reset made %d allocations, want 0", tc.name, fewest)
 			}
 		}
 	})

@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // evRef names one scheduled robEntry occupancy. A ready-queue reference
@@ -111,16 +112,20 @@ type wheel struct {
 	threads  int
 }
 
-// init sizes the wheel for threads threads over reorder buffers of
-// robSlots slots each, a power of two (ringLen).
+// init empties the wheel and sizes it for threads threads over reorder
+// buffers of robSlots slots each, a power of two (ringLen), keeping its
+// bits' storage when that covers them.
 func (w *wheel) init(threads, robSlots int) {
 	if robSlots&(robSlots-1) != 0 {
 		panic("pipeline: reorder-buffer slots must be a power of two")
 	}
-	w.words = (robSlots + 63) / 64
-	w.slotMask = w.words*64 - 1
-	w.threads = threads
-	w.bits = make([]uint64, compWheelSlots*threads*w.words)
+	words := (robSlots + 63) / 64
+	*w = wheel{
+		bits:     reuse.Slice(w.bits, compWheelSlots*threads*words),
+		words:    words,
+		slotMask: words*64 - 1,
+		threads:  threads,
+	}
 }
 
 // wheelSlot is the completion wheel's slot of cycle c.
@@ -263,21 +268,22 @@ func (s *Sim) tickPools(now int64) {
 	}
 }
 
-// initThreadEv sizes the thread's scheduler state from the reorder
-// buffer: every queue holds at most one reference per instruction in
-// flight, and the wakeup index has a list per tag of the renamer's tag
-// namespace (core.Renamer.TagSpace) over a pool of two links per slot.
+// initThreadEv empties the thread's scheduler state and sizes it from the
+// reorder buffer, keeping each buffer whose capacity covers it: every
+// queue holds at most one reference per instruction in flight, and the
+// wakeup index has a list per tag of the renamer's tag namespace
+// (core.Renamer.TagSpace) over a pool of two links per slot.
 func (s *Sim) initThreadEv(th *thread) {
 	for f := 0; f < 2; f++ {
-		th.wlists[f] = make([]waitList, th.ren.TagSpace(classOfIdx(f)))
+		th.wlists[f] = reuse.Slice(th.wlists[f], th.ren.TagSpace(classOfIdx(f)))
 		for t := range th.wlists[f] {
 			th.wlists[f][t] = emptyWaitList
 		}
 	}
-	th.wlinks = make([]waitLink, 2*len(th.rob))
-	th.readyQ = make([]evRef, 0, s.cfg.ROBSize)
-	th.wbPend = make([]evRef, 0, s.cfg.ROBSize)
-	th.aguPend = make([]evRef, 0, s.cfg.ROBSize)
+	th.wlinks = reuse.Slice(th.wlinks, 2*len(th.rob))
+	th.readyQ = reuse.Slice(th.readyQ, s.cfg.ROBSize)[:0]
+	th.wbPend = reuse.Slice(th.wbPend, s.cfg.ROBSize)[:0]
+	th.aguPend = reuse.Slice(th.aguPend, s.cfg.ROBSize)[:0]
 }
 
 // classOfIdx is the inverse of classIdxOf.

@@ -166,7 +166,7 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 		if m.sys != nil {
 			port = m.sys.Port(i)
 		}
-		core, err := newSMTMem(cfg.Core, []trace.Generator{gens[i]}, false, port)
+		core, err := newSMTMem(new(Sim), cfg.Core, []trace.Generator{gens[i]}, false, port)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: core %d: %w", i, err)
 		}

@@ -68,6 +68,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/reuse"
 	"repro/internal/trace"
 )
 
@@ -400,15 +401,34 @@ func NewSMT(cfg Config, gens []trace.Generator) (*Sim, error) {
 // newSMT builds a simulator over the paper's memory hierarchy: a private
 // lockup-free L1 over an infinite L2.
 func newSMT(cfg Config, gens []trace.Generator, scan bool) (*Sim, error) {
-	return newSMTMem(cfg, gens, scan, nil)
+	return newSMTMem(new(Sim), cfg, gens, scan, nil)
 }
 
-// newSMTMem is the shared constructor; scan selects the pre-refactor
-// full-window-scan reference kernel (differential tests only; compiled
-// under the scanoracle build tag) and port is the core's L1 (the
-// Multicore runner passes a port of a shared mem.System; nil builds a
-// private L1 over an infinite L2).
-func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Sim, error) {
+// Reset makes s into the machine New(cfg, gen) builds, keeping each of
+// its buffers whose capacity covers cfg and allocating the rest, so a
+// sweep over one machine shape allocates its buffers once. s must be a
+// one-thread machine with a private L1 (one New built) whose run has
+// ended, stopped between two cycles; the scheme may change, though only
+// a renamer of the same scheme keeps its storage. On an error s is left
+// as it was.
+func (s *Sim) Reset(cfg Config, gen trace.Generator) error {
+	if len(s.threads) != 1 {
+		return fmt.Errorf("pipeline: reset of a %d-thread machine; only a one-thread machine can be reset", len(s.threads))
+	}
+	_, err := newSMTMem(s, cfg, []trace.Generator{gen}, s.scan, nil)
+	return err
+}
+
+// newSMTMem is the one constructor: it resets the storage s, a new Sim
+// or a finished machine's (Reset), into a simulator of cfg over gens. scan
+// selects the pre-refactor full-window-scan reference kernel
+// (differential tests only; compiled under the scanoracle build tag) and
+// port is the core's L1 (the Multicore runner passes a port of a shared
+// mem.System; nil resets s's private L1, or builds one, over an infinite
+// L2). Each buffer of s whose capacity covers cfg is cleared and kept;
+// the others are allocated, zeroed, so new storage is never cleared
+// twice.
+func newSMTMem(s *Sim, cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -419,47 +439,69 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 		return nil, err
 	}
 	if port == nil {
-		var err error
-		if port, err = mem.NewL1(mem.L1FromCacheConfig(cfg.Cache), nil); err != nil {
+		if port = s.dmem; port == nil {
+			port = new(mem.L1)
+		}
+		if err := mem.ResetL1(port, mem.L1FromCacheConfig(cfg.Cache)); err != nil {
 			return nil, err
 		}
 	}
-	s := &Sim{
-		cfg:   cfg,
-		scan:  scan,
-		probe: cfg.Policies.Probe,
-		pool:  core.NewSharedPool(cfg.Rename.PhysRegs),
-		bht:   bpred.New(cfg.BHTEntries),
-		dmem:  port,
-		sbBuf: make([]uint64, ringLen(cfg.StoreBufferSize)),
+	old := *s
+	*s = Sim{
+		cfg:       cfg,
+		scan:      scan,
+		probe:     cfg.Policies.Probe,
+		pool:      old.pool,
+		members:   old.members[:0],
+		bht:       old.bht,
+		dmem:      port,
+		compWheel: old.compWheel,
 	}
+	if s.pool == nil {
+		s.pool = new(core.SharedPool)
+	}
+	s.pool.Reset(cfg.Rename.PhysRegs)
+	if s.bht == nil {
+		s.bht = new(bpred.BHT)
+	}
+	s.bht.Reset(cfg.BHTEntries)
+	s.sbBuf = reuse.Slice(old.sbBuf, ringLen(cfg.StoreBufferSize))
+	s.threads = old.threads[:0]
 	for i, gen := range gens {
-		th := &thread{
-			id:     i,
-			gen:    gen,
-			stream: trace.NewStream(gen, cfg.ROBSize+fetchBufSize+4*cfg.FetchWidth+64),
-			rob:    make([]robEntry, ringLen(cfg.ROBSize)),
-			fbuf:   make([]fetchItem, fetchBufSize),
-			sqBuf:  make([]sqEntry, ringLen(cfg.ROBSize)),
+		var th *thread
+		if i < len(old.threads) {
+			th = old.threads[i]
+		} else {
+			th = new(thread)
 		}
-		switch cfg.Scheme {
-		case core.SchemeConventional:
-			th.ren = core.NewConventionalShared(cfg.Rename, s.pool, cfg.ROBSize)
-		case core.SchemeVPWriteback:
-			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtWriteback, s.pool, cfg.ROBSize)
-		case core.SchemeVPIssue:
-			th.ren = core.NewVPShared(cfg.Rename, core.AllocAtIssue, s.pool, cfg.ROBSize)
-		default:
-			return nil, fmt.Errorf("pipeline: unknown scheme %v", cfg.Scheme)
+		t := *th
+		*th = thread{
+			id:      i,
+			gen:     gen,
+			stream:  t.stream,
+			ren:     t.ren,
+			rob:     reuse.Slice(t.rob, ringLen(cfg.ROBSize)),
+			fbuf:    reuse.Slice(t.fbuf, fetchBufSize),
+			sqBuf:   reuse.Slice(t.sqBuf, ringLen(cfg.ROBSize)),
+			readyQ:  t.readyQ,
+			wbPend:  t.wbPend,
+			aguPend: t.aguPend,
+			wlists:  t.wlists,
+			wlinks:  t.wlinks,
 		}
+		if th.stream == nil {
+			th.stream = new(trace.Stream)
+		}
+		th.stream.Reset(gen, cfg.ROBSize+fetchBufSize+4*cfg.FetchWidth+64)
+		th.ren = core.ResetShared(th.ren, cfg.Scheme, cfg.Rename, s.pool, cfg.ROBSize)
 		if !s.scan {
 			s.initThreadEv(th)
 		}
 		s.threads = append(s.threads, th)
 	}
-	s.orderBuf = make([]*thread, len(s.threads))
+	s.orderBuf = reuse.Slice(old.orderBuf, len(s.threads))
 	for f := 0; f < 2; f++ {
-		s.prf[f] = make([]uint64, cfg.Rename.PhysRegs)
+		s.prf[f] = reuse.Slice(old.prf[f], cfg.Rename.PhysRegs)
 	}
 	poolSizes := []int{
 		cfg.SimpleIntUnits, cfg.ComplexIntUnits, cfg.EffAddrUnits,
@@ -467,7 +509,7 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, port *mem.L1) (*Si
 	}
 	for i, n := range poolSizes {
 		if s.scan {
-			s.scanPools[i] = make([]int64, n)
+			s.scanPools[i] = reuse.Slice(old.scanPools[i], n)
 		} else {
 			s.pools[i].free = n
 		}

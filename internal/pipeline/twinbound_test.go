@@ -45,7 +45,7 @@ func twinCores(tb testing.TB, protocol string, seed, perCore int64, gate mem.Gat
 	p.Seed = seed
 	cores := make([]*Sim, 2)
 	for i := range cores {
-		if cores[i], err = newSMTMem(cfg, []trace.Generator{trace.Take(synth.New(p), perCore)}, false, sys.Port(i)); err != nil {
+		if cores[i], err = newSMTMem(new(Sim), cfg, []trace.Generator{trace.Take(synth.New(p), perCore)}, false, sys.Port(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}

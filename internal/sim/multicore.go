@@ -47,7 +47,8 @@ type MulticoreSpec struct {
 	// "limited[:N]"; "" = fullmap). Both require Coherence.
 	Protocol  string
 	Directory string
-	// MaxInstrPerCore bounds every core's trace.
+	// MaxInstrPerCore bounds every core's trace. Catalog kernels and
+	// synthetic presets never end, so it must be positive.
 	MaxInstrPerCore int64
 	// Step selects the stepping strategy (lockstep oracle, parallel, or
 	// skew:W — see pipeline.ParseStepMode). Every mode produces
@@ -109,16 +110,17 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 	if len(spec.Workloads) == 0 {
 		return MulticoreResult{}, fmt.Errorf("sim: multicore run needs at least one workload")
 	}
+	if spec.MaxInstrPerCore <= 0 {
+		return MulticoreResult{}, fmt.Errorf("sim: multicore %v: instruction budget %d per core; its workloads never end, so it must be positive",
+			spec.Workloads, spec.MaxInstrPerCore)
+	}
 	var gens []trace.Generator
 	for _, name := range spec.Workloads {
 		gen, err := MulticoreWorkloadGen(name)
 		if err != nil {
 			return MulticoreResult{}, err
 		}
-		if spec.MaxInstrPerCore > 0 {
-			gen = trace.Take(gen, spec.MaxInstrPerCore)
-		}
-		gens = append(gens, gen)
+		gens = append(gens, trace.Take(gen, spec.MaxInstrPerCore))
 	}
 	mc, err := pipeline.NewMulticore(pipeline.MulticoreConfig{
 		Cores:              len(gens),

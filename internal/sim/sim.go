@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -36,8 +37,11 @@ type Spec struct {
 	// Specs with Gen set and GenID empty are never cached.
 	GenID string
 
-	Config   pipeline.Config
-	MaxInstr int64 // trace length; <= 0 means run the trace to completion
+	Config pipeline.Config
+	// MaxInstr bounds the trace. A catalog kernel never ends, so a spec
+	// that names one needs a positive budget; with Gen set, <= 0 runs the
+	// custom trace to its end.
+	MaxInstr int64
 }
 
 // Result is the outcome of one run.
@@ -47,9 +51,28 @@ type Result struct {
 	BHTAccuracy float64
 }
 
-// RunContext executes the specification under ctx: cancellation stops the
-// simulation mid-run and surfaces ctx.Err().
+// RunContext executes the specification under ctx on a new machine:
+// cancellation stops the simulation mid-run and surfaces ctx.Err().
 func RunContext(ctx context.Context, spec Spec) (Result, error) {
+	return run(ctx, spec, nil)
+}
+
+// Spares holds one batch worker's spare machines, at most one per
+// scheme, so consecutive runs of a scheme reset one machine
+// (pipeline.Sim.Reset) instead of each building its own. Make one per
+// worker (Spares{}); it serves one goroutine.
+type Spares map[core.Scheme]*pipeline.Sim
+
+// RunContext is RunContext on the spare machine of spec's scheme, when
+// sp holds one. A run takes the spare out and hands its machine back only
+// once it succeeds, so a machine whose run failed or panicked is never
+// reset.
+func (sp Spares) RunContext(ctx context.Context, spec Spec) (Result, error) {
+	return run(ctx, spec, sp)
+}
+
+// run executes spec, on a spare of sp (nil: none) when it has one.
+func run(ctx context.Context, spec Spec, sp Spares) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -60,6 +83,10 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 		if !ok {
 			return Result{}, fmt.Errorf("sim: unknown workload %q", spec.Workload)
 		}
+		if spec.MaxInstr <= 0 {
+			return Result{}, fmt.Errorf("sim: %s: instruction budget %d; a catalog kernel never ends, so it needs a positive one",
+				spec.Label(), spec.MaxInstr)
+		}
 		var err error
 		gen, err = w.NewGen()
 		if err != nil {
@@ -69,7 +96,15 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 	if spec.MaxInstr > 0 {
 		gen = trace.Take(gen, spec.MaxInstr)
 	}
-	s, err := pipeline.New(spec.Config, gen)
+	scheme := spec.Config.Scheme
+	s := sp[scheme]
+	delete(sp, scheme)
+	var err error
+	if s != nil {
+		err = s.Reset(spec.Config, gen)
+	} else {
+		s, err = pipeline.New(spec.Config, gen)
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -79,6 +114,9 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: %s: %w", spec.Label(), err)
+	}
+	if sp != nil {
+		sp[scheme] = s
 	}
 	return Result{Workload: name, Stats: stats, BHTAccuracy: s.BHT().Accuracy()}, nil
 }

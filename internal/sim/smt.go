@@ -17,7 +17,8 @@ type SMTSpec struct {
 	// Workloads names one kernel per hardware thread.
 	Workloads []string
 	Config    pipeline.Config
-	// MaxInstrPerThread bounds every thread's trace.
+	// MaxInstrPerThread bounds every thread's trace. Catalog kernels
+	// never end, so it must be positive.
 	MaxInstrPerThread int64
 }
 
@@ -36,6 +37,10 @@ func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {
 	if len(spec.Workloads) == 0 {
 		return SMTResult{}, fmt.Errorf("sim: SMT run needs at least one workload")
 	}
+	if spec.MaxInstrPerThread <= 0 {
+		return SMTResult{}, fmt.Errorf("sim: smt %v: instruction budget %d per thread; catalog kernels never end, so it must be positive",
+			spec.Workloads, spec.MaxInstrPerThread)
+	}
 	var gens []trace.Generator
 	for _, name := range spec.Workloads {
 		w, ok := workloads.ByName(name)
@@ -46,10 +51,7 @@ func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {
 		if err != nil {
 			return SMTResult{}, err
 		}
-		if spec.MaxInstrPerThread > 0 {
-			gen = trace.Take(gen, spec.MaxInstrPerThread)
-		}
-		gens = append(gens, gen)
+		gens = append(gens, trace.Take(gen, spec.MaxInstrPerThread))
 	}
 	s, err := pipeline.NewSMT(spec.Config, gens)
 	if err != nil {

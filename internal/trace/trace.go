@@ -14,6 +14,7 @@ import (
 	"math/bits"
 
 	"repro/internal/isa"
+	"repro/internal/reuse"
 )
 
 // Record is one dynamic (committed-path) instruction.
@@ -185,12 +186,19 @@ const refillBatch = 64
 
 // NewStream wraps gen with a sliding window of the given capacity.
 func NewStream(gen Generator, window int) *Stream {
+	s := new(Stream)
+	s.Reset(gen, window)
+	return s
+}
+
+// Reset makes s the stream NewStream(gen, window) builds, keeping its
+// ring's storage when that covers the window.
+func (s *Stream) Reset(gen Generator, window int) {
 	if window <= 0 {
 		panic("trace: window must be positive")
 	}
-	s := &Stream{gen: gen, buf: make([]Record, 1<<bits.Len(uint(window-1))), window: window}
+	*s = Stream{gen: gen, buf: reuse.Slice(s.buf, 1<<bits.Len(uint(window-1))), window: window}
 	s.batch, _ = gen.(BatchGenerator)
-	return s
 }
 
 // Ref returns the record with the given sequence number in place,
