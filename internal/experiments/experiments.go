@@ -91,8 +91,10 @@ func (o Options) workloads() []string {
 	return workloads.Names()
 }
 
+// instr is the per-point budget: Instr, or 200,000 when it is 0. A
+// negative Instr is returned as is, for the plan checks to reject.
 func (o Options) instr() int64 {
-	if o.Instr > 0 {
+	if o.Instr != 0 {
 		return o.Instr
 	}
 	return 200_000
@@ -114,9 +116,14 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// checkWorkloads validates the option's workload subset against the
-// catalog, so plan building fails fast instead of deep inside a batch.
+// checkWorkloads validates the option's budget and workload subset
+// against the catalog, so plan building fails fast instead of deep inside
+// a batch. The plans that skip it split the budget over cores or threads
+// through checkSplit, which rejects a negative budget as too small.
 func (o Options) checkWorkloads() error {
+	if o.Instr < 0 {
+		return fmt.Errorf("experiments: negative instruction budget %d", o.Instr)
+	}
 	for _, name := range o.workloads() {
 		if _, ok := workloads.ByName(name); !ok {
 			return fmt.Errorf("experiments: unknown workload %q", name)
@@ -310,15 +317,17 @@ func (s NRRSweep) MeanSpeedupAt(i int) float64 {
 
 // --- Figure 6 (write-back vs issue) ------------------------------------------------
 
-// Fig6Row compares the two allocation policies at their best NRR.
+// Fig6Row compares the two allocation policies at NRR 32.
 type Fig6Row struct {
 	Workload         string
 	WritebackSpeedup float64
 	IssueSpeedup     float64
 }
 
-// figure6Plan builds figure 6: both policies at NRR=32 (the optimum the
-// paper found for both), speedup over the conventional scheme.
+// figure6Plan builds figure 6: both policies at NRR=32, the maximum NRR
+// at 64 registers, speedup over the conventional scheme. There, §3.3's
+// guard admits no unprotected instruction, so issue allocation issues
+// only the NRR oldest producers.
 func figure6Plan(opts Options) (Plan, error) {
 	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err

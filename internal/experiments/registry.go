@@ -179,8 +179,6 @@ var registry = []Experiment{
 }
 
 // Registry returns the experiments in reporting order.
-//
-//vpr:lookup experiments
 func Registry() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
@@ -188,8 +186,6 @@ func Registry() []Experiment {
 }
 
 // Names returns the registered experiment names in reporting order.
-//
-//vpr:lookup experiments
 func Names() []string {
 	names := make([]string, len(registry))
 	for i, e := range registry {
@@ -199,8 +195,6 @@ func Names() []string {
 }
 
 // ByName finds an experiment.
-//
-//vpr:lookup experiments
 func ByName(name string) (Experiment, bool) {
 	for _, e := range registry {
 		if e.Name == name {

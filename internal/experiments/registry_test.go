@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -111,6 +112,17 @@ func TestPlanBuildingIsPure(t *testing.T) {
 		}
 		if len(plan.Specs)+len(plan.SMT)+len(plan.Multicore) == 0 {
 			t.Errorf("%s: empty plan", e.Name)
+		}
+	}
+}
+
+// TestPlanBuildingRejectsNegativeInstr: a negative budget is an error at
+// build time for every experiment, not the 200k default that Instr 0
+// selects.
+func TestPlanBuildingRejectsNegativeInstr(t *testing.T) {
+	for _, e := range Registry() {
+		if _, err := e.Build(Options{Instr: -5}); err == nil || !strings.Contains(err.Error(), "-5") {
+			t.Errorf("%s: build with Instr -5 returned %v, want an error naming the budget", e.Name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -12,35 +13,30 @@ import (
 // The //vpr: annotation grammar (docs/LINTING.md):
 //
 //	//vpr:hotpath                    on a func: per-cycle kernel root
-//	//vpr:coldpath                   on a func: cut hot-path traversal here
+//	//vpr:coldpath                   on a func: cut hot-path and compute-phase traversal here
 //	//vpr:allowalloc [reason]        on/above a line: waive one hotpathalloc finding
 //	//vpr:stats                      on a struct: counters that must be aggregated
 //	//vpr:statsink TYPE              on a func: aggregates TYPE's counters
-//	//vpr:statsexempt [reason]       on a field: not an aggregated counter
 //	//vpr:cachekey                   on a struct: rendered into the result-cache key
 //	//vpr:keyfunc TYPE               on a func: canonical key renderer for TYPE
 //	//vpr:nocachekey [reason]        on a field: observer-only, excluded from the key
 //	//vpr:registry NAMESPACE         on a package-level var: static registration table
-//	//vpr:register NAMESPACE         on a func: runtime registration entry point
-//	//vpr:lookup NAMESPACE           on a func: registry lookup entry point
 //	//vpr:computephase               on a func: compute-phase root — must not reach the memory surface
-//	//vpr:memphase                   on a func or interface method: shared-memory-phase code
-//	//vpr:memstate                   on a struct or interface: shared memory state surface
-//	//vpr:phaseexempt [reason]       on a func/method decl or on/above a line: waive one phasepure finding
+//	//vpr:memphase                   on a func: shared-memory-phase code
+//	//vpr:memstate                   on a struct: shared memory state surface
+//	//vpr:phaseexempt [reason]       on a func decl or on/above a line: waive one phasepure finding
 //	//vpr:shared                     on a field: cross-goroutine gate state, must stay atomic
 //	//vpr:coreprivate                on a field: serial-only state, off-limits to stepper goroutines
-//	//vpr:guardexempt [reason]       on/above a line: waive one sharedguard finding
 //	//vpr:stepper                    on a func: the only place goroutines may be launched
 //	//vpr:wallclock [reason]         on a func: host-time throughput accounting, exempt from detsource
 //	//vpr:detpkg                     on a package doc: package is determinism-checked by detsource
-//	//vpr:detexempt [reason]         on/above a line: waive one detsource finding
 //
 // Directives are ordinary comments starting exactly with "//vpr:"; the
 // first word after the colon is the directive name, the rest its
 // arguments. A second "//" inside the comment starts a trailing remark
 // and ends the directive's arguments. Directives ride in doc comments
-// (functions, types, vars, fields, interface methods, package clauses)
-// or stand on/immediately above the line they waive; annotcheck rejects
+// (functions, struct types, vars, struct fields, package clauses) or
+// stand on/immediately above the line they waive; annotcheck rejects
 // unknown names and misplaced directives against the table below.
 
 // directive is one parsed //vpr: annotation.
@@ -135,18 +131,6 @@ func (w waiverLines) waived(fset *token.FileSet, pos token.Pos) bool {
 	return lines != nil && (lines[p.Line] || lines[p.Line-1])
 }
 
-// typeRefMatches reports whether a directive argument ("Stats",
-// "mem.Stats") names the given struct, declared as typeName in the
-// package named pkgName. Same-package references may omit the package
-// name; cross-package references use the package name (not the import
-// path), which is unambiguous within this module.
-func typeRefMatches(arg, pkgName, typeName string) bool {
-	if arg == typeName {
-		return true
-	}
-	return arg == pkgName+"."+typeName
-}
-
 // namedDeref unwraps pointers and returns the named type of t, if any.
 func namedDeref(t types.Type) *types.Named {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -226,32 +210,49 @@ func indexFuncs(pkgs []*analysis.Package) map[string]funcDecl {
 	return idx
 }
 
-// enclosure classifies where in a file a position sits: inside an init
-// function, inside some other function, or at package level (var/const
-// initializers, type declarations).
-type enclosure int
-
-const (
-	atPackageLevel enclosure = iota
-	inInitFunc
-	inOtherFunc
-)
-
-// encloserAt walks the file's top-level declarations to classify pos.
-func encloserAt(file *ast.File, pos token.Pos) enclosure {
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-			if fd.Name.Name == "init" && fd.Recv == nil {
-				return inInitFunc
-			}
-			return inOtherFunc
+// reachFrom walks the module's static call graph breadth-first from every
+// function carrying the root directive (//vpr:hotpath, //vpr:computephase)
+// and returns each function reached, mapped to the root it was first
+// reached from. The walk never enters a //vpr:coldpath function, a callee
+// declared outside the loaded packages, or one for which boundary (when
+// non-nil) reports true. Interface calls resolve to no declaration, so
+// they end the walk too.
+func reachFrom(idx map[string]funcDecl, root string, boundary func(callee string) bool) map[string]string {
+	reach := make(map[string]string)
+	var queue []string
+	for name, fn := range idx {
+		if hasDirective(funcDirectives(fn.decl), root) {
+			reach[name] = name
+			queue = append(queue, name)
 		}
 	}
-	return atPackageLevel
+	sort.Strings(queue) // deterministic traversal order
+	for len(queue) > 0 {
+		name := queue[0]
+		queue = queue[1:]
+		fn := idx[name]
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := calleeOf(fn.pkg.TypesInfo, call)
+			if callee == nil {
+				return true
+			}
+			full := callee.FullName()
+			target, declared := idx[full]
+			if _, seen := reach[full]; seen || !declared ||
+				hasDirective(funcDirectives(target.decl), "coldpath") ||
+				(boundary != nil && boundary(full)) {
+				return true
+			}
+			reach[full] = reach[name]
+			queue = append(queue, full)
+			return true
+		})
+	}
+	return reach
 }
 
 // funcDeclAt returns the top-level function declaration whose body spans
@@ -310,14 +311,12 @@ func pkgHasDirective(pkg *analysis.Package, name string) bool {
 type placement uint16
 
 const (
-	onFunc        placement = 1 << iota // function/method declaration doc
-	onStructType                        // struct type declaration doc
-	onIfaceType                         // interface type declaration doc
-	onField                             // struct field doc or trailing comment
-	onIfaceMethod                       // interface method doc or trailing comment
-	onVar                               // package-level var spec doc or trailing comment
-	onPackage                           // package doc
-	onLine                              // freestanding or trailing statement comment
+	onFunc       placement = 1 << iota // function/method declaration doc
+	onStructType                       // struct type declaration doc
+	onField                            // struct field doc or trailing comment
+	onVar                              // package-level var spec doc or trailing comment
+	onPackage                          // package doc
+	onLine                             // freestanding or trailing statement comment
 )
 
 // placementName spells one placement bit for diagnostics.
@@ -327,12 +326,8 @@ func placementName(p placement) string {
 		return "a function declaration"
 	case onStructType:
 		return "a struct type declaration"
-	case onIfaceType:
-		return "an interface type declaration"
 	case onField:
 		return "a struct field"
-	case onIfaceMethod:
-		return "an interface method"
 	case onVar:
 		return "a package-level var"
 	case onPackage:
@@ -368,22 +363,17 @@ var directiveTable = map[string]directiveSpec{
 	"allowalloc":   {where: onLine, reason: true},
 	"stats":        {where: onStructType},
 	"statsink":     {where: onFunc, args: 1},
-	"statsexempt":  {where: onField, reason: true},
 	"cachekey":     {where: onStructType},
 	"keyfunc":      {where: onFunc, args: 1},
 	"nocachekey":   {where: onField, reason: true},
 	"registry":     {where: onVar, args: 1},
-	"register":     {where: onFunc, args: 1},
-	"lookup":       {where: onFunc, args: 1},
 	"computephase": {where: onFunc},
-	"memphase":     {where: onFunc | onIfaceMethod},
-	"memstate":     {where: onStructType | onIfaceType},
-	"phaseexempt":  {where: onFunc | onIfaceMethod | onLine, reason: true},
+	"memphase":     {where: onFunc},
+	"memstate":     {where: onStructType},
+	"phaseexempt":  {where: onFunc | onLine, reason: true},
 	"shared":       {where: onField},
 	"coreprivate":  {where: onField},
-	"guardexempt":  {where: onLine, reason: true},
 	"stepper":      {where: onFunc},
 	"wallclock":    {where: onFunc, reason: true},
 	"detpkg":       {where: onPackage},
-	"detexempt":    {where: onLine, reason: true},
 }

@@ -83,12 +83,12 @@ func knownDirectiveNames() string {
 }
 
 // classifyComments maps each comment's position to the syntactic slot it
-// documents: package doc, function doc, type doc (struct or interface),
-// struct field, interface method, or package-level var. Comments in none
-// of those slots are statement-line comments (onLine). Doc comments on
-// declarations no directive may annotate (consts, imports, grouped
-// declarations, non-struct non-interface types) get a zero placement, so
-// any directive there reports as misplaced.
+// documents: package doc, function doc, struct type doc, struct field, or
+// package-level var. Comments in none of those slots are statement-line
+// comments (onLine). Doc comments on declarations no directive may
+// annotate (consts, imports, grouped declarations, interfaces and their
+// methods, non-struct types) get a zero placement, so any directive there
+// reports as misplaced.
 func classifyComments(file *ast.File) map[token.Pos]placement {
 	places := make(map[token.Pos]placement)
 	mark := func(p placement, groups ...*ast.CommentGroup) {
@@ -132,7 +132,7 @@ func classifyComments(file *ast.File) map[token.Pos]placement {
 						}
 					case *ast.InterfaceType:
 						for _, f := range t.Methods.List {
-							mark(onIfaceMethod, f.Doc, f.Comment)
+							mark(0, f.Doc, f.Comment)
 						}
 					}
 				}
@@ -162,11 +162,8 @@ func classifyComments(file *ast.File) map[token.Pos]placement {
 
 // typeSpecPlacement classifies one type spec's doc slot.
 func typeSpecPlacement(ts *ast.TypeSpec) placement {
-	switch ts.Type.(type) {
-	case *ast.StructType:
+	if _, ok := ts.Type.(*ast.StructType); ok {
 		return onStructType
-	case *ast.InterfaceType:
-		return onIfaceType
 	}
-	return 0 // named basic/alias types take no directives
+	return 0 // interfaces and named basic/alias types take no directives
 }

@@ -38,44 +38,7 @@ var CacheKey = &analysis.Analyzer{
 
 func runCacheKey(pass *analysis.Pass) error {
 	structs := collectAnnotatedStructs(pass, "cachekey")
-	if len(structs) == 0 {
-		return nil
-	}
-
-	// Key functions: //vpr:keyfunc TYPE anywhere in the load.
-	keyfuncs := make(map[string][]funcDecl) // struct full name -> funcs
-	for _, pkg := range pass.Pkgs {
-		for _, file := range pkg.Syntax {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				for _, dir := range funcDirectives(fd) {
-					if dir.name != "keyfunc" {
-						continue
-					}
-					if len(dir.args) != 1 {
-						pass.Reportf(dir.pos, "//vpr:keyfunc needs exactly one type argument")
-						continue
-					}
-					matched := false
-					for full, s := range structs {
-						same := pkg.ImportPath == s.pkg.ImportPath
-						if (same && typeRefMatches(dir.args[0], s.pkgName, s.typeName)) ||
-							(!same && dir.args[0] == s.pkgName+"."+s.typeName) {
-							keyfuncs[full] = append(keyfuncs[full], funcDecl{pkg: pkg, decl: fd})
-							matched = true
-						}
-					}
-					if !matched {
-						pass.Reportf(dir.pos, "//vpr:keyfunc %s names no //vpr:cachekey struct", dir.args[0])
-					}
-				}
-			}
-		}
-	}
-
+	keyfuncs := attachFuncs(pass, "keyfunc", "cachekey", structs)
 	names := make([]string, 0, len(structs))
 	for n := range structs {
 		names = append(names, n)
@@ -119,24 +82,10 @@ func goStringOf(s *annotStruct) *funcDecl {
 // checkFieldCoverage requires every non-waived field to be referenced in
 // at least one of the given renderer functions.
 func checkFieldCoverage(pass *analysis.Pass, s *annotStruct, renderers []funcDecl, whereDoc string) {
-	for _, field := range s.st.Fields.List {
-		if hasDirective(fieldDirectives(field), "nocachekey") {
-			continue
-		}
-		for _, name := range field.Names {
-			covered := false
-			for _, r := range renderers {
-				if selectsField(r, s.fullName, name.Name) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				pass.Reportf(name.Pos(),
-					"cache-key field %s.%s.%s is not rendered by %s — two configs differing only in it would share a cache entry; render it or waive with //vpr:nocachekey <reason>",
-					s.pkgName, s.typeName, name.Name, whereDoc)
-			}
-		}
+	for _, name := range unreferencedFields(s, renderers, "nocachekey") {
+		pass.Reportf(name.Pos(),
+			"cache-key field %s.%s.%s is not rendered by %s — two configs differing only in it would share a cache entry; render it or waive with //vpr:nocachekey <reason>",
+			s.pkgName, s.typeName, name.Name, whereDoc)
 	}
 }
 

@@ -25,8 +25,7 @@ import (
 //     stepper is the single sanctioned concurrency site, because its
 //     memory gate is what re-serializes shared state.
 //   - map-range loops whose body writes variables declared outside the
-//     loop: the classic iteration-order leak. Waive with //vpr:detexempt
-//     naming the sorted-key or order-insensitive justification.
+//     loop: the classic iteration-order leak. Iterate sorted keys instead.
 var DetSource = &analysis.Analyzer{
 	Name: "detsource",
 	Doc:  "//vpr:detpkg packages must not read wall time, randomness, spawn goroutines, or leak map order",
@@ -34,19 +33,18 @@ var DetSource = &analysis.Analyzer{
 }
 
 func runDetSource(pass *analysis.Pass) error {
-	waivers := collectWaiverLines(pass.Fset, pass.Pkgs, "detexempt")
 	for _, pkg := range pass.Pkgs {
 		if !pkgHasDirective(pkg, "detpkg") {
 			continue
 		}
 		for _, file := range pkg.Syntax {
-			checkDetFile(pass, pkg, file, waivers)
+			checkDetFile(pass, pkg, file)
 		}
 	}
 	return nil
 }
 
-func checkDetFile(pass *analysis.Pass, pkg *analysis.Package, file *ast.File, waivers waiverLines) {
+func checkDetFile(pass *analysis.Pass, pkg *analysis.Package, file *ast.File) {
 	info := pkg.TypesInfo
 	inWaivedFunc := func(pos token.Pos, directive string) bool {
 		fd := funcDeclAt(file, pos)
@@ -62,26 +60,26 @@ func checkDetFile(pass *analysis.Pass, pkg *analysis.Package, file *ast.File, wa
 			path := callee.Pkg().Path()
 			switch {
 			case path == "time" && wallClockFunc(callee.Name()):
-				if !inWaivedFunc(n.Pos(), "wallclock") && !waivers.waived(pass.Fset, n.Pos()) {
+				if !inWaivedFunc(n.Pos(), "wallclock") {
 					pass.Reportf(n.Pos(),
-						"time.%s in determinism-checked package %s — host time must not feed simulated state; move it into a //vpr:wallclock function or waive with //vpr:detexempt <reason>",
+						"time.%s in determinism-checked package %s — host time must not feed simulated state; move it into a //vpr:wallclock function",
 						callee.Name(), pkg.Name)
 				}
 			case path == "math/rand" || strings.HasPrefix(path, "math/rand/"):
-				if !inWaivedFunc(n.Pos(), "wallclock") && !waivers.waived(pass.Fset, n.Pos()) {
+				if !inWaivedFunc(n.Pos(), "wallclock") {
 					pass.Reportf(n.Pos(),
-						"math/rand call %s.%s in determinism-checked package %s — derive pseudo-randomness from seeded simulated state or waive with //vpr:detexempt <reason>",
+						"math/rand call %s.%s in determinism-checked package %s — derive pseudo-randomness from seeded simulated state",
 						callee.Pkg().Name(), callee.Name(), pkg.Name)
 				}
 			}
 		case *ast.GoStmt:
-			if !inWaivedFunc(n.Pos(), "stepper") && !waivers.waived(pass.Fset, n.Pos()) {
+			if !inWaivedFunc(n.Pos(), "stepper") {
 				pass.Reportf(n.Pos(),
 					"go statement in determinism-checked package %s outside a //vpr:stepper function — the parallel stepper's memory gate is the only sanctioned concurrency site",
 					pkg.Name)
 			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, info, n, waivers)
+			checkMapRange(pass, info, n)
 		}
 		return true
 	})
@@ -100,15 +98,12 @@ func wallClockFunc(name string) bool {
 // checkMapRange flags a range over a map whose body writes a variable
 // declared outside the loop — the write order then depends on map
 // iteration order.
-func checkMapRange(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt, waivers waiverLines) {
+func checkMapRange(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt) {
 	tv, ok := info.Types[rng.X]
 	if !ok || tv.Type == nil {
 		return
 	}
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	if waivers.waived(pass.Fset, rng.Pos()) {
 		return
 	}
 	outerWrite := func(expr ast.Expr) *ast.Ident {
@@ -153,7 +148,7 @@ func checkMapRange(pass *analysis.Pass, info *types.Info, rng *ast.RangeStmt, wa
 	})
 	if leak != nil {
 		pass.Reportf(rng.Pos(),
-			"map-range loop writes %s, declared outside the loop — the result depends on map iteration order; iterate sorted keys or waive with //vpr:detexempt <order-insensitive reason>",
+			"map-range loop writes %s, declared outside the loop — the result depends on map iteration order; iterate sorted keys",
 			leak.Name)
 	}
 }

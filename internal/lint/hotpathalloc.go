@@ -36,52 +36,7 @@ var HotPathAlloc = &analysis.Analyzer{
 func runHotPathAlloc(pass *analysis.Pass) error {
 	idx := indexFuncs(pass.Pkgs)
 	waivers := collectWaiverLines(pass.Fset, pass.Pkgs, "allowalloc")
-
-	// provenance records how the traversal reached each hot function.
-	type provenance struct{ root, via string }
-	hot := make(map[string]provenance)
-	var queue []string
-	cold := make(map[string]bool)
-	for name, fn := range idx {
-		ds := funcDirectives(fn.decl)
-		if hasDirective(ds, "coldpath") {
-			cold[name] = true
-		}
-		if hasDirective(ds, "hotpath") {
-			hot[name] = provenance{root: name, via: name}
-			queue = append(queue, name)
-		}
-	}
-	sort.Strings(queue) // deterministic traversal order
-
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		fn := idx[name]
-		from := hot[name]
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeOf(fn.pkg.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			full := callee.FullName()
-			target, declared := idx[full]
-			if !declared || cold[full] {
-				return true // outside the module, or an explicit cold boundary
-			}
-			if _, seen := hot[full]; seen {
-				return true
-			}
-			_ = target
-			hot[full] = provenance{root: from.root, via: name}
-			queue = append(queue, full)
-			return true
-		})
-	}
+	hot := reachFrom(idx, "hotpath", nil)
 
 	// Check every hot function, in deterministic order, one finding per
 	// line (an fmt.Errorf call would otherwise report both the call and
@@ -98,7 +53,7 @@ func runHotPathAlloc(pass *analysis.Pass) error {
 			pkg:     fn.pkg,
 			waivers: waivers,
 			where:   shortName(name),
-			root:    shortName(hot[name].root),
+			root:    shortName(hot[name]),
 			seen:    make(map[int]bool),
 		}
 		c.checkFunc(fn.decl)

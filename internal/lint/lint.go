@@ -27,17 +27,14 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// waiverDirectives are the //vpr:*exempt / allow* directives that excuse
-// one finding each. CountWaivers backs vplint's -maxwaivers ratchet: the
-// committed baseline in the Makefile keeps waivers from silently
+// waiverDirectives are the directives that excuse one finding each.
+// CountWaivers backs the waiver ratchet in TestRepoClean: a committed
+// baseline per build-tag variant keeps waivers from silently
 // accumulating.
 var waiverDirectives = []string{
 	"allowalloc",
-	"statsexempt",
 	"nocachekey",
 	"phaseexempt",
-	"guardexempt",
-	"detexempt",
 }
 
 // CountWaivers counts every waiver directive in the loaded packages.

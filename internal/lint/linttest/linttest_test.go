@@ -7,9 +7,10 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-// Each fixture module seeds at least one violation per diagnostic family
-// next to conforming code, so these tests prove both directions: the
-// analyzer fires where it must and stays quiet where it must not.
+// Each fixture module seeds a violation for every diagnostic its
+// analyzer reports, next to conforming code, so these tests prove both
+// directions: the analyzer fires where it must and stays quiet where it
+// must not.
 
 func TestHotPathAllocFixture(t *testing.T) {
 	linttest.Run(t, "testdata/hotpathalloc", lint.HotPathAlloc)

@@ -1,6 +1,7 @@
-// Package fixture seeds annotcheck violations — a typo'd directive, four
-// misplacements, and malformed arguments — next to conforming directives
-// in every placement class. AnnotCheck takes no waiver: a bad directive
+// Package fixture seeds annotcheck violations — a typo'd directive,
+// misplacements on functions, types, fields, consts and interface
+// methods, and malformed arguments — next to conforming directives in
+// every placement class. AnnotCheck takes no waiver: a bad directive
 // is fixed, not excused, so the honored-waiver half of this fixture is
 // the conforming placements staying quiet.
 package fixture
@@ -26,7 +27,7 @@ func misplacedStats() {}
 type S struct {
 	// N shows a conforming field directive.
 	//
-	//vpr:statsexempt display only
+	//vpr:nocachekey display only
 	N int64
 }
 
@@ -45,19 +46,12 @@ func noArg() {}
 //vpr:hotpath gotta go fast // want `//vpr:hotpath takes no arguments, got "gotta go fast"`
 func chatty() {}
 
-// Port shows conforming interface placements: a type directive on the
-// declaration, method directives on its methods.
-//
-//vpr:memstate
+// Port is an interface: neither it nor its methods take directives.
 type Port interface {
 	// Write mutates.
 	//
-	//vpr:memphase
+	//vpr:memphase // want `//vpr:memphase is misplaced on a declaration that takes no directives — it belongs on a function declaration`
 	Write(v int)
-	// Len is read-only.
-	//
-	//vpr:phaseexempt read-only
-	Len() int
 }
 
 // Keyless puts the key-renderer directive on a struct instead of its

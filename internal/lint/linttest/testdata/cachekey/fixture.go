@@ -2,7 +2,8 @@
 // proofs: a GoString renderer that drops a field, a //vpr:keyfunc
 // renderer that drops a field, and a %#v struct with a non-canonical
 // field type — plus a //vpr:nocachekey observer waiver and fully
-// conforming structs alongside each.
+// conforming structs alongside each, and a //vpr:keyfunc naming no
+// cache-key struct.
 package fixture
 
 import "strconv"
@@ -75,3 +76,9 @@ type MCSpec struct {
 func MCKey(s MCSpec) string {
 	return s.Workload + "|" + s.Protocol
 }
+
+// keyOfSpecs names a type that carries no //vpr:cachekey, so it covers
+// nothing.
+//
+//vpr:keyfunc Specs // want `//vpr:keyfunc Specs names no //vpr:cachekey struct`
+func keyOfSpecs() string { return "" }

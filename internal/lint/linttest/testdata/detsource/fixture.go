@@ -1,6 +1,6 @@
 // Package fixture is determinism-checked: detsource flags host clocks,
 // host randomness, unsanctioned goroutines, and map-iteration-order
-// leaks here, each next to its waived or conforming twin.
+// leaks here, each next to its conforming twin.
 //
 //vpr:detpkg
 package fixture
@@ -27,12 +27,6 @@ func jitter() int {
 	return rand.Intn(8) // want `math/rand call rand.Intn in determinism-checked package fixture`
 }
 
-// logged reads the clock under a line waiver.
-func logged() int64 {
-	//vpr:detexempt fixture: value is logged, never fed back into state
-	return time.Now().Unix()
-}
-
 // spawn launches a goroutine outside the stepper.
 func spawn() {
 	go tick() // want `go statement in determinism-checked package fixture outside a //vpr:stepper function`
@@ -49,16 +43,6 @@ func launch() {
 func total(m map[string]int) int {
 	sum := 0
 	for _, v := range m { // want `map-range loop writes sum, declared outside the loop`
-		sum += v
-	}
-	return sum
-}
-
-// totalWaived is the same shape with its order-insensitivity argued.
-func totalWaived(m map[string]int) int {
-	sum := 0
-	//vpr:detexempt fixture: integer addition is order-insensitive
-	for _, v := range m {
 		sum += v
 	}
 	return sum

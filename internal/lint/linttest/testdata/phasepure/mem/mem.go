@@ -1,6 +1,5 @@
 // Package mem is the fixture's shared-memory surface: a //vpr:memstate
-// store with fenced and unfenced mutators, and a //vpr:memstate
-// interface with one unclassified method.
+// store with fenced and unfenced mutators.
 package mem
 
 // Store is the shared state behind the phase fence.
@@ -29,18 +28,3 @@ func (s *Store) Reset() { s.hits = 0 }
 
 // Hits reads a counter and never writes: off the surface by inference.
 func (s *Store) Hits() int64 { return s.hits }
-
-// Port is the access interface; every method must be classified.
-//
-//vpr:memstate
-type Port interface {
-	// Write mutates.
-	//
-	//vpr:memphase
-	Write(addr, v uint64)
-	// Hits is a read-only snapshot.
-	//
-	//vpr:phaseexempt fixture: read-only snapshot
-	Hits() int64
-	Bump() // want `method Bump of //vpr:memstate interface mem.Port carries neither //vpr:memphase nor //vpr:phaseexempt`
-}

@@ -1,12 +1,14 @@
-// Package fixture seeds reghygiene violations: a duplicate name in a
-// //vpr:registry table, a //vpr:register call and a registry write after
-// program start, a non-constant registration name, and a //vpr:lookup
-// call made during initialization — alongside the conforming init-time
-// registration path.
+// Package fixture seeds reghygiene violations: a duplicate name and an
+// entry with no static name in a //vpr:registry table, a table built by
+// a call, a table with no initializer, and a statement assigning a
+// table — alongside conforming entries and a read-only lookup.
 package fixture
 
 // Thing is one registry entry.
 type Thing struct{ Name string }
+
+// dynamic is a name known only at run time.
+var dynamic = "gamma"
 
 // registry is the static table.
 //
@@ -15,18 +17,27 @@ var registry = []Thing{
 	{Name: "alpha"},
 	{Name: "beta"},
 	{Name: "alpha"}, // want `duplicate name "alpha" in registry namespace "things"`
+	{Name: dynamic}, // want `registry "things" entry has no statically-known name`
 }
 
-// Register adds a thing; legal only while initializing.
+// built is filled by a call, so its names cannot be read statically.
 //
-//vpr:register things
-func Register(name string) {
-	registry = append(registry, Thing{Name: name})
+//vpr:registry built
+var built = makeThings() // want `//vpr:registry built table built is not initialized with a composite literal`
+
+// empty has no initializer at all.
+//
+//vpr:registry empty
+var empty []Thing // want `//vpr:registry empty table empty is not initialized with a composite literal`
+
+func makeThings() []Thing { return []Thing{{Name: "delta"}} }
+
+// init may not assign a table either: the literal is the whole table.
+func init() {
+	registry = append(registry, Thing{Name: "epsilon"}) // want `registry "things" is assigned by a statement`
 }
 
-// ByName resolves a thing; legal only after initialization.
-//
-//vpr:lookup things
+// ByName reads the table, which is always legal.
 func ByName(name string) (Thing, bool) {
 	for _, t := range registry {
 		if t.Name == name {
@@ -36,20 +47,5 @@ func ByName(name string) (Thing, bool) {
 	return Thing{}, false
 }
 
-func init() {
-	Register("gamma")
-	Register(pick())       // want `//vpr:register things call with a non-constant name`
-	_, _ = ByName("alpha") // want `//vpr:lookup things function ByName called during package initialization`
-}
-
-func pick() string { return "delta" }
-
-// Late runs after program start: neither registering nor mutating the
-// table is safe here.
-func Late() {
-	Register("epsilon") // want `call to //vpr:register things function Register outside init`
-	registry = nil      // want `registry "things" is mutated outside init`
-}
-
-// Use is the legal consumer path.
-func Use() (Thing, bool) { return ByName("beta") }
+// Use keeps the other tables referenced.
+func Use() int { return len(built) + len(empty) }

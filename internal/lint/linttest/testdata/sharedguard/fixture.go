@@ -1,7 +1,7 @@
 // Package fixture seeds sharedguard violations: a //vpr:shared field
 // with a non-atomic type, a shared slice whose element address escapes,
-// a waived raw read, and a //vpr:coreprivate field referenced from code
-// a stepper goroutine reaches.
+// a copied slice header, and a //vpr:coreprivate field referenced from
+// code a stepper goroutine reaches.
 package fixture
 
 import "sync/atomic"
@@ -75,10 +75,9 @@ func (p *padded) leakSlotField() *atomic.Int64 {
 	return &p.slots[0].memCycle // want `//vpr:shared field fixture.slot.memCycle used outside its atomic methods`
 }
 
-// snapshot copies the raw slice header under a waiver.
+// snapshot copies the raw slice header out of the atomic discipline.
 func (r *run) snapshot() []atomic.Int64 {
-	//vpr:guardexempt fixture: header copied only after the goroutines join
-	return r.memCycle
+	return r.memCycle // want `//vpr:shared field fixture.run.memCycle used outside its atomic methods`
 }
 
 // launch is the sanctioned goroutine site; everything its goroutines
@@ -99,6 +98,4 @@ func (r *run) loop() {
 // work is goroutine-reachable through loop and touches serial-only state.
 func (r *run) work() {
 	_ = r.scratch[0] // want `//vpr:coreprivate field fixture.run.scratch referenced from .*work`
-	//vpr:guardexempt fixture: this read is proven race-free by the join barrier
-	_ = r.scratch[1]
 }

@@ -1,6 +1,7 @@
 // Package fixture seeds statsflow violations: a //vpr:stats struct with
-// one counter its //vpr:statsink aggregate drops, one it folds in, one
-// explicitly exempted — and a second stats struct with no sink at all.
+// one counter its //vpr:statsink aggregate drops and one it folds in, a
+// second stats struct with no sink at all, and a sink naming no stats
+// struct.
 package fixture
 
 // Stats is the counter set the sink below must fold completely.
@@ -9,9 +10,6 @@ package fixture
 type Stats struct {
 	Hits   int64
 	Misses int64 // want `counter fixture.Stats.Misses is not referenced by any //vpr:statsink aggregate`
-	// Debug is derived at print time, never merged.
-	//vpr:statsexempt display only
-	Debug int64
 }
 
 // Add folds src into s — but forgets Misses.
@@ -27,3 +25,8 @@ func (s *Stats) Add(src Stats) {
 type Orphan struct { // want `//vpr:stats struct fixture.Orphan has no //vpr:statsink aggregate`
 	N int64
 }
+
+// merge names a type that carries no //vpr:stats, so it covers nothing.
+//
+//vpr:statsink Orphans // want `//vpr:statsink Orphans names no //vpr:stats struct`
+func merge() {}

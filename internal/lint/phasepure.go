@@ -17,9 +17,9 @@ import (
 // serializes, may.
 //
 // The surface is declared in the source: //vpr:memstate marks the shared
-// types (mem.L1, BankedL2, System), //vpr:memphase marks the
-// functions and interface methods allowed to touch them. Three checks
-// hold the two sides together:
+// structs (mem.L1, BankedL2, System, CohTracer), //vpr:memphase marks the
+// functions allowed to touch them. Three checks hold the two sides
+// together:
 //
 //  1. Purity: no call chain from a //vpr:computephase root reaches a
 //     surface member. //vpr:coldpath cuts traversal exactly as in
@@ -32,11 +32,10 @@ import (
 //     lint failure rather than a latent race.
 //  3. Inverse inclusion: every exported mutating method of a
 //     //vpr:memstate struct must carry //vpr:memphase (or a declaration
-//     //vpr:phaseexempt with its reason), and every method of a
-//     //vpr:memstate interface must be classified one way or the other —
-//     so new mem-layer methods cannot dodge the fence. Mutation is
-//     detected transitively: a method that writes a receiver field
-//     directly, or calls a receiver-rooted method that does.
+//     //vpr:phaseexempt with its reason), so new mem-layer methods cannot
+//     dodge the fence. Mutation is detected transitively: a method that
+//     writes a receiver field directly, or calls a receiver-rooted method
+//     that does.
 var PhasePure = &analysis.Analyzer{
 	Name: "phasepure",
 	Doc:  "//vpr:computephase code must never reach the //vpr:memphase shared-memory surface",
@@ -50,8 +49,7 @@ func runPhasePure(pass *analysis.Pass) error {
 	surf := collectSurface(pass, idx, mut)
 
 	checkInverseInclusion(pass, idx, mut)
-	reach := checkPurity(pass, idx, surf, waivers)
-	checkContainment(pass, idx, surf, reach, waivers)
+	checkSurfaceCalls(pass, idx, surf, waivers)
 	return nil
 }
 
@@ -63,10 +61,8 @@ type surface struct {
 	inPhase map[string]bool   // functions carrying //vpr:memphase
 }
 
-// collectSurface gathers //vpr:memphase functions, the per-method
-// classification of //vpr:memstate interfaces, and the mutating methods
-// of //vpr:memstate structs. Interface methods left unclassified are
-// reported here (inverse inclusion for interfaces).
+// collectSurface gathers //vpr:memphase functions and the mutating
+// methods of //vpr:memstate structs.
 func collectSurface(pass *analysis.Pass, idx map[string]funcDecl, mut *mutatorSet) *surface {
 	s := &surface{
 		members: make(map[string]string),
@@ -92,127 +88,39 @@ func collectSurface(pass *analysis.Pass, idx map[string]funcDecl, mut *mutatorSe
 	}
 	// Mutating methods of //vpr:memstate structs.
 	for name := range mut.mutating {
-		if t := mut.recvType[name]; t != "" && mut.memstateStructs[t] {
+		if t := mut.recvType[name]; mut.memstateStructs[t] != nil {
 			if _, ok := s.members[name]; !ok {
 				s.members[name] = "mutating method of //vpr:memstate type " + shortName(t)
 			}
 		}
 	}
-	// //vpr:memstate interfaces: every method must carry //vpr:memphase
-	// (surface) or //vpr:phaseexempt (read-only).
-	forEachTypeSpec(pass, func(pkg *analysis.Package, gd *ast.GenDecl, ts *ast.TypeSpec) {
-		it, ok := ts.Type.(*ast.InterfaceType)
-		if !ok || !hasDirective(parseDirectives(gd.Doc, ts.Doc, ts.Comment), "memstate") {
-			return
-		}
-		for _, m := range it.Methods.List {
-			if len(m.Names) == 0 {
-				continue // embedded interface
-			}
-			fn, _ := pkg.TypesInfo.Defs[m.Names[0]].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			ds := fieldDirectives(m)
-			switch {
-			case hasDirective(ds, "memphase"):
-				s.members[fn.FullName()] = "//vpr:memphase method of //vpr:memstate interface " + ts.Name.Name
-			case hasDirective(ds, "phaseexempt"):
-				s.exempt[fn.FullName()] = true
-			default:
-				pass.Reportf(m.Names[0].Pos(),
-					"method %s of //vpr:memstate interface %s.%s carries neither //vpr:memphase nor //vpr:phaseexempt — classify it so the phase fence covers it",
-					m.Names[0].Name, pkg.Name, ts.Name.Name)
-			}
-		}
-	})
 	for name := range s.exempt {
 		delete(s.members, name)
 	}
 	return s
 }
 
-// checkPurity walks the static call graph from every //vpr:computephase
-// root and reports each unwaived edge into the surface. Returns the set
-// of compute-reachable functions (containment skips them — their surface
-// calls are already reported here).
-func checkPurity(pass *analysis.Pass, idx map[string]funcDecl, surf *surface, waivers waiverLines) map[string]bool {
-	type provenance struct{ root string }
-	reach := make(map[string]provenance)
-	cold := make(map[string]bool)
-	var queue []string
-	for name, fn := range idx {
-		ds := funcDirectives(fn.decl)
-		if hasDirective(ds, "coldpath") {
-			cold[name] = true
-		}
-		if hasDirective(ds, "computephase") {
-			reach[name] = provenance{root: name}
-			queue = append(queue, name)
-		}
-	}
-	sort.Strings(queue) // deterministic traversal order
-
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		fn := idx[name]
-		from := reach[name]
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeOf(fn.pkg.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			full := callee.FullName()
-			if why, onSurface := surf.members[full]; onSurface {
-				if !waivers.waived(pass.Fset, call.Pos()) {
-					suffix := ""
-					if from.root != name {
-						suffix = " (compute phase via " + shortName(from.root) + ")"
-					}
-					pass.Reportf(call.Pos(),
-						"compute-phase function %s%s calls %s (%s) — only the gate-serialized memory phase may touch shared memory state; move the call into //vpr:memphase code or waive the edge with //vpr:phaseexempt <reason>",
-						shortName(name), suffix, shortName(full), why)
-				}
-				return true // the surface is a boundary either way
-			}
-			target, declared := idx[full]
-			if !declared || cold[full] {
-				return true
-			}
-			if _, seen := reach[full]; seen {
-				return true
-			}
-			_ = target
-			reach[full] = provenance{root: from.root}
-			queue = append(queue, full)
-			return true
-		})
-	}
-	out := make(map[string]bool, len(reach))
-	for name := range reach {
-		out[name] = true
-	}
-	return out
-}
-
-// checkContainment enforces the fence from the caller side: any call to
-// a surface member whose target is declared in another package must come
-// from a function that is itself //vpr:memphase (or declaration-waived).
-// Compute-reachable callers are skipped — purity already reported them.
-// Calls within the surface type's own package are the implementation.
-func checkContainment(pass *analysis.Pass, idx map[string]funcDecl, surf *surface, reach map[string]bool, waivers waiverLines) {
+// checkSurfaceCalls reports every unwaived call into the surface from
+// code outside the memory phase. A function statically reachable from a
+// //vpr:computephase root breaks purity with any such call (the walk
+// stops at the surface, so each edge is reported once, at its caller).
+// Any other function breaks containment when it calls a surface member
+// declared in another package without carrying //vpr:memphase or a
+// declaration //vpr:phaseexempt; calls within the surface type's own
+// package are its implementation.
+func checkSurfaceCalls(pass *analysis.Pass, idx map[string]funcDecl, surf *surface, waivers waiverLines) {
+	reach := reachFrom(idx, "computephase", func(callee string) bool {
+		_, onSurface := surf.members[callee]
+		return onSurface
+	})
 	names := make([]string, 0, len(idx))
 	for name := range idx {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if surf.inPhase[name] || surf.exempt[name] || reach[name] {
+		root, compute := reach[name]
+		if !compute && (surf.inPhase[name] || surf.exempt[name]) {
 			continue
 		}
 		fn := idx[name]
@@ -227,15 +135,23 @@ func checkContainment(pass *analysis.Pass, idx map[string]funcDecl, surf *surfac
 			}
 			full := callee.FullName()
 			why, onSurface := surf.members[full]
-			if !onSurface || callee.Pkg().Path() == fn.pkg.ImportPath {
+			if !onSurface || waivers.waived(pass.Fset, call.Pos()) {
 				return true
 			}
-			if waivers.waived(pass.Fset, call.Pos()) {
-				return true
+			switch {
+			case compute:
+				suffix := ""
+				if root != name {
+					suffix = " (compute phase via " + shortName(root) + ")"
+				}
+				pass.Reportf(call.Pos(),
+					"compute-phase function %s%s calls %s (%s) — only the gate-serialized memory phase may touch shared memory state; move the call into //vpr:memphase code or waive the edge with //vpr:phaseexempt <reason>",
+					shortName(name), suffix, shortName(full), why)
+			case callee.Pkg().Path() != fn.pkg.ImportPath:
+				pass.Reportf(call.Pos(),
+					"%s calls %s (%s) outside the memory phase — annotate the caller //vpr:memphase or waive with //vpr:phaseexempt <reason>",
+					shortName(name), shortName(full), why)
 			}
-			pass.Reportf(call.Pos(),
-				"%s calls %s (%s) outside the memory phase — annotate the caller //vpr:memphase or waive with //vpr:phaseexempt <reason>",
-				shortName(name), shortName(full), why)
 			return true
 		})
 	}
@@ -254,7 +170,7 @@ func checkInverseInclusion(pass *analysis.Pass, idx map[string]funcDecl, mut *mu
 	for _, name := range names {
 		fn := idx[name]
 		t := mut.recvType[name]
-		if t == "" || !mut.memstateStructs[t] || !fn.decl.Name.IsExported() {
+		if mut.memstateStructs[t] == nil || !fn.decl.Name.IsExported() {
 			continue
 		}
 		ds := funcDirectives(fn.decl)
@@ -270,9 +186,9 @@ func checkInverseInclusion(pass *analysis.Pass, idx map[string]funcDecl, mut *mu
 // mutatorSet is the transitive does-it-mutate-its-receiver analysis over
 // every declared method in the module.
 type mutatorSet struct {
-	mutating        map[string]bool   // method full name -> writes receiver state
-	recvType        map[string]string // method full name -> receiver named type full name
-	memstateStructs map[string]bool   // //vpr:memstate struct full type names
+	mutating        map[string]bool         // method full name -> writes receiver state
+	recvType        map[string]string       // method full name -> receiver named type full name
+	memstateStructs map[string]*annotStruct // //vpr:memstate structs by full type name
 }
 
 // collectMutators computes, for every method, whether it writes state
@@ -284,16 +200,8 @@ func collectMutators(pass *analysis.Pass, idx map[string]funcDecl) *mutatorSet {
 	m := &mutatorSet{
 		mutating:        make(map[string]bool),
 		recvType:        make(map[string]string),
-		memstateStructs: make(map[string]bool),
+		memstateStructs: collectAnnotatedStructs(pass, "memstate"),
 	}
-	forEachTypeSpec(pass, func(pkg *analysis.Package, gd *ast.GenDecl, ts *ast.TypeSpec) {
-		if _, ok := ts.Type.(*ast.StructType); !ok {
-			return
-		}
-		if hasDirective(parseDirectives(gd.Doc, ts.Doc, ts.Comment), "memstate") {
-			m.memstateStructs[pkg.ImportPath+"."+ts.Name.Name] = true
-		}
-	})
 
 	edges := make(map[string][]string) // method -> receiver-rooted callees
 	for name, fn := range idx {

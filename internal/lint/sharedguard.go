@@ -18,8 +18,7 @@ import (
 //     call (Load/Store/...), a range over the slice, or len/cap. Taking
 //     an element's address into a variable, copying the slice header, or
 //     assigning the field directly would let a plain read race past the
-//     happens-before edges the gate publishes; //vpr:guardexempt on (or
-//     above) the line waives one finding with its reason.
+//     happens-before edges the gate publishes.
 //
 //   - //vpr:coreprivate fields belong to the serial control plane. They
 //     must never be referenced from any function statically reachable
@@ -44,7 +43,6 @@ type guardedField struct {
 
 func runSharedGuard(pass *analysis.Pass) error {
 	idx := indexFuncs(pass.Pkgs)
-	waivers := collectWaiverLines(pass.Fset, pass.Pkgs, "guardexempt")
 	shared := collectGuardedFields(pass, "shared")
 	private := collectGuardedFields(pass, "coreprivate")
 
@@ -55,8 +53,8 @@ func runSharedGuard(pass *analysis.Pass) error {
 				shortName(f.structFull), f.name, f.ftype.String())
 		}
 	}
-	checkSharedUses(pass, shared, waivers)
-	checkCorePrivate(pass, idx, private, waivers)
+	checkSharedUses(pass, shared)
+	checkCorePrivate(pass, idx, private)
 	return nil
 }
 
@@ -135,7 +133,7 @@ func isGuardedSelector(info *types.Info, sel *ast.SelectorExpr, fields []guarded
 // checkSharedUses verifies every selector of a //vpr:shared field is the
 // receiver of an atomic method call (possibly through an index), the
 // subject of a range statement, or a len/cap argument.
-func checkSharedUses(pass *analysis.Pass, shared []guardedField, waivers waiverLines) {
+func checkSharedUses(pass *analysis.Pass, shared []guardedField) {
 	if len(shared) == 0 {
 		return
 	}
@@ -185,11 +183,8 @@ func checkSharedUses(pass *analysis.Pass, shared []guardedField, waivers waiverL
 				if f == nil || allowed[sel] {
 					return true
 				}
-				if waivers.waived(pass.Fset, sel.Pos()) {
-					return true
-				}
 				pass.Reportf(sel.Pos(),
-					"//vpr:shared field %s.%s used outside its atomic methods — plain reads, copies, and address escapes race with the stepper goroutines; use Load/Store or waive with //vpr:guardexempt <reason>",
+					"//vpr:shared field %s.%s used outside its atomic methods — plain reads, copies, and address escapes race with the stepper goroutines; use Load/Store",
 					shortName(f.structFull), f.name)
 				return true
 			})
@@ -209,7 +204,7 @@ func namedOf(t types.Type) types.Type {
 // checkCorePrivate computes the static closure of every goroutine
 // launched inside a //vpr:stepper function and reports any reference to
 // a //vpr:coreprivate field from inside it.
-func checkCorePrivate(pass *analysis.Pass, idx map[string]funcDecl, private []guardedField, waivers waiverLines) {
+func checkCorePrivate(pass *analysis.Pass, idx map[string]funcDecl, private []guardedField) {
 	if len(private) == 0 {
 		return
 	}
@@ -286,11 +281,11 @@ func checkCorePrivate(pass *analysis.Pass, idx map[string]funcDecl, private []gu
 				return true
 			}
 			f := isGuardedSelector(pkg.TypesInfo, sel, private)
-			if f == nil || waivers.waived(pass.Fset, sel.Pos()) {
+			if f == nil {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"//vpr:coreprivate field %s.%s referenced from %s, which a stepper goroutine can reach — serial-only state must stay off the concurrent phases; restructure or waive with //vpr:guardexempt <reason>",
+				"//vpr:coreprivate field %s.%s referenced from %s, which a stepper goroutine can reach — serial-only state must stay off the concurrent phases",
 				shortName(f.structFull), f.name, where)
 			return true
 		})

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"slices"
 	"sort"
 
 	"repro/internal/lint/analysis"
@@ -14,64 +15,25 @@ import (
 // ((*mem.Stats).Add, pipeline.addStats, (*pipeline.Multicore).Aggregate).
 // A counter added to the struct but not to a sink is silently dropped
 // from every aggregated result; that is the bug class this analyzer
-// turns into a build failure. Fields that are derived in the sinks
-// rather than merged can be waived with //vpr:statsexempt <reason>.
+// turns into a build failure.
 var StatsFlow = &analysis.Analyzer{
 	Name: "statsflow",
 	Doc:  "every //vpr:stats counter must be referenced by a //vpr:statsink aggregate",
 	Run:  runStatsFlow,
 }
 
-// annotStruct is one annotated counter struct.
+// annotStruct is one annotated struct.
 type annotStruct struct {
 	pkg      *analysis.Package
 	pkgName  string
 	typeName string
 	fullName string // importpath.Name
 	st       *ast.StructType
-	sinks    []funcDecl
 }
 
 func runStatsFlow(pass *analysis.Pass) error {
 	structs := collectAnnotatedStructs(pass, "stats")
-	if len(structs) == 0 {
-		return nil
-	}
-
-	// Attach sinks: any function annotated //vpr:statsink TYPE in any
-	// loaded package.
-	for _, pkg := range pass.Pkgs {
-		for _, file := range pkg.Syntax {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				for _, dir := range funcDirectives(fd) {
-					if dir.name != "statsink" {
-						continue
-					}
-					if len(dir.args) != 1 {
-						pass.Reportf(dir.pos, "//vpr:statsink needs exactly one type argument")
-						continue
-					}
-					matched := false
-					for _, s := range structs {
-						same := pkg.ImportPath == s.pkg.ImportPath
-						if (same && typeRefMatches(dir.args[0], s.pkgName, s.typeName)) ||
-							(!same && dir.args[0] == s.pkgName+"."+s.typeName) {
-							s.sinks = append(s.sinks, funcDecl{pkg: pkg, decl: fd})
-							matched = true
-						}
-					}
-					if !matched {
-						pass.Reportf(dir.pos, "//vpr:statsink %s names no //vpr:stats struct", dir.args[0])
-					}
-				}
-			}
-		}
-	}
-
+	sinks := attachFuncs(pass, "statsink", "stats", structs)
 	names := make([]string, 0, len(structs))
 	for n := range structs {
 		names = append(names, n)
@@ -79,80 +41,80 @@ func runStatsFlow(pass *analysis.Pass) error {
 	sort.Strings(names)
 	for _, n := range names {
 		s := structs[n]
-		if len(s.sinks) == 0 {
+		if len(sinks[n]) == 0 {
 			pass.Reportf(s.st.Pos(), "//vpr:stats struct %s.%s has no //vpr:statsink aggregate — annotate its merge function",
 				s.pkgName, s.typeName)
 			continue
 		}
-		checkStatsStruct(pass, s)
+		for _, name := range unreferencedFields(s, sinks[n], "") {
+			pass.Reportf(name.Pos(),
+				"counter %s.%s.%s is not referenced by any //vpr:statsink aggregate — it is silently dropped from merged results; plumb it through",
+				s.pkgName, s.typeName, name.Name)
+		}
 	}
 	return nil
 }
 
-// collectAnnotatedStructs finds every struct type whose declaration
-// carries the given directive, keyed by full name.
-func collectAnnotatedStructs(pass *analysis.Pass, directiveName string) map[string]*annotStruct {
-	out := make(map[string]*annotStruct)
-	for _, pkg := range pass.Pkgs {
-		for _, file := range pkg.Syntax {
-			for _, d := range file.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok {
-					continue
+// attachFuncs maps each annotated struct's full name to the functions
+// whose directive (//vpr:statsink TYPE, //vpr:keyfunc TYPE) names it, and
+// reports a directive that names none of them: its check would silently
+// cover nothing. TYPE may omit the package name within the struct's own
+// package; from any other package it is "pkgname.Type" (the package
+// name, not the import path, which is unambiguous within this module).
+func attachFuncs(pass *analysis.Pass, directive, structDirective string, structs map[string]*annotStruct) map[string][]funcDecl {
+	out := make(map[string][]funcDecl)
+	for _, fn := range indexFuncs(pass.Pkgs) {
+		for _, dir := range funcDirectives(fn.decl) {
+			if dir.name != directive || len(dir.args) != 1 {
+				continue
+			}
+			matched := false
+			for full, s := range structs {
+				if dir.args[0] == s.pkgName+"."+s.typeName ||
+					(dir.args[0] == s.typeName && fn.pkg.ImportPath == s.pkg.ImportPath) {
+					out[full] = append(out[full], fn)
+					matched = true
 				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					ds := parseDirectives(gd.Doc, ts.Doc, ts.Comment)
-					if !hasDirective(ds, directiveName) {
-						continue
-					}
-					full := pkg.ImportPath + "." + ts.Name.Name
-					out[full] = &annotStruct{
-						pkg:      pkg,
-						pkgName:  pkg.Name,
-						typeName: ts.Name.Name,
-						fullName: full,
-						st:       st,
-					}
-				}
+			}
+			if !matched {
+				pass.Reportf(dir.pos, "//vpr:%s %s names no //vpr:%s struct", directive, dir.args[0], structDirective)
 			}
 		}
 	}
 	return out
 }
 
-// checkStatsStruct verifies each field reaches a sink.
-func checkStatsStruct(pass *analysis.Pass, s *annotStruct) {
+// collectAnnotatedStructs finds every struct type whose declaration
+// carries the given directive, keyed by full name.
+func collectAnnotatedStructs(pass *analysis.Pass, directiveName string) map[string]*annotStruct {
+	out := make(map[string]*annotStruct)
+	forEachTypeSpec(pass, func(pkg *analysis.Package, gd *ast.GenDecl, ts *ast.TypeSpec) {
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok || !hasDirective(parseDirectives(gd.Doc, ts.Doc, ts.Comment), directiveName) {
+			return
+		}
+		full := pkg.ImportPath + "." + ts.Name.Name
+		out[full] = &annotStruct{pkg: pkg, pkgName: pkg.Name, typeName: ts.Name.Name, fullName: full, st: st}
+	})
+	return out
+}
+
+// unreferencedFields returns the struct's field names that no function
+// in fns selects, skipping fields that carry the waiver directive (none,
+// when waiver is empty).
+func unreferencedFields(s *annotStruct, fns []funcDecl, waiver string) []*ast.Ident {
+	var out []*ast.Ident
 	for _, field := range s.st.Fields.List {
-		if hasDirective(fieldDirectives(field), "statsexempt") {
+		if hasDirective(fieldDirectives(field), waiver) {
 			continue
 		}
 		for _, name := range field.Names {
-			if !referencedInAny(s, name.Name) {
-				pass.Reportf(name.Pos(),
-					"counter %s.%s.%s is not referenced by any //vpr:statsink aggregate — it is silently dropped from merged results; plumb it through or waive with //vpr:statsexempt <reason>",
-					s.pkgName, s.typeName, name.Name)
+			if !slices.ContainsFunc(fns, func(fn funcDecl) bool { return selectsField(fn, s.fullName, name.Name) }) {
+				out = append(out, name)
 			}
 		}
 	}
-}
-
-// referencedInAny reports whether any sink body selects fieldName on a
-// value of the struct's type.
-func referencedInAny(s *annotStruct, fieldName string) bool {
-	for _, sink := range s.sinks {
-		if selectsField(sink, s.fullName, fieldName) {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // selectsField reports whether fn's body contains a selector

@@ -81,8 +81,6 @@ type DirectoryKindInfo struct {
 }
 
 // DirectoryKinds lists the registered representations, default first.
-//
-//vpr:lookup directory-kinds
 func DirectoryKinds() []DirectoryKindInfo {
 	out := make([]DirectoryKindInfo, len(directoryKinds))
 	for i, e := range directoryKinds {
@@ -140,8 +138,6 @@ func splitDirectoryKind(kind string) (directoryKindEntry, int, error) {
 // NewDirectory builds one bank's directory of the given kind ("" =
 // fullmap; "limited" or "limited:N" for the pointer scheme) over sets
 // sets tracking cores cores.
-//
-//vpr:lookup directory-kinds
 func NewDirectory(kind string, sets, cores int) (Directory, error) {
 	e, arg, err := splitDirectoryKind(kind)
 	if err != nil {

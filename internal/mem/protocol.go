@@ -388,8 +388,6 @@ var protocols = []protocolEntry{
 const DefaultProtocol = "msi"
 
 // Protocols lists the registered protocols, default first.
-//
-//vpr:lookup coherence-protocols
 func Protocols() []Protocol {
 	out := make([]Protocol, len(protocols))
 	for i, e := range protocols {
@@ -400,8 +398,6 @@ func Protocols() []Protocol {
 
 // ProtocolByName resolves a protocol name; the empty string selects the
 // default (MSI).
-//
-//vpr:lookup coherence-protocols
 func ProtocolByName(name string) (Protocol, error) {
 	if name == "" {
 		name = DefaultProtocol

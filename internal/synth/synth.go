@@ -176,8 +176,6 @@ var presets = []Preset{
 }
 
 // ByName resolves a preset name to its parameters.
-//
-//vpr:lookup synth-presets
 func ByName(name string) (Params, bool) {
 	for _, p := range presets {
 		if p.Name == name {

@@ -66,8 +66,6 @@ func Catalog() []Spec {
 }
 
 // Names returns the workload names in catalog order.
-//
-//vpr:lookup workloads
 func Names() []string {
 	names := make([]string, len(catalog))
 	for i, s := range catalog {
@@ -77,8 +75,6 @@ func Names() []string {
 }
 
 // ByName finds a workload.
-//
-//vpr:lookup workloads
 func ByName(name string) (Spec, bool) {
 	for _, s := range catalog {
 		if s.Name == name {
