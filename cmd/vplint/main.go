@@ -11,7 +11,7 @@
 //	cachekey      every //vpr:cachekey field must render into the
 //	              engine's canonical result-cache key
 //	reghygiene    //vpr:registry tables are static literals with unique
-//	              names, never assigned
+//	              names, never written
 //	phasepure     //vpr:computephase code must never reach the
 //	              //vpr:memphase shared-memory surface
 //	sharedguard   //vpr:shared gate fields stay atomic and

@@ -57,7 +57,7 @@ func main() {
 		instr    = flag.Int64("instr", 200_000, "instructions per simulation")
 		bench    = flag.String("workloads", "", "comma-separated workload subset (default: all nine)")
 		md       = flag.Bool("md", false, "emit Markdown (for EXPERIMENTS.md)")
-		progress = flag.Bool("progress", false, "print per-run progress to stderr")
+		progress = flag.Bool("progress", false, "print a line per completed point (ran or cached) to stderr")
 		par      = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS); results are identical at any level")
 		cores    = flag.String("cores", "", "core counts for the multicore/coherence experiments (comma-separated; defaults 1,2,4 and 2,4)")
 		l2       = flag.String("l2", "", "shared L2 geometry for the multicore/coherence experiments: SIZE[:BANKS], e.g. 256K:4 or 1M:8")
@@ -108,11 +108,9 @@ func main() {
 	}
 	engineOpts := []vpr.EngineOption{vpr.WithParallelism(*par)}
 	if *progress {
-		toStderr := func(format string, args ...any) {
+		engineOpts = append(engineOpts, vpr.WithProgress(func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-		opts.Progress = toStderr
-		engineOpts = append(engineOpts, vpr.WithProgress(toStderr))
+		}))
 	}
 	eng := vpr.New(engineOpts...)
 

@@ -108,8 +108,8 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// CacheStats reports lifetime cache hits and misses (zeros when caching is
-// disabled).
+// CacheStats reports lifetime result-cache hits and misses (zeros when
+// caching is disabled).
 func (e *Engine) CacheStats() (hits, misses int64) {
 	if e.cache == nil {
 		return 0, 0
@@ -128,9 +128,10 @@ func (e *Engine) report(outcome string, label func() string) {
 	e.progress("engine: %s %s", outcome, label())
 }
 
-// Run executes one point, consulting and populating the cache. Probed
-// specs (an attached engine probe or Config.Policies.Probe) bypass the
-// cache read so the probe always observes a real simulation.
+// Run simulates one point under ctx, consulting and populating the
+// result cache. Probed specs (an attached engine probe or
+// Config.Policies.Probe) bypass the cache read so the probe always
+// observes a real simulation.
 func (e *Engine) Run(ctx context.Context, spec sim.Spec) (sim.Result, error) {
 	return e.run(ctx, spec, sim.RunContext)
 }
@@ -149,11 +150,12 @@ func (e *Engine) run(ctx context.Context, spec sim.Spec,
 		})
 }
 
-// RunSMT executes one multithreaded point, consulting and populating the
-// cache. The same probe handling as Run applies.
+// RunSMT simulates one multithreaded machine under ctx: one workload per
+// hardware thread sharing the pipeline, cache and physical register
+// files. It consults and populates the cache; the same probe handling as
+// Run applies.
 func (e *Engine) RunSMT(ctx context.Context, spec sim.SMTSpec) (sim.SMTResult, error) {
-	return cachedRun(ctx, e, &spec.Config, smtKey(spec), true,
-		func() string { return fmt.Sprintf("smt %v", spec.Workloads) }, copySMTResult,
+	return cachedRun(ctx, e, &spec.Config, smtKey(spec), true, spec.Label, copySMTResult,
 		func(ctx context.Context) (sim.SMTResult, error) { return sim.RunSMTContext(ctx, spec) })
 }
 
@@ -165,13 +167,14 @@ func copySMTResult(r sim.SMTResult) sim.SMTResult {
 	return r
 }
 
-// RunMulticore executes one multi-core point, consulting and populating
-// the cache; the key covers the per-core machine and the shared-L2
-// memory configuration. The same probe handling as Run applies (the
-// probe reaches every core).
+// RunMulticore simulates one multi-core machine under ctx: one workload
+// per core, private L1s over the banked shared L2, the cores stepped as
+// spec.Step selects (cycle-lockstep by default). It consults and
+// populates the cache under a key covering the per-core machine and the
+// shared-L2 memory configuration. The same probe handling as Run applies
+// (the probe reaches every core).
 func (e *Engine) RunMulticore(ctx context.Context, spec sim.MulticoreSpec) (sim.MulticoreResult, error) {
-	return cachedRun(ctx, e, &spec.Config, multicoreKey(spec), true,
-		func() string { return fmt.Sprintf("multicore %v", spec.Workloads) }, copyMulticoreResult,
+	return cachedRun(ctx, e, &spec.Config, multicoreKey(spec), true, spec.Label, copyMulticoreResult,
 		func(ctx context.Context) (sim.MulticoreResult, error) { return sim.RunMulticoreContext(ctx, spec) })
 }
 
@@ -246,8 +249,8 @@ func cachedRun[R any](ctx context.Context, e *Engine, cfg *pipeline.Config, key 
 // order. The first error cancels the remaining work and is returned; if
 // ctx is cancelled, the returned error satisfies errors.Is(err,
 // ctx.Err()) (a cancellation that lands mid-simulation arrives wrapped
-// with the workload name). Results are identical at every parallelism
-// level.
+// with the workload name). A spec whose run panics fails with a
+// *PanicError. Results are identical at every parallelism level.
 //
 // Each worker keeps one spare machine per scheme (sim.Spares) for the
 // life of the call: a point it simulates resets its scheme's spare
@@ -271,7 +274,8 @@ func (e *Engine) RunSMTBatch(ctx context.Context, specs []sim.SMTSpec) ([]sim.SM
 
 // RunMulticoreBatch is RunBatch for multi-core points. The sharding is
 // across machines: each machine's cores are stepped by one worker's
-// RunMulticore call, on a machine of its own.
+// RunMulticore call, on a machine of its own, and results return in spec
+// order.
 func (e *Engine) RunMulticoreBatch(ctx context.Context, specs []sim.MulticoreSpec) ([]sim.MulticoreResult, error) {
 	return batch(ctx, e.parallelism, specs, func() func(context.Context, sim.MulticoreSpec) (sim.MulticoreResult, error) {
 		return e.RunMulticore

@@ -15,6 +15,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/synth"
 	"repro/internal/workloads"
 )
 
@@ -493,5 +494,61 @@ func checkBudgetErr(t *testing.T, call string, err error) {
 		t.Errorf("%s ran a point without a budget until the deadline: %v", call, err)
 	case !strings.Contains(err.Error(), "instruction budget"):
 		t.Errorf("%s: error %q does not name the instruction budget", call, err)
+	}
+}
+
+// TestPresetWorkloads: every spec kind draws its workload names from one
+// namespace, so a single-core or SMT spec may name a "synth:" preset, a
+// preset run caches like a catalog run and equals the same preset driven
+// as a custom generator, and an unknown name fails every kind alike.
+func TestPresetWorkloads(t *testing.T) {
+	ctx := context.Background()
+	var sims atomic.Int64
+	eng := New(WithRunHook(func(sim.Spec) { sims.Add(1) }))
+	named := sim.Spec{Workload: "synth:sharing", Config: pipeline.DefaultConfig(), MaxInstr: 5000}
+	first, err := eng.Run(ctx, named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Committed != named.MaxInstr {
+		t.Errorf("preset run committed %d of %d instructions", first.Stats.Committed, named.MaxInstr)
+	}
+	if _, err := eng.Run(ctx, named); err != nil {
+		t.Fatal(err)
+	}
+	if n := sims.Load(); n != 1 {
+		t.Errorf("a repeated preset spec simulated %d times, want 1 (the repeat hits the cache)", n)
+	}
+	custom, err := eng.Run(ctx, sim.Spec{Gen: synth.New(synth.Sharing()), GenID: "sharing",
+		Config: pipeline.DefaultConfig(), MaxInstr: named.MaxInstr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if custom.Stats.Arch() != first.Stats.Arch() {
+		t.Error("the preset named as a workload and driven as a custom generator differ")
+	}
+
+	smtCfg := pipeline.DefaultConfig() // two threads: 64 logical + 32 renaming registers per file
+	smtCfg.Rename.PhysRegs, smtCfg.Rename.NRRInt, smtCfg.Rename.NRRFP = 96, 16, 16
+	smt, err := eng.RunSMT(ctx, sim.SMTSpec{Workloads: []string{"synth:sharing", "compress"},
+		Config: smtCfg, MaxInstrPerThread: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{2000, 2000}; !reflect.DeepEqual(smt.PerThreadCommitted, want) {
+		t.Errorf("SMT run over a preset committed %v per thread, want %v", smt.PerThreadCommitted, want)
+	}
+
+	const want = `sim: unknown workload "nonesuch"`
+	_, err = eng.Run(ctx, sim.Spec{Workload: "nonesuch", Config: pipeline.DefaultConfig(), MaxInstr: testInstr})
+	errs := map[string]error{"Run": err}
+	_, errs["RunSMT"] = eng.RunSMT(ctx, sim.SMTSpec{Workloads: []string{"compress", "nonesuch"},
+		Config: smtCfg, MaxInstrPerThread: testInstr})
+	_, errs["RunMulticore"] = eng.RunMulticore(ctx, sim.MulticoreSpec{Workloads: []string{"nonesuch"},
+		Config: pipeline.DefaultConfig(), MaxInstrPerCore: testInstr})
+	for call, err := range errs {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s with an unknown workload: err = %v, want %q", call, err, want)
+		}
 	}
 }

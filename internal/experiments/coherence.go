@@ -49,31 +49,6 @@ var coherenceDefaultWorkloads = []string{
 // coherenceProtocols is the protocol axis of the grid.
 var coherenceProtocols = []string{"msi", "mesi", "moesi"}
 
-// coherenceSchemes compares the paper's baseline against its headline
-// scheme under coherence traffic.
-var coherenceSchemes = []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback}
-
-// checkMulticoreWorkloads validates workload names that may be catalog
-// kernels or "synth:" presets — the namespace MulticoreSpec accepts,
-// defined once by sim.CheckMulticoreWorkload.
-func checkMulticoreWorkloads(names []string) error {
-	for _, name := range names {
-		if err := sim.CheckMulticoreWorkload(name); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
-	return nil
-}
-
-// withCoherenceDefaults applies the pattern grid when the caller did not
-// restrict the workload set.
-func withCoherenceDefaults(opts Options) Options {
-	if len(opts.Workloads) == 0 {
-		opts.Workloads = coherenceDefaultWorkloads
-	}
-	return opts
-}
-
 // coherencePlan sweeps pattern × cores × scheme, and per point runs the
 // workload shared-coherence-free once (the PR-4 timing, protocol-
 // independent), then shared under each registered protocol, then
@@ -81,49 +56,36 @@ func withCoherenceDefaults(opts Options) Options {
 // sharing invalidations). The per-core instruction budget divides the
 // option's budget, as in the multicore experiment.
 func coherencePlan(opts Options) (Plan, error) {
-	if err := checkMulticoreWorkloads(opts.Workloads); err != nil {
+	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err
 	}
-	coreCounts := opts.Cores
-	if len(coreCounts) == 0 {
-		coreCounts = coherenceDefaultCores
-	}
-	for _, n := range coreCounts {
-		if n < 1 {
-			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
-		}
-		if err := opts.checkSplit(n, "cores"); err != nil {
-			return Plan{}, err
-		}
-	}
-	if _, err := opts.stepMode(); err != nil {
+	coreCounts, err := opts.counts(opts.Cores, coherenceDefaultCores, 1, "core")
+	if err != nil {
 		return Plan{}, err
 	}
-	if err := opts.checkCoherenceSelections(); err != nil {
+	if err := opts.checkMulticore(); err != nil {
 		return Plan{}, err
 	}
 	protocols := coherenceProtocols
 	if opts.Protocol != "" {
 		protocols = []string{opts.Protocol}
 	}
-	l2 := opts.l2Config()
-	names := opts.Workloads
+	names := opts.workloads()
 	point := func(name string, scheme core.Scheme, cores int, shared, coherent bool, proto string) sim.MulticoreSpec {
-		spec := multicorePointSpec(name, scheme, cores, l2, opts)
+		spec := multicorePointSpec(name, scheme, cores, opts)
 		spec.SharedAddressSpace = shared
 		spec.Coherence = coherent
 		spec.Protocol = proto
+		spec.Directory = ""
 		if coherent {
 			spec.Directory = opts.Directory
-		} else {
-			spec.Directory = ""
 		}
 		return spec
 	}
 	var specs []sim.MulticoreSpec
 	for _, name := range names {
 		for _, n := range coreCounts {
-			for _, scheme := range coherenceSchemes {
+			for _, scheme := range convVsVP {
 				specs = append(specs, point(name, scheme, n, true, false, ""))
 				for _, proto := range protocols {
 					specs = append(specs, point(name, scheme, n, true, true, proto))
@@ -138,12 +100,12 @@ func coherencePlan(opts Options) (Plan, error) {
 		k := 0
 		for _, name := range names {
 			for _, n := range coreCounts {
-				for _, scheme := range coherenceSchemes {
+				for _, scheme := range convVsVP {
 					off := mc[k]
 					ns := mc[k+perPoint-1]
 					for i, proto := range protocols {
 						on := mc[k+1+i]
-						row := CoherenceRow{
+						rows = append(rows, CoherenceRow{
 							Workload:                name,
 							Cores:                   n,
 							Scheme:                  scheme,
@@ -158,10 +120,7 @@ func coherencePlan(opts Options) (Plan, error) {
 							OwnerForwards:           on.Stats.L2OwnerForwards,
 							SilentUpgrades:          on.Stats.SilentUpgrades,
 							NamespacedInvalidations: ns.Stats.L2Invalidations,
-						}
-						rows = append(rows, row)
-						opts.progress("coherence %-18s cores=%d %-8s %-5s off %.3f on %.3f (%.1f%% slower) inval %d",
-							name, n, scheme, proto, row.IPCOff, row.IPCOn, row.SlowdownPct, row.Invalidations)
+						})
 					}
 					k += perPoint
 				}

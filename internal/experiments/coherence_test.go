@@ -18,7 +18,7 @@ func TestCoherenceExperiment(t *testing.T) {
 		t.Fatal("coherence experiment missing from the registry")
 	}
 	opts := Options{Instr: 16_000, Cores: []int{2}, Workloads: []string{"synth:sharing"}}
-	v, err := exp.Run(context.Background(), engine.New(), withCoherenceDefaults(opts))
+	v, err := exp.Run(context.Background(), engine.New(), withDefaultWorkloads(opts, coherenceDefaultWorkloads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCoherenceExperiment(t *testing.T) {
 // TestCoherenceDefaultGrid: with no workload restriction the plan covers
 // the full pattern × protocol grid, including the three new presets.
 func TestCoherenceDefaultGrid(t *testing.T) {
-	plan, err := coherencePlan(withCoherenceDefaults(Options{Instr: 1_000}))
+	plan, err := coherencePlan(withDefaultWorkloads(Options{Instr: 1_000}, coherenceDefaultWorkloads))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCoherenceDefaultGrid(t *testing.T) {
 // switches the multicore experiment's points into the shared, coherent
 // configuration.
 func TestMulticoreCoherenceOption(t *testing.T) {
-	plan, err := multicorePlan(withMulticoreDefaultWorkloads(Options{Instr: 1_000, Coherence: true}))
+	plan, err := multicorePlan(withDefaultWorkloads(Options{Instr: 1_000, Coherence: true}, multicoreDefaultSubset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMulticoreCoherenceOption(t *testing.T) {
 			t.Fatalf("multicore spec ignored Options.Coherence: %+v", spec)
 		}
 	}
-	plan, err = multicorePlan(withMulticoreDefaultWorkloads(Options{Instr: 1_000}))
+	plan, err = multicorePlan(withDefaultWorkloads(Options{Instr: 1_000}, multicoreDefaultSubset))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -32,9 +31,8 @@ type Options struct {
 	// these kernels reach steady state far sooner).
 	Instr int64
 	// Workloads restricts the benchmark set (default: the full catalog).
+	// A name is a catalog kernel or a "synth:" preset, as in sim.Spec.
 	Workloads []string
-	// Progress, when non-nil, receives a line per completed run.
-	Progress func(format string, args ...any)
 
 	// Cores is the core-count sweep of the multicore and coherence
 	// experiments (defaults 1,2,4 and 2,4 respectively; the CLI -cores
@@ -67,23 +65,6 @@ type Options struct {
 	Step string
 }
 
-// stepMode validates and returns the option's stepping mode.
-func (o Options) stepMode() (pipeline.StepMode, error) {
-	return pipeline.ParseStepMode(o.Step)
-}
-
-// checkCoherenceSelections validates the option's protocol and directory
-// names against the mem registries, so plan building fails fast.
-func (o Options) checkCoherenceSelections() error {
-	if _, err := mem.ProtocolByName(o.Protocol); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	if _, err := mem.ParseDirectoryKind(o.Directory); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	return nil
-}
-
 func (o Options) workloads() []string {
 	if len(o.Workloads) > 0 {
 		return o.Workloads
@@ -91,8 +72,17 @@ func (o Options) workloads() []string {
 	return workloads.Names()
 }
 
+// withDefaultWorkloads applies an experiment's default workload subset
+// when the caller did not restrict the workload set.
+func withDefaultWorkloads(opts Options, subset []string) Options {
+	if len(opts.Workloads) == 0 {
+		opts.Workloads = subset
+	}
+	return opts
+}
+
 // instr is the per-point budget: Instr, or 200,000 when it is 0. A
-// negative Instr is returned as is, for the plan checks to reject.
+// negative Instr is returned as is, for checkWorkloads to reject.
 func (o Options) instr() int64 {
 	if o.Instr != 0 {
 		return o.Instr
@@ -100,36 +90,38 @@ func (o Options) instr() int64 {
 	return 200_000
 }
 
-// checkSplit rejects a budget too small to give each of n cores or
-// threads (unit) an instruction: the plans that divide Instr among them
-// would build points with no budget, and their kernels never end.
-func (o Options) checkSplit(n int, unit string) error {
-	if o.instr() < int64(n) {
-		return fmt.Errorf("experiments: instruction budget %d cannot be split over %d %s", o.instr(), n, unit)
-	}
-	return nil
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
-}
-
-// checkWorkloads validates the option's budget and workload subset
-// against the catalog, so plan building fails fast instead of deep inside
-// a batch. The plans that skip it split the budget over cores or threads
-// through checkSplit, which rejects a negative budget as too small.
+// checkWorkloads validates the option's budget and workload subset, so
+// plan building fails fast instead of deep inside a batch. Every plan
+// builder runs it.
 func (o Options) checkWorkloads() error {
 	if o.Instr < 0 {
 		return fmt.Errorf("experiments: negative instruction budget %d", o.Instr)
 	}
 	for _, name := range o.workloads() {
-		if _, ok := workloads.ByName(name); !ok {
-			return fmt.Errorf("experiments: unknown workload %q", name)
+		if err := sim.CheckWorkload(name); err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
 	}
 	return nil
+}
+
+// counts returns an SMT or multicore plan's thread or core counts
+// (unit): given, else defaults. No count may be below fewest, nor above
+// the budget: the plans divide Instr among the threads or cores, and one
+// without a budget would run its never-ending workload forever.
+func (o Options) counts(given, defaults []int, fewest int, unit string) ([]int, error) {
+	if len(given) == 0 {
+		given = defaults
+	}
+	for _, n := range given {
+		if n < fewest {
+			return nil, fmt.Errorf("experiments: %s count %d is below the study's minimum of %d", unit, n, fewest)
+		}
+		if o.instr() < int64(n) {
+			return nil, fmt.Errorf("experiments: instruction budget %d cannot be split over %d %ss", o.instr(), n, unit)
+		}
+	}
+	return given, nil
 }
 
 // baseConfig is the paper's machine with the given scheme, register count
@@ -143,10 +135,34 @@ func baseConfig(scheme core.Scheme, physRegs, nrr int) pipeline.Config {
 	return cfg
 }
 
-// point is one simulation point of a plan.
-func point(name string, cfg pipeline.Config, instr int64) sim.Spec {
-	return sim.Spec{Workload: name, Config: cfg, MaxInstr: instr}
+// grid builds a single-core plan's points after checkWorkloads: every
+// workload on each of n machines, so workload i's run on machine j is
+// point i*n+j. machine(j) builds machine j once, into the first
+// workload's row; the other rows copy their machines from it, so the
+// plan allocates its spec list and no list of machines.
+func grid(opts Options, n int, machine func(j int) pipeline.Config) ([]sim.Spec, error) {
+	if err := opts.checkWorkloads(); err != nil {
+		return nil, err
+	}
+	names := opts.workloads()
+	specs := make([]sim.Spec, n*len(names))
+	for i, name := range names {
+		for j := range n {
+			s := &specs[i*n+j]
+			if i == 0 {
+				s.Config, s.MaxInstr = machine(j), opts.instr()
+			} else {
+				*s = specs[j]
+			}
+			s.Workload = name
+		}
+	}
+	return specs, nil
 }
+
+// convVsVP is the scheme pair most studies compare: the paper's
+// baseline and its headline scheme.
+var convVsVP = []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback}
 
 // --- Table 2 -------------------------------------------------------------------
 
@@ -181,37 +197,31 @@ type Table2 struct {
 }
 
 // table2Plan builds the Table 2 spec list: per workload a conventional and
-// a VP write-back point, then (optionally) the same pairs with a 20-cycle
+// a VP write-back point, then (optionally) the same pair with a 20-cycle
 // miss penalty.
 func table2Plan(opts Options, withPenalty20 bool) (Plan, error) {
-	if err := opts.checkWorkloads(); err != nil {
+	n := 2
+	if withPenalty20 {
+		n = 4
+	}
+	specs, err := grid(opts, n, func(j int) pipeline.Config {
+		cfg := baseConfig(convVsVP[j%2], 64, 32)
+		if j >= 2 {
+			cfg.Cache.MissPenalty = 20
+		}
+		return cfg
+	})
+	if err != nil {
 		return Plan{}, err
 	}
-	const physRegs = 64
-	nrr := physRegs - 32
 	names := opts.workloads()
-	specs := make([]sim.Spec, 0, 4*len(names)) // room for the penalty-20 pairs
-	for _, name := range names {
-		specs = append(specs,
-			point(name, baseConfig(core.SchemeConventional, physRegs, nrr), opts.instr()),
-			point(name, baseConfig(core.SchemeVPWriteback, physRegs, nrr), opts.instr()))
-	}
-	if withPenalty20 {
-		for _, name := range names {
-			c := baseConfig(core.SchemeConventional, physRegs, nrr)
-			c.Cache.MissPenalty = 20
-			v := baseConfig(core.SchemeVPWriteback, physRegs, nrr)
-			v.Cache.MissPenalty = 20
-			specs = append(specs, point(name, c, opts.instr()), point(name, v, opts.instr()))
-		}
-	}
 	reduce := func(runs []sim.Result, _ []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
 		var out Table2
-		var convIPCs, vpIPCs []float64
+		var convIPCs, vpIPCs, conv20, vp20 []float64
 		var execSum float64
 		for i, name := range names {
 			w, _ := workloads.ByName(name)
-			conv, vp := runs[2*i], runs[2*i+1]
+			conv, vp := runs[i*n], runs[i*n+1]
 			row := Table2Row{
 				Workload:       name,
 				Class:          w.Class,
@@ -224,22 +234,16 @@ func table2Plan(opts Options, withPenalty20 bool) (Plan, error) {
 			convIPCs = append(convIPCs, row.ConvIPC)
 			vpIPCs = append(vpIPCs, row.VPIPC)
 			execSum += row.ExecPerCommit
-			opts.progress("table2 %-9s conv %.3f vp %.3f (%+.0f%%)", name, row.ConvIPC, row.VPIPC, row.ImprovementPct)
+			if withPenalty20 {
+				conv20 = append(conv20, runs[i*n+2].Stats.IPC())
+				vp20 = append(vp20, runs[i*n+3].Stats.IPC())
+			}
 		}
 		out.HarmonicConv = harmonicMean(convIPCs)
 		out.HarmonicVP = harmonicMean(vpIPCs)
 		out.ImprovementPct = improvementPct(out.HarmonicConv, out.HarmonicVP)
 		out.AvgExecPerCommit = execSum / float64(len(out.Rows))
-
 		if withPenalty20 {
-			base := 2 * len(names)
-			var conv20, vp20 []float64
-			for i, name := range names {
-				conv, vp := runs[base+2*i], runs[base+2*i+1]
-				conv20 = append(conv20, conv.Stats.IPC())
-				vp20 = append(vp20, vp.Stats.IPC())
-				opts.progress("table2/p20 %-9s conv %.3f vp %.3f", name, conv.Stats.IPC(), vp.Stats.IPC())
-			}
 			out.Penalty20ImprovementPct = improvementPct(harmonicMean(conv20), harmonicMean(vp20))
 			out.HavePenalty20 = true
 		}
@@ -266,22 +270,20 @@ type NRRSweep struct {
 // (SchemeVPIssue): per workload one conventional baseline point and one VP
 // point per NRR value, at 64 physical registers.
 func nrrSweepPlan(scheme core.Scheme, nrrs []int, opts Options) (Plan, error) {
-	if err := opts.checkWorkloads(); err != nil {
-		return Plan{}, err
-	}
-	const physRegs = 64
 	if len(nrrs) == 0 {
 		nrrs = PaperNRRs
 	}
-	names := opts.workloads()
-	stride := 1 + len(nrrs)
-	specs := make([]sim.Spec, 0, stride*len(names))
-	for _, name := range names {
-		specs = append(specs, point(name, baseConfig(core.SchemeConventional, physRegs, physRegs-32), opts.instr()))
-		for _, nrr := range nrrs {
-			specs = append(specs, point(name, baseConfig(scheme, physRegs, nrr), opts.instr()))
+	n := 1 + len(nrrs)
+	specs, err := grid(opts, n, func(j int) pipeline.Config {
+		if j == 0 {
+			return baseConfig(core.SchemeConventional, 64, 32)
 		}
+		return baseConfig(scheme, 64, nrrs[j-1])
+	})
+	if err != nil {
+		return Plan{}, err
 	}
+	names := opts.workloads()
 	reduce := func(runs []sim.Result, _ []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
 		out := NRRSweep{
 			Scheme:  scheme,
@@ -290,13 +292,10 @@ func nrrSweepPlan(scheme core.Scheme, nrrs []int, opts Options) (Plan, error) {
 			Speedup: map[string][]float64{},
 		}
 		for i, name := range names {
-			conv := runs[i*stride]
-			out.ConvIPC[name] = conv.Stats.IPC()
-			for j, nrr := range nrrs {
-				vp := runs[i*stride+1+j]
-				sp := speedup(conv.Stats.IPC(), vp.Stats.IPC())
-				out.Speedup[name] = append(out.Speedup[name], sp)
-				opts.progress("%s %-9s nrr=%-2d speedup %.3f", scheme, name, nrr, sp)
+			conv := runs[i*n].Stats.IPC()
+			out.ConvIPC[name] = conv
+			for j := 1; j < n; j++ {
+				out.Speedup[name] = append(out.Speedup[name], speedup(conv, runs[i*n+j].Stats.IPC()))
 			}
 		}
 		return out, nil
@@ -324,24 +323,20 @@ type Fig6Row struct {
 	IssueSpeedup     float64
 }
 
+// fig6Schemes is figure 6's machine order: the baseline, then both
+// allocation policies.
+var fig6Schemes = []core.Scheme{core.SchemeConventional, core.SchemeVPWriteback, core.SchemeVPIssue}
+
 // figure6Plan builds figure 6: both policies at NRR=32, the maximum NRR
 // at 64 registers, speedup over the conventional scheme. There, §3.3's
 // guard admits no unprotected instruction, so issue allocation issues
 // only the NRR oldest producers.
 func figure6Plan(opts Options) (Plan, error) {
-	if err := opts.checkWorkloads(); err != nil {
+	specs, err := grid(opts, len(fig6Schemes), func(j int) pipeline.Config { return baseConfig(fig6Schemes[j], 64, 32) })
+	if err != nil {
 		return Plan{}, err
 	}
-	const physRegs = 64
-	nrr := physRegs - 32
 	names := opts.workloads()
-	specs := make([]sim.Spec, 0, 3*len(names))
-	for _, name := range names {
-		specs = append(specs,
-			point(name, baseConfig(core.SchemeConventional, physRegs, nrr), opts.instr()),
-			point(name, baseConfig(core.SchemeVPWriteback, physRegs, nrr), opts.instr()),
-			point(name, baseConfig(core.SchemeVPIssue, physRegs, nrr), opts.instr()))
-	}
 	reduce := func(runs []sim.Result, _ []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
 		var rows []Fig6Row
 		for i, name := range names {
@@ -351,7 +346,6 @@ func figure6Plan(opts Options) (Plan, error) {
 				WritebackSpeedup: speedup(conv.Stats.IPC(), wb.Stats.IPC()),
 				IssueSpeedup:     speedup(conv.Stats.IPC(), iss.Stats.IPC()),
 			})
-			opts.progress("fig6 %-9s wb %.3f issue %.3f", name, rows[len(rows)-1].WritebackSpeedup, rows[len(rows)-1].IssueSpeedup)
 		}
 		return rows, nil
 	}
@@ -379,29 +373,22 @@ type Fig7 struct {
 // figure7Plan builds figure 7: per workload and register count a
 // conventional and a VP write-back point, NRR at its maximum.
 func figure7Plan(opts Options) (Plan, error) {
-	if err := opts.checkWorkloads(); err != nil {
+	regCounts := PaperRegCounts
+	n := 2 * len(regCounts)
+	specs, err := grid(opts, n, func(j int) pipeline.Config {
+		regs := regCounts[j/2]
+		return baseConfig(convVsVP[j%2], regs, regs-32)
+	})
+	if err != nil {
 		return Plan{}, err
 	}
 	names := opts.workloads()
-	regCounts := PaperRegCounts
-	specs := make([]sim.Spec, 0, 2*len(regCounts)*len(names))
-	for _, name := range names {
-		for _, regs := range regCounts {
-			nrr := regs - 32
-			specs = append(specs,
-				point(name, baseConfig(core.SchemeConventional, regs, nrr), opts.instr()),
-				point(name, baseConfig(core.SchemeVPWriteback, regs, nrr), opts.instr()))
-		}
-	}
 	reduce := func(runs []sim.Result, _ []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
 		out := Fig7{RegCounts: regCounts, Cells: map[string][]Fig7Cell{}}
-		k := 0
-		for _, name := range names {
-			for _, regs := range regCounts {
-				conv, vp := runs[k], runs[k+1]
-				k += 2
+		for i, name := range names {
+			for j := 0; j < n; j += 2 {
+				conv, vp := runs[i*n+j], runs[i*n+j+1]
 				out.Cells[name] = append(out.Cells[name], Fig7Cell{ConvIPC: conv.Stats.IPC(), VPIPC: vp.Stats.IPC()})
-				opts.progress("fig7 %-9s regs=%-2d conv %.3f vp %.3f", name, regs, conv.Stats.IPC(), vp.Stats.IPC())
 			}
 		}
 		return out, nil

@@ -278,18 +278,6 @@ func TestBudgetTooSmallToSplit(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	var lines int
-	opts := quickOpts("compress")
-	opts.Progress = func(string, ...any) { lines++ }
-	if _, err := execute[Table2](table2(false), opts); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Error("progress callback never invoked")
-	}
-}
-
 func TestSMTScaling(t *testing.T) {
 	opts := quickOpts("hydro2d")
 	rows, err := execute[[]SMTRow](func(o Options) (Plan, error) {

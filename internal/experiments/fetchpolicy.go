@@ -35,16 +35,9 @@ func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err
 	}
-	if len(threadCounts) == 0 {
-		threadCounts = []int{2, 4}
-	}
-	for _, n := range threadCounts {
-		if n < 2 {
-			return Plan{}, fmt.Errorf("experiments: fetch-policy study needs >= 2 threads, got %d", n)
-		}
-		if err := opts.checkSplit(n, "threads"); err != nil {
-			return Plan{}, err
-		}
+	threadCounts, err := opts.counts(threadCounts, []int{2, 4}, 2, "thread")
+	if err != nil {
+		return Plan{}, err
 	}
 	names := opts.workloads()
 	type mix struct {
@@ -86,16 +79,13 @@ func fetchPolicyPlan(threadCounts []int, opts Options) (Plan, error) {
 			for _, n := range threadCounts {
 				rrRes, icRes := smt[k], smt[k+1]
 				k += 2
-				row := FetchPolicyRow{
+				rows = append(rows, FetchPolicyRow{
 					Mix:            m.label,
 					Threads:        n,
 					RoundRobinIPC:  rrRes.Stats.IPC(),
 					ICountIPC:      icRes.Stats.IPC(),
 					ImprovementPct: improvementPct(rrRes.Stats.IPC(), icRes.Stats.IPC()),
-				}
-				rows = append(rows, row)
-				opts.progress("smt-fetch %-17s threads=%d rr %.3f icount %.3f (%+.0f%%)",
-					m.label, n, row.RoundRobinIPC, row.ICountIPC, row.ImprovementPct)
+				})
 			}
 		}
 		return rows, nil

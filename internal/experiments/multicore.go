@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -42,41 +43,45 @@ func (o Options) l2Config() mem.L2Config {
 	return cfg
 }
 
+// checkMulticore validates the stepping mode and the coherence protocol
+// and directory names of the multicore and coherence plans, so plan
+// building fails fast.
+func (o Options) checkMulticore() error {
+	if _, err := pipeline.ParseStepMode(o.Step); err != nil {
+		return err
+	}
+	if _, err := mem.ProtocolByName(o.Protocol); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	if _, err := mem.ParseDirectoryKind(o.Directory); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
+}
+
 // multicorePlan sweeps core count × register-pool scheme over the banked
 // shared L2 — the ROADMAP's multi-core sharding axis. Each core runs a
 // private copy of the workload on the paper's machine (64 registers, max
 // NRR); the per-core instruction budget divides the option's budget so
 // total simulated work stays constant across the sweep.
 func multicorePlan(opts Options) (Plan, error) {
-	if err := checkMulticoreWorkloads(opts.workloads()); err != nil {
+	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err
 	}
-	coreCounts := opts.Cores
-	if len(coreCounts) == 0 {
-		coreCounts = multicoreDefaultCores
-	}
-	for _, n := range coreCounts {
-		if n < 1 {
-			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
-		}
-		if err := opts.checkSplit(n, "cores"); err != nil {
-			return Plan{}, err
-		}
-	}
-	if _, err := opts.stepMode(); err != nil {
+	coreCounts, err := opts.counts(opts.Cores, multicoreDefaultCores, 1, "core")
+	if err != nil {
 		return Plan{}, err
 	}
-	if err := opts.checkCoherenceSelections(); err != nil {
+	if err := opts.checkMulticore(); err != nil {
 		return Plan{}, err
 	}
-	l2 := opts.l2Config()
-	names := opts.workloads() // may include "synth:" presets, as in MulticoreSpec
+	names := opts.workloads()
 	var specs []sim.MulticoreSpec
 	for _, name := range names {
 		for _, n := range coreCounts {
-			specs = append(specs,
-				multicorePointSpec(name, core.SchemeConventional, n, l2, opts),
-				multicorePointSpec(name, core.SchemeVPWriteback, n, l2, opts))
+			for _, scheme := range convVsVP {
+				specs = append(specs, multicorePointSpec(name, scheme, n, opts))
+			}
 		}
 	}
 	reduce := func(_ []sim.Result, _ []sim.SMTResult, mc []sim.MulticoreResult) (any, error) {
@@ -86,7 +91,7 @@ func multicorePlan(opts Options) (Plan, error) {
 			for _, n := range coreCounts {
 				conv, vp := mc[k], mc[k+1]
 				k += 2
-				row := MulticoreRow{
+				rows = append(rows, MulticoreRow{
 					Workload:       name,
 					Cores:          n,
 					ConvIPC:        conv.Stats.IPC(),
@@ -94,10 +99,7 @@ func multicorePlan(opts Options) (Plan, error) {
 					ImprovementPct: improvementPct(conv.Stats.IPC(), vp.Stats.IPC()),
 					L2MissRatio:    conv.Stats.L2MissRatio(),
 					L2Conflicts:    conv.Stats.L2Conflicts,
-				}
-				rows = append(rows, row)
-				opts.progress("multicore %-9s cores=%d conv %.3f vp %.3f (%+.0f%%) l2miss %.3f",
-					name, n, row.ConvIPC, row.VPIPC, row.ImprovementPct, row.L2MissRatio)
+				})
 			}
 		}
 		return rows, nil
@@ -105,16 +107,19 @@ func multicorePlan(opts Options) (Plan, error) {
 	return Plan{Multicore: specs, Reduce: reduce}, nil
 }
 
-func multicorePointSpec(name string, scheme core.Scheme, cores int, l2 mem.L2Config, opts Options) sim.MulticoreSpec {
+// multicorePointSpec is one multicore point: cores copies of the
+// workload on the paper's machine with the given scheme, behind the
+// option's shared L2. Plan builders run checkMulticore first.
+func multicorePointSpec(name string, scheme core.Scheme, cores int, opts Options) sim.MulticoreSpec {
 	names := make([]string, cores)
 	for i := range names {
 		names[i] = name
 	}
-	step, _ := opts.stepMode() // plan builders validate the mode up front
+	step, _ := pipeline.ParseStepMode(opts.Step)
 	spec := sim.MulticoreSpec{
 		Workloads:          names,
 		Config:             baseConfig(scheme, 64, 32),
-		L2:                 l2,
+		L2:                 opts.l2Config(),
 		SharedAddressSpace: opts.Coherence,
 		Coherence:          opts.Coherence,
 		MaxInstrPerCore:    opts.instr() / int64(cores),
@@ -125,15 +130,6 @@ func multicorePointSpec(name string, scheme core.Scheme, cores int, l2 mem.L2Con
 		spec.Directory = opts.Directory
 	}
 	return spec
-}
-
-// withMulticoreDefaultWorkloads applies multicoreDefaultSubset when the
-// caller did not restrict the workload set.
-func withMulticoreDefaultWorkloads(opts Options) Options {
-	if len(opts.Workloads) == 0 {
-		opts.Workloads = multicoreDefaultSubset
-	}
-	return opts
 }
 
 // RenderMulticore formats the multi-core study: aggregate IPC per scheme,

@@ -22,9 +22,7 @@ type Plan struct {
 
 	// Reduce folds results — runs[i] corresponds to Specs[i], smt[i] to
 	// SMT[i], mc[i] to Multicore[i] — into the experiment's result value
-	// (Table2, NRRSweep, ...). It also replays the per-point
-	// Options.Progress lines, in the deterministic spec order, regardless
-	// of completion order.
+	// (Table2, NRRSweep, ...).
 	Reduce func(runs []sim.Result, smt []sim.SMTResult, mc []sim.MulticoreResult) (any, error)
 }
 
@@ -145,8 +143,10 @@ var registry = []Experiment{
 		Name:       "smt",
 		Title:      "future work (§5): SMT scaling of the VP advantage",
 		Reproduces: "paper §5's multithreading prediction; defaults to a representative workload subset",
-		Build:      func(opts Options) (Plan, error) { return smtScalingPlan(nil, withSMTDefaultWorkloads(opts)) },
-		Render:     func(v any) string { return RenderSMT(v.([]SMTRow)) },
+		Build: func(opts Options) (Plan, error) {
+			return smtScalingPlan(nil, withDefaultWorkloads(opts, smtDefaultSubset))
+		},
+		Render: func(v any) string { return RenderSMT(v.([]SMTRow)) },
 	},
 	{
 		Name:       "lifetime",
@@ -159,22 +159,28 @@ var registry = []Experiment{
 		Name:       "smt-fetch",
 		Title:      "SMT fetch policy: ICOUNT vs round-robin",
 		Reproduces: "repository study: Tullsen-style ICOUNT fetch gating on the §5 SMT machine",
-		Build:      func(opts Options) (Plan, error) { return fetchPolicyPlan(nil, withSMTDefaultWorkloads(opts)) },
-		Render:     func(v any) string { return RenderFetchPolicy(v.([]FetchPolicyRow)) },
+		Build: func(opts Options) (Plan, error) {
+			return fetchPolicyPlan(nil, withDefaultWorkloads(opts, smtDefaultSubset))
+		},
+		Render: func(v any) string { return RenderFetchPolicy(v.([]FetchPolicyRow)) },
 	},
 	{
 		Name:       "multicore",
 		Title:      "multi-core scaling over the banked shared L2",
 		Reproduces: "repository study: cores × register-pool scheme behind internal/mem's shared L2 (ROADMAP's multi-core sharding axis); defaults to a representative workload subset",
-		Build:      func(opts Options) (Plan, error) { return multicorePlan(withMulticoreDefaultWorkloads(opts)) },
-		Render:     func(v any) string { return RenderMulticore(v.([]MulticoreRow)) },
+		Build: func(opts Options) (Plan, error) {
+			return multicorePlan(withDefaultWorkloads(opts, multicoreDefaultSubset))
+		},
+		Render: func(v any) string { return RenderMulticore(v.([]MulticoreRow)) },
 	},
 	{
 		Name:       "coherence",
 		Title:      "coherence protocol cost over the banked shared L2",
 		Reproduces: "repository study: sharing pattern × cores × scheme × protocol (MSI/MESI/MOESI) with coherence on/off and a namespaced zero-invalidation control (ROADMAP's coherence axis)",
-		Build:      func(opts Options) (Plan, error) { return coherencePlan(withCoherenceDefaults(opts)) },
-		Render:     func(v any) string { return RenderCoherence(v.([]CoherenceRow)) },
+		Build: func(opts Options) (Plan, error) {
+			return coherencePlan(withDefaultWorkloads(opts, coherenceDefaultWorkloads))
+		},
+		Render: func(v any) string { return RenderCoherence(v.([]CoherenceRow)) },
 	},
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/workloads"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -124,5 +125,24 @@ func TestPlanBuildingRejectsNegativeInstr(t *testing.T) {
 		if _, err := e.Build(Options{Instr: -5}); err == nil || !strings.Contains(err.Error(), "-5") {
 			t.Errorf("%s: build with Instr -5 returned %v, want an error naming the budget", e.Name, err)
 		}
+	}
+}
+
+// BenchmarkBuild builds the plans of the five experiments that the
+// benchmark's sweep workload runs, at its budget of 20,000 instructions
+// over the nine kernels: the plan-building part of the sweep's setup
+// time, with what it allocates.
+func BenchmarkBuild(b *testing.B) {
+	opts := Options{Instr: 20_000, Workloads: workloads.Names()}
+	for _, name := range []string{"table2", "fig4", "fig5", "fig6", "fig7"} {
+		exp, _ := ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := exp.Build(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -24,15 +24,6 @@ type SMTRow struct {
 // slow, and the register-file sharing story is told by these five.
 var smtDefaultSubset = []string{"hydro2d", "mgrid", "swim", "compress", "go"}
 
-// withSMTDefaultWorkloads applies smtDefaultSubset when the caller did not
-// restrict the workload set.
-func withSMTDefaultWorkloads(opts Options) Options {
-	if len(opts.Workloads) == 0 {
-		opts.Workloads = smtDefaultSubset
-	}
-	return opts
-}
-
 // smtScalingPlan realizes the paper's §5 future-work prediction: "in the
 // context of multithreaded architectures the benefits of the
 // virtual-physical register organization will be more important". Each
@@ -45,24 +36,17 @@ func smtScalingPlan(threadCounts []int, opts Options) (Plan, error) {
 	if err := opts.checkWorkloads(); err != nil {
 		return Plan{}, err
 	}
-	if len(threadCounts) == 0 {
-		threadCounts = []int{1, 2, 4}
-	}
-	for _, n := range threadCounts {
-		if n < 1 {
-			return Plan{}, fmt.Errorf("experiments: bad thread count %d", n)
-		}
-		if err := opts.checkSplit(n, "threads"); err != nil {
-			return Plan{}, err
-		}
+	threadCounts, err := opts.counts(threadCounts, []int{1, 2, 4}, 1, "thread")
+	if err != nil {
+		return Plan{}, err
 	}
 	names := opts.workloads()
 	var specs []sim.SMTSpec
 	for _, name := range names {
 		for _, n := range threadCounts {
-			specs = append(specs,
-				smtPointSpec(name, core.SchemeConventional, n, opts),
-				smtPointSpec(name, core.SchemeVPWriteback, n, opts))
+			for _, scheme := range convVsVP {
+				specs = append(specs, smtPointSpec(name, scheme, n, opts))
+			}
 		}
 	}
 	reduce := func(_ []sim.Result, smt []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
@@ -72,16 +56,13 @@ func smtScalingPlan(threadCounts []int, opts Options) (Plan, error) {
 			for _, n := range threadCounts {
 				conv, vp := smt[k], smt[k+1]
 				k += 2
-				row := SMTRow{
+				rows = append(rows, SMTRow{
 					Workload:       name,
 					Threads:        n,
 					ConvIPC:        conv.Stats.IPC(),
 					VPIPC:          vp.Stats.IPC(),
 					ImprovementPct: improvementPct(conv.Stats.IPC(), vp.Stats.IPC()),
-				}
-				rows = append(rows, row)
-				opts.progress("smt %-9s threads=%d conv %.3f vp %.3f (%+.0f%%)",
-					name, n, row.ConvIPC, row.VPIPC, row.ImprovementPct)
+				})
 			}
 		}
 		return rows, nil
@@ -145,33 +126,22 @@ var lifetimeSchemes = []core.Scheme{core.SchemeConventional, core.SchemeVPIssue,
 // experimental counterpart of the paper's §3.1 analytic example (151 vs 88
 // vs 38 register·cycles for decode/issue/write-back allocation).
 func lifetimePlan(opts Options) (Plan, error) {
-	if err := opts.checkWorkloads(); err != nil {
+	n := len(lifetimeSchemes)
+	specs, err := grid(opts, n, func(j int) pipeline.Config { return baseConfig(lifetimeSchemes[j], 64, 32) })
+	if err != nil {
 		return Plan{}, err
 	}
-	const physRegs = 64
-	nrr := physRegs - 32
 	names := opts.workloads()
-	var specs []sim.Spec
-	for _, name := range names {
-		for _, scheme := range lifetimeSchemes {
-			specs = append(specs, point(name, baseConfig(scheme, physRegs, nrr), opts.instr()))
-		}
-	}
 	reduce := func(runs []sim.Result, _ []sim.SMTResult, _ []sim.MulticoreResult) (any, error) {
-		var rows []LifetimeRow
-		k := 0
-		for _, name := range names {
-			for _, scheme := range lifetimeSchemes {
-				st := runs[k].Stats
-				k++
-				rows = append(rows, LifetimeRow{
-					Workload:    name,
-					Scheme:      scheme.String(),
-					IPC:         st.IPC(),
-					AvgLifetime: st.AvgRegLifetime(),
-					AvgInUse:    st.AvgIntRegs() + st.AvgFPRegs(),
-				})
-				opts.progress("lifetime %-9s %-8s held %.1f cycles/value", name, scheme, st.AvgRegLifetime())
+		rows := make([]LifetimeRow, len(runs))
+		for k := range runs {
+			st := &runs[k].Stats
+			rows[k] = LifetimeRow{
+				Workload:    names[k/n],
+				Scheme:      lifetimeSchemes[k%n].String(),
+				IPC:         st.IPC(),
+				AvgLifetime: st.AvgRegLifetime(),
+				AvgInUse:    st.AvgIntRegs() + st.AvgFPRegs(),
 			}
 		}
 		return rows, nil

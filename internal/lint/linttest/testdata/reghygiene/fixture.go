@@ -1,11 +1,14 @@
 // Package fixture seeds reghygiene violations: a duplicate name and an
 // entry with no static name in a //vpr:registry table, a table built by
-// a call, a table with no initializer, and a statement assigning a
-// table — alongside conforming entries and a read-only lookup.
+// a call, a table with no initializer, and statements writing a table
+// or its entries — alongside conforming entries and a read-only lookup.
 package fixture
 
 // Thing is one registry entry.
-type Thing struct{ Name string }
+type Thing struct {
+	Name string
+	Uses int
+}
 
 // dynamic is a name known only at run time.
 var dynamic = "gamma"
@@ -20,6 +23,11 @@ var registry = []Thing{
 	{Name: dynamic}, // want `registry "things" entry has no statically-known name`
 }
 
+// pointers holds its entries by pointer.
+//
+//vpr:registry pointers
+var pointers = []*Thing{{Name: "theta"}}
+
 // built is filled by a call, so its names cannot be read statically.
 //
 //vpr:registry built
@@ -32,9 +40,18 @@ var empty []Thing // want `//vpr:registry empty table empty is not initialized w
 
 func makeThings() []Thing { return []Thing{{Name: "delta"}} }
 
-// init may not assign a table either: the literal is the whole table.
+// init may not write a table either: the literal is the whole table.
 func init() {
-	registry = append(registry, Thing{Name: "epsilon"}) // want `registry "things" is assigned by a statement`
+	registry = append(registry, Thing{Name: "epsilon"}) // want `registry "things" is written by a statement`
+}
+
+// Rename writes entries in place, which changes what ByName returns as
+// surely as replacing the table.
+func Rename() {
+	registry[0] = Thing{Name: "zeta"}  // want `registry "things" is written by a statement`
+	registry[1].Name = "eta"           // want `registry "things" is written by a statement`
+	(registry[1]).Uses++               // want `registry "things" is written by a statement`
+	*pointers[0] = Thing{Name: "iota"} // want `registry "pointers" is written by a statement`
 }
 
 // ByName reads the table, which is always legal.

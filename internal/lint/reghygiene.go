@@ -19,7 +19,9 @@ import (
 //   - every entry carries a static name (a Name:-keyed field or the
 //     first constant string in the literal), unique within the
 //     namespace, so ByName cannot silently resolve to a shadowing entry;
-//   - no statement assigns the var.
+//   - no statement writes the var or any part of it: no assignment,
+//     ++ or -- targets the var itself, an element, a field or what it
+//     points to.
 //
 // Go initializes a package-level var before any initializer or init
 // function that reads it, so a static table is complete before its first
@@ -27,7 +29,7 @@ import (
 // it runs.
 var RegHygiene = &analysis.Analyzer{
 	Name: "reghygiene",
-	Doc:  "//vpr:registry tables: static literals with unique names, never assigned",
+	Doc:  "//vpr:registry tables: static literals with unique names, never written",
 	Run:  runRegHygiene,
 }
 
@@ -144,27 +146,55 @@ func constString(info *types.Info, e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// checkRegistryWrites flags every assignment statement to the table var,
-// wherever it stands: the literal initializer is the whole table.
+// checkRegistryWrites flags every statement that writes the table var,
+// wherever it stands: an assignment, ++ or -- whose target is rooted at
+// the var (registry = ..., registry[0] = ..., registry[1].Name = ...).
+// The literal initializer is the whole table.
 func checkRegistryWrites(pass *analysis.Pass, reg registryVar) {
 	obj := reg.pkg.TypesInfo.Defs[reg.name]
 	if obj == nil {
 		return
 	}
+	check := func(target ast.Expr) {
+		if id := rootIdent(target); id != nil && reg.pkg.TypesInfo.Uses[id] == obj {
+			pass.Reportf(id.Pos(),
+				"registry %q is written by a statement — a static table stays its literal, or what a lookup sees depends on when it runs",
+				reg.namespace)
+		}
+	}
 	for _, file := range reg.pkg.Syntax {
 		ast.Inspect(file, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for _, lhs := range as.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && reg.pkg.TypesInfo.Uses[id] == obj {
-					pass.Reportf(id.Pos(),
-						"registry %q is assigned by a statement — a static table stays its literal, or what a lookup sees depends on when it runs",
-						reg.namespace)
+			switch st := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range st.Lhs {
+					check(lhs)
 				}
+			case *ast.IncDecStmt:
+				check(st.X)
 			}
 			return true
 		})
+	}
+}
+
+// rootIdent is the variable a write to target lands in: v for v, v[i],
+// v.f, *v, (v) and any nesting of them; nil when target is rooted
+// elsewhere (a call's result, a composite literal).
+func rootIdent(target ast.Expr) *ast.Ident {
+	for {
+		switch e := target.(type) {
+		case *ast.Ident:
+			return e
+		case *ast.ParenExpr:
+			target = e.X
+		case *ast.IndexExpr:
+			target = e.X
+		case *ast.SelectorExpr:
+			target = e.X
+		case *ast.StarExpr:
+			target = e.X
+		default:
+			return nil
+		}
 	}
 }

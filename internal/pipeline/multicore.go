@@ -14,8 +14,6 @@ import (
 // any non-zero L2 describes. With the zero L2 every core keeps a private
 // L1 over an infinite L2 — with one core that is exactly the paper's
 // machine, and Multicore produces byte-identical statistics to Sim.
-//
-//vpr:cachekey
 type MulticoreConfig struct {
 	Cores int
 	Core  Config

@@ -3,21 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/pipeline"
-	"repro/internal/synth"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
-
-// SynthWorkloadPrefix marks a multicore workload name as a synthetic
-// preset rather than a catalog kernel: "synth:sharing" runs
-// synth.ByName("sharing") on that core. Synthetic presets are stable,
-// named identities, so they participate in engine result caching like
-// catalog workloads.
-const SynthWorkloadPrefix = "synth:"
 
 // MulticoreSpec describes a multi-core run: one workload per core, each
 // core a full single-thread pipeline with a private L1, all cores behind
@@ -27,8 +17,8 @@ const SynthWorkloadPrefix = "synth:"
 //
 //vpr:cachekey
 type MulticoreSpec struct {
-	// Workloads names one kernel per core: a catalog workload, or a
-	// synthetic preset as SynthWorkloadPrefix + name ("synth:sharing").
+	// Workloads names one workload per core: a catalog kernel or a
+	// "synth:" preset, as in Spec.
 	Workloads []string
 	// Config is the per-core machine.
 	Config pipeline.Config
@@ -47,8 +37,8 @@ type MulticoreSpec struct {
 	// "limited[:N]"; "" = fullmap). Both require Coherence.
 	Protocol  string
 	Directory string
-	// MaxInstrPerCore bounds every core's trace. Catalog kernels and
-	// synthetic presets never end, so it must be positive.
+	// MaxInstrPerCore bounds every core's trace. The workloads never
+	// end, so it must be positive.
 	MaxInstrPerCore int64
 	// Step selects the stepping strategy (lockstep oracle, parallel, or
 	// skew:W — see pipeline.ParseStepMode). Every mode produces
@@ -58,36 +48,8 @@ type MulticoreSpec struct {
 	Step pipeline.StepMode
 }
 
-// CheckMulticoreWorkload validates one multicore workload name — catalog
-// kernel or "synth:" preset — without building its generator, so plan
-// builders can fail fast. This is the single definition of the multicore
-// workload namespace; MulticoreWorkloadGen resolves the same names.
-func CheckMulticoreWorkload(name string) error {
-	if preset, ok := strings.CutPrefix(name, SynthWorkloadPrefix); ok {
-		if _, ok := synth.ByName(preset); !ok {
-			return fmt.Errorf("sim: unknown synthetic preset %q", name)
-		}
-		return nil
-	}
-	if _, ok := workloads.ByName(name); !ok {
-		return fmt.Errorf("sim: unknown workload %q", name)
-	}
-	return nil
-}
-
-// MulticoreWorkloadGen resolves one multicore workload name — catalog
-// kernel or "synth:" preset — to a fresh trace generator.
-func MulticoreWorkloadGen(name string) (trace.Generator, error) {
-	if err := CheckMulticoreWorkload(name); err != nil {
-		return nil, err
-	}
-	if preset, ok := strings.CutPrefix(name, SynthWorkloadPrefix); ok {
-		p, _ := synth.ByName(preset)
-		return synth.New(p), nil
-	}
-	w, _ := workloads.ByName(name)
-	return w.NewGen()
-}
+// Label names the spec in errors and progress lines.
+func (s MulticoreSpec) Label() string { return fmt.Sprintf("multicore %v", s.Workloads) }
 
 // MulticoreResult is the outcome of a multi-core run.
 type MulticoreResult struct {
@@ -107,20 +69,10 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 	if err := ctx.Err(); err != nil {
 		return MulticoreResult{}, err
 	}
-	if len(spec.Workloads) == 0 {
-		return MulticoreResult{}, fmt.Errorf("sim: multicore run needs at least one workload")
-	}
-	if spec.MaxInstrPerCore <= 0 {
-		return MulticoreResult{}, fmt.Errorf("sim: multicore %v: instruction budget %d per core; its workloads never end, so it must be positive",
-			spec.Workloads, spec.MaxInstrPerCore)
-	}
-	var gens []trace.Generator
-	for _, name := range spec.Workloads {
-		gen, err := MulticoreWorkloadGen(name)
-		if err != nil {
-			return MulticoreResult{}, err
-		}
-		gens = append(gens, trace.Take(gen, spec.MaxInstrPerCore))
+	gens, err := openWorkloads(make([]trace.Generator, 0, len(spec.Workloads)),
+		spec.Label(), spec.MaxInstrPerCore, spec.Workloads...)
+	if err != nil {
+		return MulticoreResult{}, err
 	}
 	mc, err := pipeline.NewMulticore(pipeline.MulticoreConfig{
 		Cores:              len(gens),
@@ -140,7 +92,7 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 		err = traceErr(gens)
 	}
 	if err != nil {
-		return MulticoreResult{}, fmt.Errorf("sim: multicore %v: %w", spec.Workloads, err)
+		return MulticoreResult{}, fmt.Errorf("sim: %s: %w", spec.Label(), err)
 	}
 	out := MulticoreResult{Stats: agg}
 	for i := 0; i < mc.Cores(); i++ {

@@ -14,9 +14,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
+	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -26,8 +28,8 @@ import (
 //
 //vpr:cachekey
 type Spec struct {
-	// Workload names a kernel from the catalog. Leave empty and set Gen
-	// to drive the pipeline with a custom trace.
+	// Workload names a catalog kernel or a "synth:" preset. Leave empty
+	// and set Gen to drive the pipeline with a custom trace.
 	Workload string
 	Gen      trace.Generator
 
@@ -38,7 +40,7 @@ type Spec struct {
 	GenID string
 
 	Config pipeline.Config
-	// MaxInstr bounds the trace. A catalog kernel never ends, so a spec
+	// MaxInstr bounds the trace. A named workload never ends, so a spec
 	// that names one needs a positive budget; with Gen set, <= 0 runs the
 	// custom trace to its end.
 	MaxInstr int64
@@ -77,23 +79,14 @@ func run(ctx context.Context, spec Spec, sp Spares) (Result, error) {
 		return Result{}, err
 	}
 	gen := spec.Gen
-	name := spec.Workload
-	if gen == nil {
-		w, ok := workloads.ByName(spec.Workload)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: unknown workload %q", spec.Workload)
-		}
-		if spec.MaxInstr <= 0 {
-			return Result{}, fmt.Errorf("sim: %s: instruction budget %d; a catalog kernel never ends, so it needs a positive one",
-				spec.Label(), spec.MaxInstr)
-		}
-		var err error
-		gen, err = w.NewGen()
+	switch {
+	case gen == nil:
+		gens, err := openWorkloads(make([]trace.Generator, 0, 1), spec.Label(), spec.MaxInstr, spec.Workload)
 		if err != nil {
 			return Result{}, err
 		}
-	}
-	if spec.MaxInstr > 0 {
+		gen = gens[0]
+	case spec.MaxInstr > 0:
 		gen = trace.Take(gen, spec.MaxInstr)
 	}
 	scheme := spec.Config.Scheme
@@ -118,7 +111,7 @@ func run(ctx context.Context, spec Spec, sp Spares) (Result, error) {
 	if sp != nil {
 		sp[scheme] = s
 	}
-	return Result{Workload: name, Stats: stats, BHTAccuracy: s.BHT().Accuracy()}, nil
+	return Result{Workload: spec.Workload, Stats: stats, BHTAccuracy: s.BHT().Accuracy()}, nil
 }
 
 // Label names the spec in errors and progress lines: its workload, else
@@ -131,6 +124,68 @@ func (s Spec) Label() string {
 		return "gen:" + s.GenID
 	}
 	return "custom"
+}
+
+// SynthWorkloadPrefix marks a workload name as a synthetic preset rather
+// than a catalog kernel: "synth:sharing" runs synth.ByName("sharing").
+// Synthetic presets are stable, named identities, so they participate in
+// engine result caching like catalog workloads.
+const SynthWorkloadPrefix = "synth:"
+
+// CheckWorkload validates one workload name — a catalog kernel or a
+// "synth:" preset — without building its generator, so plan builders can
+// fail fast. It is the single definition of the workload namespace that
+// Spec, SMTSpec and MulticoreSpec draw from; workloadGen resolves the
+// same names.
+func CheckWorkload(name string) error {
+	if preset, ok := strings.CutPrefix(name, SynthWorkloadPrefix); ok {
+		if _, ok := synth.ByName(preset); !ok {
+			return fmt.Errorf("sim: unknown synthetic preset %q", name)
+		}
+		return nil
+	}
+	if _, ok := workloads.ByName(name); !ok {
+		return fmt.Errorf("sim: unknown workload %q", name)
+	}
+	return nil
+}
+
+// workloadGen resolves one workload name — catalog kernel or "synth:"
+// preset — to a fresh trace generator.
+func workloadGen(name string) (trace.Generator, error) {
+	if err := CheckWorkload(name); err != nil {
+		return nil, err
+	}
+	if preset, ok := strings.CutPrefix(name, SynthWorkloadPrefix); ok {
+		p, _ := synth.ByName(preset)
+		return synth.New(p), nil
+	}
+	w, _ := workloads.ByName(name)
+	return w.NewGen()
+}
+
+// openWorkloads opens a run's named workloads, one trace each, every
+// trace bounded to budget instructions, and appends them to gens (so a
+// single-core run, one per batch point, can pass storage on its stack).
+// It is the one place a run of any kind resolves its names: the kernels
+// and presets never end, so the run needs at least one of them and a
+// positive budget. label names the run in the errors.
+func openWorkloads(gens []trace.Generator, label string, budget int64, names ...string) ([]trace.Generator, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("sim: %s: no workload to run", label)
+	}
+	if budget <= 0 {
+		return nil, fmt.Errorf("sim: %s: instruction budget %d; its workloads never end, so it needs a positive one",
+			label, budget)
+	}
+	for _, name := range names {
+		gen, err := workloadGen(name)
+		if err != nil {
+			return nil, err
+		}
+		gens = append(gens, trace.Take(gen, budget))
+	}
+	return gens, nil
 }
 
 // traceErr returns the error that ended one of a run's traces early,

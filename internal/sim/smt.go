@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // SMTSpec describes a simultaneous-multithreading run: one workload per
@@ -14,13 +13,17 @@ import (
 //
 //vpr:cachekey
 type SMTSpec struct {
-	// Workloads names one kernel per hardware thread.
+	// Workloads names one workload per hardware thread: a catalog kernel
+	// or a "synth:" preset, as in Spec.
 	Workloads []string
 	Config    pipeline.Config
-	// MaxInstrPerThread bounds every thread's trace. Catalog kernels
-	// never end, so it must be positive.
+	// MaxInstrPerThread bounds every thread's trace. The workloads never
+	// end, so it must be positive.
 	MaxInstrPerThread int64
 }
+
+// Label names the spec in errors and progress lines.
+func (s SMTSpec) Label() string { return fmt.Sprintf("smt %v", s.Workloads) }
 
 // SMTResult is the outcome of an SMT run.
 type SMTResult struct {
@@ -34,24 +37,10 @@ func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SMTResult{}, err
 	}
-	if len(spec.Workloads) == 0 {
-		return SMTResult{}, fmt.Errorf("sim: SMT run needs at least one workload")
-	}
-	if spec.MaxInstrPerThread <= 0 {
-		return SMTResult{}, fmt.Errorf("sim: smt %v: instruction budget %d per thread; catalog kernels never end, so it must be positive",
-			spec.Workloads, spec.MaxInstrPerThread)
-	}
-	var gens []trace.Generator
-	for _, name := range spec.Workloads {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return SMTResult{}, fmt.Errorf("sim: unknown workload %q", name)
-		}
-		gen, err := w.NewGen()
-		if err != nil {
-			return SMTResult{}, err
-		}
-		gens = append(gens, trace.Take(gen, spec.MaxInstrPerThread))
+	gens, err := openWorkloads(make([]trace.Generator, 0, len(spec.Workloads)),
+		spec.Label(), spec.MaxInstrPerThread, spec.Workloads...)
+	if err != nil {
+		return SMTResult{}, err
 	}
 	s, err := pipeline.NewSMT(spec.Config, gens)
 	if err != nil {
@@ -62,7 +51,7 @@ func RunSMTContext(ctx context.Context, spec SMTSpec) (SMTResult, error) {
 		err = traceErr(gens)
 	}
 	if err != nil {
-		return SMTResult{}, fmt.Errorf("sim: smt %v: %w", spec.Workloads, err)
+		return SMTResult{}, fmt.Errorf("sim: %s: %w", spec.Label(), err)
 	}
 	out := SMTResult{Stats: stats}
 	for i := 0; i < s.Threads(); i++ {

@@ -103,7 +103,7 @@ type (
 
 // MulticoreSpec and MulticoreResult describe multi-core runs: one
 // workload per core (a catalog kernel, or a synthetic preset named
-// "synth:<preset>" — see SynthWorkloadPrefix), each core a full
+// "synth:<preset>", as in every spec kind), each core a full
 // single-thread pipeline with a private lockup-free L1, all cores stepped
 // in cycle-lockstep behind a banked finite shared L2 (internal/mem). Set
 // SharedAddressSpace to let cores share L2 lines, and Coherence to run
@@ -123,9 +123,10 @@ type (
 	MulticoreResult = sim.MulticoreResult
 )
 
-// SynthWorkloadPrefix marks a multicore workload name as a synthetic
-// preset ("synth:sharing" is the coherence experiment's sharing-heavy
-// stream) rather than a catalog kernel.
+// SynthWorkloadPrefix marks a workload name as a synthetic preset
+// ("synth:sharing" is the coherence experiment's sharing-heavy stream)
+// rather than a catalog kernel. RunSpec, SMTSpec and MulticoreSpec all
+// accept both kinds of name.
 const SynthWorkloadPrefix = sim.SynthWorkloadPrefix
 
 // StepMode selects how a multi-core run advances its cores:
@@ -262,65 +263,27 @@ func WithProbe(p Probe) EngineOption { return engine.WithProbe(p) }
 
 // Engine executes simulation points and experiments with bounded
 // parallelism and result caching. Construct with New; an Engine is safe
-// for concurrent use.
+// for concurrent use. Run, RunBatch, RunSMT, RunSMTBatch, RunMulticore,
+// RunMulticoreBatch and CacheStats are the embedded internal engine's
+// methods; RunExperiment adds the experiment registry.
 type Engine struct {
-	eng *engine.Engine
+	*engineCore
 }
+
+// engineCore is the internal engine under an unexported name, so that
+// Engine promotes its methods without exporting the engine itself.
+type engineCore = engine.Engine
 
 // New builds an Engine. Defaults: parallelism = GOMAXPROCS and a result
 // cache of engine.DefaultCacheCapacity entries.
 func New(opts ...EngineOption) *Engine {
-	return &Engine{eng: engine.New(opts...)}
-}
-
-// CacheStats reports lifetime result-cache hits and misses.
-func (e *Engine) CacheStats() (hits, misses int64) { return e.eng.CacheStats() }
-
-// Run simulates one point under ctx, consulting and populating the result
-// cache.
-func (e *Engine) Run(ctx context.Context, spec RunSpec) (Result, error) {
-	return e.eng.Run(ctx, spec)
-}
-
-// RunBatch fans specs out over the worker pool and returns results in spec
-// order. Results are identical at every parallelism level; the first
-// error (or ctx cancellation — test with errors.Is, since a cancellation
-// landing mid-simulation arrives wrapped) stops the batch. A spec whose
-// run panics fails with a *PanicError.
-func (e *Engine) RunBatch(ctx context.Context, specs []RunSpec) ([]Result, error) {
-	return e.eng.RunBatch(ctx, specs)
+	return &Engine{engine.New(opts...)}
 }
 
 // PanicError is a run that panicked, with the spec's label, the panic
 // value and the stack. The engine recovers the panic, so one bad spec
 // fails its own run and batch instead of the process.
 type PanicError = engine.PanicError
-
-// RunSMT simulates one multithreaded machine under ctx: one workload per
-// hardware thread sharing the pipeline, cache and physical register files.
-func (e *Engine) RunSMT(ctx context.Context, spec SMTSpec) (SMTResult, error) {
-	return e.eng.RunSMT(ctx, spec)
-}
-
-// RunSMTBatch is RunBatch for multithreaded points.
-func (e *Engine) RunSMTBatch(ctx context.Context, specs []SMTSpec) ([]SMTResult, error) {
-	return e.eng.RunSMTBatch(ctx, specs)
-}
-
-// RunMulticore simulates one multi-core machine under ctx: one workload
-// per core, private L1s over the banked shared L2, cores stepped in
-// cycle-lockstep. Results cache under a key covering the per-core
-// machine and the shared-L2 memory configuration.
-func (e *Engine) RunMulticore(ctx context.Context, spec MulticoreSpec) (MulticoreResult, error) {
-	return e.eng.RunMulticore(ctx, spec)
-}
-
-// RunMulticoreBatch shards independent multi-core specs across the
-// worker pool (each machine's cores stay in lockstep on one worker) and
-// returns results in spec order.
-func (e *Engine) RunMulticoreBatch(ctx context.Context, specs []MulticoreSpec) ([]MulticoreResult, error) {
-	return e.eng.RunMulticoreBatch(ctx, specs)
-}
 
 // RunExperiment builds the named experiment's spec list, executes it
 // through the engine's worker pool and cache, and reduces the runs into
@@ -331,7 +294,7 @@ func (e *Engine) RunExperiment(ctx context.Context, name string, opts Experiment
 	if !ok {
 		return ExperimentResult{}, &UnknownExperimentError{Name: name}
 	}
-	v, err := exp.Run(ctx, e.eng, opts)
+	v, err := exp.Run(ctx, e.engineCore, opts)
 	if err != nil {
 		return ExperimentResult{}, err
 	}
@@ -368,7 +331,8 @@ type (
 // --- Experiment registry ------------------------------------------------------
 
 // ExperimentOptions tune Engine.RunExperiment (instruction budget per
-// run, workload subset, progress callback, ...).
+// run, workload subset, core counts, ...). Progress lines come from the
+// engine (WithProgress).
 type ExperimentOptions = experiments.Options
 
 // ExperimentInfo describes one registered experiment.
